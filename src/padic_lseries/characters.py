@@ -1,4 +1,4 @@
-"""Dirichlet characters mod k, their enumeration, and prime-power extension.
+"""Dirichlet characters mod k, their enumeration, and the local twist chi(p).
 
 The unit group (Z/kZ)* is decomposed through its prime-power parts: each odd
 prime power gets its smallest primitive root, 2^e gets the classical pair
@@ -16,7 +16,6 @@ floating point until the final exponential.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,29 +189,37 @@ def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
 
 
 @dataclass(frozen=True)
-class ExtendedCharacter:
-    """chi carried to all integer powers of a fixed prime p.
+class Twist:
+    """The local twist T = twist(p) behind a gamma factor, an operator and a trace.
 
-    Values are chi(p)^n; negative n uses the inverse of the unimodular value
-    chi(p).  When p divides the modulus the extension vanishes at every
-    nonzero n (and is 1 at n = 0, as an empty product).
+    T is held as an exact angle, T = exp(2 pi i angle), where angle 0 is the
+    untwisted case and None means T = 0 (p divides a character's modulus);
+    or as a complex ``root`` of a local Hecke quadratic, which takes
+    precedence over the angle.
     """
 
-    character: DirichletCharacter
     prime: int
-    p_divides_k: bool
+    angle: Fraction | None = Fraction(0)
+    root: complex | None = None
+
+    @property
+    def value(self) -> complex:
+        if self.root is not None:
+            return self.root
+        return complex(0.0, 0.0) if self.angle is None else unit_phase(self.angle)
+
+    def power(self, n: int) -> complex:
+        """T^n, on exact angles for unimodular twists; T^0 = 1 as an empty product."""
+        if self.root is not None:
+            return self.root**n
+        # the untwisted constant skips Fraction arithmetic: kernels call this per shell
+        if n == 0 or self.angle == 0:
+            return complex(1.0, 0.0)
+        if self.angle is None:
+            return complex(0.0, 0.0)
+        return unit_phase((n * self.angle) % 1)
 
 
-def extend_character(chi: DirichletCharacter, p: int) -> ExtendedCharacter:
-    degenerate = chi.modulus > 1 and math.gcd(p, chi.modulus) > 1
-    return ExtendedCharacter(chi, p, degenerate)
-
-
-def extended_char(x: ExtendedCharacter, n: int) -> complex:
-    """x(p^n) = chi(p)^n, computed on exact angles."""
-    if n == 0:
-        return complex(1.0, 0.0)
-    if x.p_divides_k:
-        return complex(0.0, 0.0)
-    theta = character_angle(x.character, x.prime)
-    return unit_phase((n * theta) % 1)
+def character_twist(chi: DirichletCharacter, p: int) -> Twist:
+    """The twist chi(p); it vanishes when p divides the modulus."""
+    return Twist(p, character_angle(chi, p))

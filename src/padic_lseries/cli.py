@@ -37,18 +37,24 @@ from .lseries import (
     local_factor_closed,
     local_trace,
 )
-from .modular import coefficient, delta_expansion, delta_provider, factorize_local
+from .modular import (
+    coefficient,
+    delta_expansion,
+    delta_provider,
+    factorize_local,
+    quadratic_constant,
+)
 from .padic import padic_from_fraction
 from .quadrature import (
     CHARACTER_TWISTED,
+    MODULAR_A1,
+    MODULAR_A2,
     GammaSpec,
     gamma_by_quadrature,
     gamma_closed_form,
 )
 from .selftest import run_selftest
 from .wavelets import (
-    MODULAR_A1,
-    MODULAR_A2,
     PLAIN,
     OperatorSpec,
     apply_kernel,
@@ -71,11 +77,10 @@ class RunConfig:
     series_length: int = 1_000_000
     tolerance: float = 1e-9
     coset_cap: int = 1_000_000
-    chunk_size: int = 1024  # reserved; reductions are sequential and ordered
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if min(self.truncation, self.prime_bound, self.series_length, self.coset_cap, self.chunk_size) <= 0:
+        if min(self.truncation, self.prime_bound, self.series_length, self.coset_cap) <= 0:
             raise ValueError("config values must be positive")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must lie in (0, 1)")
@@ -94,10 +99,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(path: str) -> dict:
     overrides = {}
-    known = {f.name: f.type for f in fields(RunConfig)}
-    coerce = {"truncation": int, "prime_bound": int, "series_length": int,
-              "tolerance": float, "coset_cap": int, "chunk_size": int,
-              "output_format": str}
+    coerce = {f.name: type(f.default) for f in fields(RunConfig)}
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
@@ -110,7 +112,7 @@ def _load_config_file(path: str) -> dict:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in coerce:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             overrides[key] = coerce[key](value)
@@ -324,19 +326,13 @@ def _cmd_tau(args, config: RunConfig) -> dict:
     return {"max": args.max, "coefficients": [str(v) for v in values]}
 
 
-def _exact_int(value: complex):
-    if value.imag == 0 and float(value.real).is_integer():
-        return int(value.real)
-    return value
-
-
 def _cmd_factorize(args, config: RunConfig) -> dict:
     provider = delta_provider(max(8, args.p))
     fac = factorize_local(provider, args.p)
     return {
         "p": fac.prime,
-        "a_p": _exact_int(fac.a_p),
-        "chi_pk": _exact_int(fac.chi_pk),
+        "a_p": coefficient(provider, args.p),
+        "chi_pk": quadratic_constant(provider, args.p),
         "a1": fac.a1,
         "a2": fac.a2,
         "sum_residual": abs(fac.a1 + fac.a2 - fac.a_p),
@@ -347,7 +343,7 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
 def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
     truncation = args.truncation or config.truncation
-    provider = delta_provider(max(8, args.p**args.shift))
+    provider = delta_provider(max(8, args.p, args.p**args.shift))
     result = hecke_conjugated_trace(provider, args.p, s, args.shift, truncation)
     closed = local_factor_closed(
         TraceRequest(MODULAR_LOCAL, args.p, s, truncation, provider=provider)
@@ -380,7 +376,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--series-length", type=int, help="Dirichlet series length N")
     common.add_argument("--tolerance", type=float, help="pass/fail slack on comparisons")
     common.add_argument("--coset-cap", type=int, help="max coset representatives")
-    common.add_argument("--chunk-size", type=int, help="reduction chunk size (reserved)")
 
     parser = _Parser(prog="padic-lseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -443,7 +438,6 @@ _FLAG_FIELDS = (
     ("series_length", "series_length"),
     ("tolerance", "tolerance"),
     ("coset_cap", "coset_cap"),
-    ("chunk_size", "chunk_size"),
     ("format", "output_format"),
 )
 

@@ -24,6 +24,7 @@ long before the products stop being representable.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +33,8 @@ from .characters import DirichletCharacter, character_angle, evaluate
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local
 from .padic import is_prime
-from .quadrature import POLE_EPSILON
-from .wavelets import CHARACTER_TWISTED, PLAIN, OperatorSpec, eigenvalue
+from .quadrature import CHARACTER_TWISTED, POLE_EPSILON
+from .wavelets import PLAIN, OperatorSpec, eigenvalue, is_degenerate
 
 ZETA_LOCAL = "zeta_local"
 DIRICHLET_LOCAL = "dirichlet_local"
@@ -141,13 +142,13 @@ def local_trace(req: TraceRequest) -> SeriesResult:
     if req.kind == ZETA_LOCAL:
         return _geometric_unimodular_trace(OperatorSpec(PLAIN, p, -s), p, s, M)
     if req.kind == DIRICHLET_LOCAL:
-        if character_angle(req.character, p) is None:
+        spec = OperatorSpec(CHARACTER_TWISTED, p, -s, character=req.character)
+        if is_degenerate(spec):
             raise DegenerateTwistError(
                 f"p = {p} divides the modulus {req.character.modulus}: the twist "
                 "degenerates to the identity and its trace diverges; the closed "
                 "local factor there is exactly 1"
             )
-        spec = OperatorSpec(CHARACTER_TWISTED, p, -s, character=req.character)
         return _geometric_unimodular_trace(spec, p, s, M)
     if req.kind == MODULAR_LOCAL:
         q1, q2, ratio = _modular_ratios(req.provider, p, s)
@@ -248,55 +249,48 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
     s = complex(s)
     if N < 1:
         raise ValueError("the partial sum needs N >= 1")
-    real_s = s.imag == 0.0
     if isinstance(twist, CoefficientProvider):
         sigma = s.real - _series_exponent_shift(twist) - 0.5  # |a(n)| <= 2 n^(k/2)
         if sigma <= 1.0:
             raise ConvergenceError(
                 f"modular series needs Re(s) > {1.5 + _series_exponent_shift(twist)}; got s = {s}"
             )
-        total = complex(0.0)
-        if real_s:
-            x = s.real
-            for n in range(1, N + 1):
-                total += complex(coefficient(twist, n)) * n**-x
-        else:
-            for n in range(1, N + 1):
-                total += complex(coefficient(twist, n)) * cmath.exp(-s * math.log(n))
+        if N > twist.max_n:
+            coefficient(twist, twist.max_n + 1)  # raises the out-of-table IndexError
+        coefficients = twist.values
         tail = 2.0 * N ** (1.0 - sigma) / (sigma - 1.0)
-        return SeriesResult(total, tail, N)
-
-    chi: DirichletCharacter = twist
-    alternating = _is_alternating(chi) and real_s and s.real > 0.0
-    if s.real <= 1.0 and not alternating:
-        raise ConvergenceError(
-            f"Dirichlet series needs Re(s) > 1 (or an alternating real character "
-            f"with real s > 0); got s = {s}"
-        )
-    k = chi.modulus
-    table = [evaluate(chi, r) for r in range(max(k, 1))]
-    total = complex(0.0)
-    if real_s:
-        x = s.real
-        for n in range(1, N + 1):
-            value = table[n % k] if k > 1 else table[0]
-            if value != 0:
-                total += value * n**-x
     else:
-        for n in range(1, N + 1):
-            value = table[n % k] if k > 1 else table[0]
-            if value != 0:
-                total += value * cmath.exp(-s * math.log(n))
+        chi: DirichletCharacter = twist
+        alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0
+        if s.real <= 1.0 and not alternating:
+            raise ConvergenceError(
+                f"Dirichlet series needs Re(s) > 1 (or an alternating real character "
+                f"with real s > 0); got s = {s}"
+            )
+        # chi(1), ..., chi(k), repeated: the n-th item is chi(n)
+        coefficients = itertools.cycle([evaluate(chi, r) for r in range(1, chi.modulus + 1)])
+        bounds = []
+        if s.real > 1.0:
+            bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))
+        if alternating:
+            nxt = N + 1
+            while character_angle(chi, nxt) is None:
+                nxt += 1
+            bounds.append(nxt ** (-s.real))
+        tail = min(bounds)
 
-    bounds = []
-    if s.real > 1.0:
-        bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))
-    if alternating:
-        nxt = N + 1
-        while character_angle(chi, nxt) is None:
-            nxt += 1
-        bounds.append(nxt ** (-s.real))
-    return SeriesResult(total, min(bounds), N)
+    # two loops, not one: n**-x and cmath.exp round differently
+    total = complex(0.0)
+    if s.imag == 0.0:
+        x = s.real
+        for n, a in zip(range(1, N + 1), coefficients):
+            if a:
+                total += a * n**-x
+    else:
+        for n, a in zip(range(1, N + 1), coefficients):
+            if a:
+                total += a * cmath.exp(-s * math.log(n))
+    return SeriesResult(total, tail, N)
 
 
 def hecke_conjugated_trace(

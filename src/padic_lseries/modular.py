@@ -147,7 +147,7 @@ def coefficient(provider: CoefficientProvider, n: int):
     return provider.values[n - 1]
 
 
-def _quadratic_constant(provider: CoefficientProvider, p: int):
+def quadratic_constant(provider: CoefficientProvider, p: int):
     """chi(p) p^(k-1), kept exact when the nebentypus value is 0 or 1."""
     if provider.character.modulus == 1:
         return p ** (provider.weight - 1)
@@ -168,7 +168,7 @@ def verify_recursion(provider: CoefficientProvider, p: int, m: int) -> float:
     residual = (
         coefficient(provider, p ** (m + 1))
         - coefficient(provider, p) * coefficient(provider, p**m)
-        + _quadratic_constant(provider, p) * coefficient(provider, p ** (m - 1))
+        + quadratic_constant(provider, p) * coefficient(provider, p ** (m - 1))
     )
     return float(abs(residual))
 
@@ -191,7 +191,7 @@ def factorize_local(provider: CoefficientProvider, p: int) -> LocalFactorization
     ordered by descending real part.
     """
     a_p = complex(coefficient(provider, p))
-    chi_pk = complex(_quadratic_constant(provider, p))
+    chi_pk = complex(quadratic_constant(provider, p))
     square_root = cmath.sqrt(a_p * a_p - 4.0 * chi_pk)
     roots = sorted(
         ((a_p + square_root) / 2.0, (a_p - square_root) / 2.0),

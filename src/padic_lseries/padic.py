@@ -70,10 +70,7 @@ class PadicNumber:
         """The exact rational this expansion denotes."""
         if self.is_zero:
             return Fraction(0)
-        unit = 0
-        for i in reversed(range(len(self.digits))):
-            unit = unit * self.prime + self.digits[i]
-        return Fraction(self.prime) ** self.valuation * unit
+        return Fraction(self.prime) ** self.valuation * self.unit_part()
 
     def unit_part(self) -> int:
         """The integer d_0 + d_1 p + ... (0 for zero)."""
@@ -81,25 +78,6 @@ class PadicNumber:
         for i in reversed(range(len(self.digits))):
             unit = unit * self.prime + self.digits[i]
         return unit
-
-
-@dataclass(frozen=True)
-class PadicBall:
-    """The set {xi : |xi - center|_p <= p^radius_exponent}; measure p^r."""
-
-    prime: int
-    center: PadicNumber
-    radius_exponent: int
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(self.prime) ** self.radius_exponent
-
-    def contains(self, x: PadicNumber) -> bool:
-        diff = x.as_fraction() - self.center.as_fraction()
-        if diff == 0:
-            return True
-        return rational_valuation(diff, self.prime) >= -self.radius_exponent
 
 
 def make_padic(p: int, valuation: int, digits) -> PadicNumber:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .characters import DirichletCharacter, character_angle, extend_character, extended_char
+from .characters import DirichletCharacter, Twist, character_twist
 from .errors import ConvergenceError, LocalityError, PoleError
 from .padic import (
     COSET_CAP,
@@ -33,7 +33,6 @@ from .padic import (
     circle_representatives,
     is_prime,
     padic_from_fraction,
-    unit_phase,
 )
 
 POLE_EPSILON = 1e-12
@@ -43,8 +42,6 @@ STANDARD = "standard"
 CHARACTER_TWISTED = "character_twisted"
 MODULAR_A1 = "modular_a1"
 MODULAR_A2 = "modular_a2"
-
-_GAMMA_KINDS = (STANDARD, CHARACTER_TWISTED, MODULAR_A1, MODULAR_A2)
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,35 @@ def _check_locality(f: CircleIntegrand, p: int, n: int, reps: list[PadicNumber])
                 )
 
 
+def spec_twist(spec, role: str, untwisted: str) -> Twist:
+    """Validate a spec's twist fields and derive its Twist.
+
+    GammaSpec and OperatorSpec share this: ``role`` names the spec in error
+    messages and ``untwisted`` is its kind without a twist.  A character
+    belongs to ``character_twisted`` only and a coefficient (one root of the
+    local Hecke quadratic) to the modular kinds only, so no stray field can
+    change the derived twist.
+    """
+    if spec.kind not in (untwisted, CHARACTER_TWISTED, MODULAR_A1, MODULAR_A2):
+        raise ValueError(f"unknown {role} kind {spec.kind!r}")
+    if not is_prime(spec.prime):
+        raise ValueError(f"prime must be prime, got {spec.prime}")
+    modular = spec.kind in (MODULAR_A1, MODULAR_A2)
+    if spec.kind == CHARACTER_TWISTED and spec.character is None:
+        raise ValueError(f"character_twisted {role} needs a character")
+    if spec.kind != CHARACTER_TWISTED and spec.character is not None:
+        raise ValueError(f"{spec.kind} {role} takes no character")
+    if modular and spec.coefficient is None:
+        raise ValueError(f"modular {role} needs a coefficient")
+    if not modular and spec.coefficient is not None:
+        raise ValueError(f"{spec.kind} {role} takes no coefficient")
+    if spec.kind == CHARACTER_TWISTED:
+        return character_twist(spec.character, spec.prime)
+    if modular:
+        return Twist(spec.prime, root=complex(spec.coefficient))
+    return Twist(spec.prime)
+
+
 @dataclass(frozen=True)
 class GammaSpec:
     """Which gamma function, at which prime and argument.
@@ -104,6 +130,7 @@ class GammaSpec:
     kind selects the twist: ``standard`` (no twist), ``character_twisted``
     (a Dirichlet character evaluated at p), or ``modular_a1``/``modular_a2``
     (one root of a local Hecke quadratic, passed as ``coefficient``).
+    ``twist`` is derived from these fields.
     """
 
     kind: str
@@ -111,38 +138,10 @@ class GammaSpec:
     s: complex
     character: DirichletCharacter | None = None
     coefficient: complex | None = None
+    twist: Twist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _GAMMA_KINDS:
-            raise ValueError(f"unknown gamma kind {self.kind!r}")
-        if not is_prime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
-        if self.kind == CHARACTER_TWISTED and self.character is None:
-            raise ValueError("character_twisted gamma needs a character")
-        if self.kind != CHARACTER_TWISTED and self.character is not None:
-            raise ValueError(f"{self.kind} gamma takes no character")
-        if self.kind in (MODULAR_A1, MODULAR_A2) and self.coefficient is None:
-            raise ValueError("modular gamma needs a coefficient")
-        if self.kind not in (MODULAR_A1, MODULAR_A2) and self.coefficient is not None:
-            raise ValueError(f"{self.kind} gamma takes no coefficient")
-
-
-def _twist_value(spec: GammaSpec) -> complex:
-    if spec.kind == STANDARD:
-        return complex(1.0, 0.0)
-    if spec.kind == CHARACTER_TWISTED:
-        theta = character_angle(spec.character, spec.prime)
-        return complex(0.0, 0.0) if theta is None else unit_phase(theta)
-    return complex(spec.coefficient)
-
-
-def _twist_power(spec: GammaSpec, n: int) -> complex:
-    """twist(p)^n, exact on angles for unimodular twists."""
-    if spec.kind == STANDARD:
-        return complex(1.0, 0.0)
-    if spec.kind == CHARACTER_TWISTED:
-        return extended_char(extend_character(spec.character, spec.prime), n)
-    return complex(spec.coefficient) ** n
+        object.__setattr__(self, "twist", spec_twist(self, "gamma", STANDARD))
 
 
 def _p_power(p: int, z: complex) -> complex:
@@ -152,10 +151,15 @@ def _p_power(p: int, z: complex) -> complex:
 
 def gamma_closed_form(spec: GammaSpec, pole_epsilon: float = POLE_EPSILON) -> complex:
     """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0."""
-    T = _twist_value(spec)
+    return twisted_gamma(spec.twist, spec.s, pole_epsilon)
+
+
+def twisted_gamma(twist: Twist, s: complex, pole_epsilon: float = POLE_EPSILON) -> complex:
+    """The closed form of gamma_closed_form from the twist and s alone."""
+    T = twist.value
     if T == 0:
         return complex(0.0, 0.0)
-    p, s = spec.prime, complex(spec.s)
+    p, s = twist.prime, complex(s)
     denom = 1.0 - T * _p_power(p, -s)
     if abs(denom) < pole_epsilon:
         raise PoleError(
@@ -181,7 +185,8 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     cancellation; computing three of them keeps that fact under test instead
     of assuming it.
     """
-    T = _twist_value(spec)
+    twist = spec.twist
+    T = twist.value
     p, s = spec.prime, complex(spec.s)
     if T == 0:
         return (complex(0.0), complex(0.0), complex(0.0))
@@ -206,7 +211,7 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     outer = complex(0.0, 0.0)
     for n in (-1, -2, -3):
         radius_factor = _p_power(p, -n * (s - 1))
-        twist_factor = _twist_power(spec, n)
+        twist_factor = twist.power(n)
 
         def integrand(xi: PadicNumber) -> complex:
             return additive_character(xi) * radius_factor * twist_factor
@@ -221,7 +226,7 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
     The only truncation is the inner-circle count N; the discarded circles
     form a geometric series with ratio |T| p^(-Re s), bounded in closed form.
     """
-    T = _twist_value(spec)
+    T = spec.twist.value
     if T == 0:
         return QuadratureResult(complex(0.0, 0.0), 0.0, 0)
     inner, unit, outer = gamma_regions(spec, N, cap=cap)

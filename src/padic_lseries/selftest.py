@@ -33,6 +33,7 @@ from .modular import (
 from .padic import additive_character, padic_zero
 from .quadrature import (
     CHARACTER_TWISTED,
+    MODULAR_A1,
     STANDARD,
     CircleIntegrand,
     GammaSpec,
@@ -41,7 +42,6 @@ from .quadrature import (
     integrate_circle,
 )
 from .wavelets import (
-    MODULAR_A1,
     PLAIN,
     OperatorSpec,
     apply_kernel,

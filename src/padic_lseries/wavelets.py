@@ -24,33 +24,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import DirichletCharacter, character_angle, extend_character, extended_char
+from .characters import DirichletCharacter, Twist
 from .errors import ConvergenceError, CosetCapError, PrimeMismatchError
 from .padic import (
     COSET_CAP,
-    PadicBall,
     PadicNumber,
     is_prime,
-    padic_from_fraction,
     rational_fractional_part,
     rational_valuation,
     unit_phase,
 )
-from .quadrature import (
-    CHARACTER_TWISTED,
-    MODULAR_A1,
-    MODULAR_A2,
-    STANDARD,
-    GammaSpec,
-    gamma_closed_form,
-)
+from .quadrature import spec_twist, twisted_gamma
 
 PLAIN = "plain"
-
-_OPERATOR_KINDS = (PLAIN, CHARACTER_TWISTED, MODULAR_A1, MODULAR_A2)
 
 RAISE = "+"
 LOWER = "-"
@@ -99,21 +88,6 @@ def ket(p: int, label: int) -> WaveletIndex:
     return wavelet_index(p, 1 - label, 0, 1)
 
 
-def support(idx: WaveletIndex) -> PadicBall:
-    return PadicBall(
-        idx.prime,
-        padic_from_fraction(idx.prime, idx.center),
-        idx.n,
-    )
-
-
-def indicator(x: PadicNumber) -> int:
-    """1 on Z_p, else 0."""
-    if x.is_zero:
-        return 1
-    return 1 if x.valuation >= 0 else 0
-
-
 def _eval_at_fraction(idx: WaveletIndex, xi: Fraction) -> complex:
     p, n = idx.prime, idx.n
     diff = xi - idx.center
@@ -156,6 +130,7 @@ class OperatorSpec:
 
     kind is ``plain``, ``character_twisted`` (with ``character``), or
     ``modular_a1``/``modular_a2`` (with ``coefficient`` holding the root).
+    ``twist`` is derived from these fields exactly as for GammaSpec.
     """
 
     kind: str
@@ -163,45 +138,15 @@ class OperatorSpec:
     alpha: complex
     character: DirichletCharacter | None = None
     coefficient: complex | None = None
+    twist: Twist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == CHARACTER_TWISTED and self.character is None:
-            raise ValueError("character_twisted operator needs a character")
-        if self.kind in (MODULAR_A1, MODULAR_A2) and self.coefficient is None:
-            raise ValueError("modular operator needs a coefficient")
-
-
-def twist_value(spec: OperatorSpec) -> complex:
-    if spec.kind == PLAIN:
-        return complex(1.0, 0.0)
-    if spec.kind == CHARACTER_TWISTED:
-        theta = character_angle(spec.character, spec.prime)
-        return complex(0.0, 0.0) if theta is None else unit_phase(theta)
-    return complex(spec.coefficient)
-
-
-def twist_power(spec: OperatorSpec, n: int) -> complex:
-    """twist(p)^n with exact angle arithmetic for unimodular twists."""
-    if spec.kind == PLAIN:
-        return complex(1.0, 0.0)
-    if spec.kind == CHARACTER_TWISTED:
-        return extended_char(extend_character(spec.character, spec.prime), n)
-    return complex(spec.coefficient) ** n
+        object.__setattr__(self, "twist", spec_twist(self, "operator", PLAIN))
 
 
 def is_degenerate(spec: OperatorSpec) -> bool:
     """True when the twist vanishes and the operator is the identity."""
-    return spec.kind != PLAIN and twist_value(spec) == 0
-
-
-def _gamma_spec(spec: OperatorSpec, s: complex) -> GammaSpec:
-    if spec.kind == PLAIN:
-        return GammaSpec(STANDARD, spec.prime, s)
-    if spec.kind == CHARACTER_TWISTED:
-        return GammaSpec(CHARACTER_TWISTED, spec.prime, s, character=spec.character)
-    return GammaSpec(spec.kind, spec.prime, s, coefficient=spec.coefficient)
+    return spec.twist.value == 0
 
 
 def eigenvalue(spec: OperatorSpec, ket_label: int) -> complex:
@@ -209,7 +154,7 @@ def eigenvalue(spec: OperatorSpec, ket_label: int) -> complex:
     if is_degenerate(spec):
         return complex(1.0, 0.0)
     scale = cmath.exp(complex(spec.alpha) * ket_label * math.log(spec.prime))
-    return twist_power(spec, ket_label) * scale
+    return spec.twist.power(ket_label) * scale
 
 
 def apply_kernel(
@@ -260,7 +205,8 @@ def apply_kernel(
         raise ValueError("evaluation point lies outside the truncation ball")
 
     log_p = math.log(p)
-    gamma_norm = gamma_closed_form(_gamma_spec(spec, -alpha))
+    twist = spec.twist
+    gamma_norm = twisted_gamma(twist, -alpha)
     diff = xif - idx.center
     inside = diff == 0 or rational_valuation(diff, p) >= -n
     psi_xi = _eval_at_fraction(idx, xif) if inside else complex(0.0, 0.0)
@@ -270,7 +216,7 @@ def apply_kernel(
     if inside:
         # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets
         coset_measure = float(Fraction(p) ** (n - 1))
-        shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist_power(spec, -n)
+        shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist.power(-n)
         step = Fraction(p) ** (-n)
         for d in range(1, p):
             acc += (
@@ -284,12 +230,12 @@ def apply_kernel(
                 psi_xi
                 * (1 - 1 / p)
                 * cmath.exp(-alpha * t * log_p)
-                * twist_power(spec, -t)
+                * twist.power(-t)
             )
     else:
         # |xi' - xi| is constant over the whole support ball
         t0 = -rational_valuation(diff, p)
-        weight = cmath.exp(-(alpha + 1) * t0 * log_p) * twist_power(spec, -t0)
+        weight = cmath.exp(-(alpha + 1) * t0 * log_p) * twist.power(-t0)
         coset_measure = float(Fraction(p) ** (n - 1))
         step = Fraction(p) ** (-n)
         for d in range(p):
@@ -301,7 +247,7 @@ def apply_kernel(
                     p ** (-n / 2)
                     * coset_measure
                     * p ** (-t0 * (alpha.real + 1))
-                    * abs(twist_power(spec, -t0))
+                    * abs(twist.power(-t0))
                 )
 
     decay = p**-alpha.real

@@ -1,4 +1,4 @@
-"""Unit groups, character enumeration, and the prime-power extension."""
+"""Unit groups, character enumeration, and the local twist chi(p)."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
+    Twist,
     character_angle,
+    character_twist,
     conjugate_character,
     enumerate_characters,
     euler_phi,
     evaluate,
-    extend_character,
-    extended_char,
     unit_group,
 )
 
@@ -136,31 +136,46 @@ def test_unimodular_on_units():
 
 def test_extension_powers_of_prime():
     chi = enumerate_characters(5)[1]
-    x = extend_character(chi, 2)
+    x = character_twist(chi, 2)
     base = evaluate(chi, 2)
     for n in range(-6, 7):
         want = base**n
-        assert abs(extended_char(x, n) - want) < 1e-12
-    assert extended_char(x, 0) == 1 + 0j
+        assert abs(x.power(n) - want) < 1e-12
+    assert x.power(0) == 1 + 0j
 
 
 def test_extension_degenerate_when_p_divides_modulus():
     chi = enumerate_characters(4)[1]
-    x = extend_character(chi, 2)
-    assert x.p_divides_k
-    assert extended_char(x, 0) == 1 + 0j
+    x = character_twist(chi, 2)
+    assert x.value == 0
+    assert x.power(0) == 1 + 0j
     for n in (1, -1, 3):
-        assert extended_char(x, n) == 0
+        assert x.power(n) == 0
 
 
 def test_extension_respects_group_law():
     rng = random.Random(2002)
     chi = enumerate_characters(7)[2]
-    x = extend_character(chi, 3)
+    x = character_twist(chi, 3)
     for _ in range(40):
         a = rng.randint(-8, 8)
         b = rng.randint(-8, 8)
-        assert abs(extended_char(x, a + b) - extended_char(x, a) * extended_char(x, b)) < 1e-12
+        assert abs(x.power(a + b) - x.power(a) * x.power(b)) < 1e-12
+
+
+def test_plain_twist_is_exactly_one_and_root_twist_powers_the_root():
+    plain = Twist(5)
+    assert plain.value == 1 + 0j
+    for n in range(-45, 46):
+        value = plain.power(n)
+        assert type(value) is complex
+        assert (value.real, math.copysign(1.0, value.imag)) == (1.0, 1.0)
+        assert value == 1 + 0j
+    root = complex(-3.5, 2.25)
+    twist = Twist(5, root=root)
+    assert twist.value == root
+    for n in range(-6, 7):
+        assert twist.power(n) == root**n
 
 
 def test_evaluate_vanishes_off_units():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from padic_lseries import MODULAR_LOCAL, TraceRequest, delta_provider, local_factor_closed
 from padic_lseries.cli import RunConfig, run
 
 
@@ -111,6 +112,13 @@ def test_factorize_report(capsys):
     assert report["sum_residual"] < 1e-9
 
 
+def test_factorize_chi_pk_is_exact_past_double_precision(capsys):
+    code = run(["factorize", "--p", "97"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    assert json.loads(out)["chi_pk"] == str(97**11)
+
+
 def test_eigencheck_modular_defaults_to_shallow_radius(capsys):
     code = run(["eigencheck", "--kind", "modular_a1", "--p", "2", "--alpha", "1",
                 "--max-ket", "1", "--points", "2"])
@@ -138,6 +146,18 @@ def test_hecke_trace_report(capsys):
     report = json.loads(out)
     assert abs(report["value"][0] - (-1 / 12)) < 1e-9
     assert report["abs_difference"] <= report["remainder_bound"] + 1e-9
+
+
+def test_hecke_trace_shift_zero_is_the_local_factor(capsys):
+    code = run(["hecke-trace", "--p", "11", "--s", "8", "--shift", "0"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    report = json.loads(out)
+    closed = local_factor_closed(
+        TraceRequest(MODULAR_LOCAL, 11, 8.0, provider=delta_provider(11))
+    )
+    value = complex(*report["value"])
+    assert abs(value - closed) <= report["remainder_bound"] + 1e-9
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

@@ -25,7 +25,6 @@ from padic_lseries import (
     ket,
     padic_from_fraction,
     raise_lower,
-    support,
     wavelet_eval,
     wavelet_index,
 )
@@ -39,19 +38,15 @@ def test_support_ball_and_vanishing_at_boundary():
     for p in (2, 3, 5):
         for label in range(4):
             idx = ket(p, label)
-            ball = support(idx)
             n = idx.n
-            assert ball.radius_exponent == n  # ball = {|xi - c| <= p^n}
             inside = _point(p, idx.center)
             assert abs(wavelet_eval(idx, inside)) > 0
             # just outside: distance p^(n+1) exceeds the radius p^n
             outside = _point(p, idx.center + Fraction(p) ** (-(n + 1)))
             assert wavelet_eval(idx, outside) == 0
-            assert not ball.contains(outside)
             # on the boundary sphere: distance exactly p^n stays inside
             edge = _point(p, idx.center + Fraction(p) ** (-n))
             assert abs(abs(wavelet_eval(idx, edge)) - float(p) ** (-n / 2)) < 1e-12
-            assert ball.contains(edge)
 
 
 def test_modulus_constant_on_support():
@@ -214,6 +209,17 @@ def test_kernel_preconditions():
         apply_kernel(OperatorSpec(PLAIN, 3, -0.5), idx, _point(3, idx.center), R=4)
     with pytest.raises(ValueError):
         OperatorSpec(CHARACTER_TWISTED, 3, 1.0)  # missing character
+    with pytest.raises(ValueError):
+        OperatorSpec(PLAIN, 4, 1.0)  # not prime
+    chi = enumerate_characters(4)[1]
+    with pytest.raises(ValueError):
+        OperatorSpec(PLAIN, 3, 1.0, character=chi)  # character on untwisted kind
+    with pytest.raises(ValueError):
+        OperatorSpec(MODULAR_A1, 3, 1.0, character=chi, coefficient=2.0)  # character on modular kind
+    with pytest.raises(ValueError):
+        OperatorSpec(CHARACTER_TWISTED, 3, 1.0, character=chi, coefficient=2.0)  # stray coefficient
+    with pytest.raises(ValueError):
+        OperatorSpec(PLAIN, 3, 1.0, coefficient=1.0)  # coefficient on untwisted kind
 
 
 def test_wavelet_index_canonical_offsets():
