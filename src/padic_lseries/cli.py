@@ -38,6 +38,7 @@ from .lseries import (
     local_trace,
 )
 from .modular import (
+    DEFAULT_DELTA_TERMS,
     coefficient,
     delta_expansion,
     delta_provider,
@@ -300,11 +301,15 @@ def _cmd_lseries(args, config: RunConfig) -> dict:
         if args.character is None:
             raise _UsageError("dirichlet L-series need --character k:index")
         twist = _parse_character(args.character)
+    elif args.method == "euler":
+        # euler needs coefficients at every sieved prime
+        twist = delta_provider(args.table_size or max(8, prime_bound))
     else:
-        # euler needs coefficients at every sieved prime; series tables are
-        # opt-in beyond the library default since the expansion cost is real
-        table = args.table_size or (max(8, prime_bound) if args.method == "euler" else 5000)
-        twist = delta_provider(table)
+        # the series sums its whole table; the expansion cost is real, so the
+        # length comes from the flags or the library default, never from the
+        # config's series_length (1e6 by default, meant for Dirichlet kinds)
+        series_length = args.series_length or args.table_size or DEFAULT_DELTA_TERMS
+        twist = delta_provider(series_length)
     if args.method == "euler":
         result = euler_product(twist, s, prime_bound)
         scope = {"prime_bound": prime_bound}
@@ -373,7 +378,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "tsv"), help="output format")
     common.add_argument("--truncation", type=int, help="trace/quadrature truncation M")
     common.add_argument("--prime-bound", type=int, help="Euler product prime bound P")
-    common.add_argument("--series-length", type=int, help="Dirichlet series length N")
+    common.add_argument(
+        "--series-length", type=int, help="Dirichlet series length N (modular: table length)"
+    )
     common.add_argument("--tolerance", type=float, help="pass/fail slack on comparisons")
     common.add_argument("--coset-cap", type=int, help="max coset representatives")
 

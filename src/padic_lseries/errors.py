@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on a *domain* failure (a parameter outside a convergence
-region, a pole, a degenerate twist, an enumeration blowing past its cap)
-derives from PadicLseriesError so callers, including the CLI, can separate
-domain errors from plain usage bugs.
+region, a pole, a degenerate twist, an enumeration or a table blowing past
+its cap) derives from PadicLseriesError so callers, including the CLI, can
+separate domain errors from plain usage bugs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ class PrimeMismatchError(PadicLseriesError):
 
 class CosetCapError(PadicLseriesError):
     """A coset enumeration would exceed the configured representative cap."""
+
+
+class TableCapError(PadicLseriesError):
+    """A coefficient table would exceed its documented length cap."""
 
 
 class LocalityError(PadicLseriesError):

@@ -20,9 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 from .characters import DirichletCharacter, enumerate_characters, evaluate
+from .errors import TableCapError
 
 DELTA_WEIGHT = 12
 DEFAULT_DELTA_TERMS = 5000
+# delta_expansion refuses longer tables with TableCapError instead of running
+# for many minutes: the packed multiply grows like N^1.6, and a build at the
+# cap took 96 s and 100 MB (Python 3.11.7, one core of an x86-64 host)
+DELTA_TERMS_CAP = 200_000
 
 BUILTIN_DELTA = "builtin_delta"
 EXPLICIT_TABLE = "explicit_table"
@@ -77,9 +82,16 @@ def _polymul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 def delta_expansion(N: int) -> list[int]:
-    """Exact tau(1..N): the coefficients of q prod_{n>=1} (1 - q^n)^24."""
+    """Exact tau(1..N): the coefficients of q prod_{n>=1} (1 - q^n)^24.
+
+    N is capped at DELTA_TERMS_CAP; past it TableCapError is raised at once.
+    """
     if N < 1:
         raise ValueError("need at least one coefficient")
+    if N > DELTA_TERMS_CAP:
+        raise TableCapError(
+            f"tau table of {N} coefficients exceeds the cap of {DELTA_TERMS_CAP}"
+        )
     # prod (1 - q^n) is sparse: exponents k(3k -+ 1)/2 with sign (-1)^k
     eta = [0] * N
     eta[0] = 1

@@ -9,6 +9,13 @@ complex powers of p) become floats.
 
 The geometry helpers describe circles C_n = {|xi|_p = p^(-n)}: their Haar
 measure and a coset decomposition into representatives at a chosen depth.
+
+The additive character exp(2 pi i {x}_p) is computed from exact integer
+residues: for v < 0, {x}_p = r / p^(-v) with r the unit part mod p^(-v), and
+the phase uses the correctly rounded quotient r / p^(-v), which equals
+float() of that fraction.  No Fraction is built per coset, so the coset sums
+stay bit-for-bit those of the exact rational route while costing a few
+integer operations each.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicNumber:
     """One element of Q_p, exact to its stored digit count.
 
@@ -75,8 +82,8 @@ class PadicNumber:
     def unit_part(self) -> int:
         """The integer d_0 + d_1 p + ... (0 for zero)."""
         unit = 0
-        for i in reversed(range(len(self.digits))):
-            unit = unit * self.prime + self.digits[i]
+        for d in reversed(self.digits):
+            unit = unit * self.prime + d
         return unit
 
 
@@ -212,11 +219,18 @@ def rational_fractional_part(q: Fraction, p: int) -> Fraction:
     return Fraction(r, pt)
 
 
+def _fractional_residue(x: PadicNumber) -> tuple[int, int]:
+    """(r, m) with {x}_p = r / m: m = p^(-v) and r the unit part mod m."""
+    if x.is_zero or x.valuation >= 0:
+        return 0, 1
+    m = x.prime ** -x.valuation
+    return x.unit_part() % m, m
+
+
 def fractional_part(x: PadicNumber) -> Fraction:
     """Sum of the negative-power digit terms of x, reduced mod 1."""
-    if x.is_zero or x.valuation >= 0:
-        return Fraction(0)
-    return rational_fractional_part(x.as_fraction(), x.prime)
+    r, m = _fractional_residue(x)
+    return Fraction(r, m)
 
 
 def unit_phase(angle: Fraction) -> complex:
@@ -227,8 +241,15 @@ def unit_phase(angle: Fraction) -> complex:
 
 
 def additive_character(x: PadicNumber) -> complex:
-    """exp(2 pi i {x}_p); identically 1 on Z_p."""
-    return unit_phase(fractional_part(x))
+    """exp(2 pi i {x}_p); identically 1 on Z_p.
+
+    Bit-for-bit unit_phase(fractional_part(x)): int / int is correctly
+    rounded, as float(Fraction) is, so no Fraction needs to be built.
+    """
+    r, m = _fractional_residue(x)
+    if r == 0:
+        return complex(1.0, 0.0)
+    return cmath.exp(complex(0.0, _TWO_PI * (r / m)))
 
 
 def circle_measure(p: int, n: int) -> Fraction:
@@ -241,7 +262,9 @@ def circle_representatives(p: int, n: int, depth: int, cap: int = COSET_CAP) -> 
 
     Returns (p-1) p^(depth-1) numbers with valuation n and digit prefixes
     (xi_0, ..., xi_{depth-1}), xi_0 nonzero; each coset has measure
-    p^(-n-depth).
+    p^(-n-depth).  The list is in index order: entry
+    (xi_0 - 1) + (p-1) (xi_1 + p xi_2 + ... + p^(depth-2) xi_{depth-1}),
+    so xi_0 runs fastest.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -250,14 +273,12 @@ def circle_representatives(p: int, n: int, depth: int, cap: int = COSET_CAP) -> 
         raise CosetCapError(
             f"{count} representatives at depth {depth} exceed the cap of {cap}"
         )
-    reps = []
-    digits = [0] * depth
-    for index in range(count):
-        rem = index
-        digits[0] = 1 + rem % (p - 1)
-        rem //= p - 1
-        for i in range(1, depth):
-            digits[i] = rem % p
-            rem //= p
-        reps.append(PadicNumber(p, n, tuple(digits)))
-    return reps
+    # each new digit is the outer loop over the prefixes built so far, which
+    # keeps index order; the last digit goes straight into the PadicNumber so
+    # no second list of full size is held
+    prefixes = [(d,) for d in range(1, p)]
+    if depth == 1:
+        return [PadicNumber(p, n, digits) for digits in prefixes]
+    for _ in range(depth - 2):
+        prefixes = [prefix + (d,) for d in range(p) for prefix in prefixes]
+    return [PadicNumber(p, n, prefix + (d,)) for d in range(p) for prefix in prefixes]

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from padic_lseries import MODULAR_LOCAL, TraceRequest, delta_provider, local_factor_closed
+from padic_lseries import (
+    DELTA_TERMS_CAP,
+    MODULAR_LOCAL,
+    TraceRequest,
+    delta_provider,
+    local_factor_closed,
+)
 from padic_lseries.cli import RunConfig, run
 
 
@@ -92,6 +98,34 @@ def test_lseries_euler_and_series(capsys):
     assert code == 0
     report = json.loads(out)
     assert abs(report["value"][0] - 0.7853981634) < 1e-5
+
+
+def test_lseries_modular_series_sums_its_table(capsys):
+    code = run(["lseries", "--kind", "modular", "--s", "8", "--method", "series"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["terms_used"] == 5000
+    assert report["series_length"] == 5000
+
+    code = run(["lseries", "--kind", "modular", "--s", "8", "--method", "series",
+                "--series-length", "300"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["terms_used"] == report["series_length"] == 300
+
+
+def test_tau_table_cap_exits_two(capsys):
+    over = str(DELTA_TERMS_CAP + 1)
+    for argv in (
+        ["tau", "--max", over],
+        ["lseries", "--kind", "modular", "--s", "8", "--method", "series", "--series-length", over],
+    ):
+        assert run(argv) == 2
+        payload = json.loads(_capture(capsys)[1])
+        assert payload["error"]["type"] == "TableCapError"
+        assert str(DELTA_TERMS_CAP) in payload["error"]["message"]
 
 
 def test_tau_reports_decimal_strings(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from padic_lseries import (
     CosetCapError,
+    PadicNumber,
     PrimeMismatchError,
     additive_character,
     arithmetic,
@@ -152,6 +153,44 @@ def test_additive_character_basics():
     assert abs(additive_character(x) + 1) < 1e-15
     # characters are trivial on integers
     assert additive_character(make_padic(3, 2, (2, 1))) == 1 + 0j
+
+
+def _assert_fraction_route(x):
+    # the phase must be bit-for-bit the one built through an exact Fraction
+    expected = rational_fractional_part(x.as_fraction(), x.prime)
+    assert fractional_part(x) == expected
+    assert additive_character(x) == unit_phase(expected)
+
+
+def test_additive_character_equals_the_fraction_route_exactly():
+    rng = random.Random(20240229)
+    for p in (2, 3, 5, 7, 29, 97):
+        _assert_fraction_route(padic_zero(p))
+        for v in range(-4, 3):
+            # leading zero digits make the unit part a multiple of p^(-v): r = 0
+            _assert_fraction_route(PadicNumber(p, v, (0,) * max(0, -v) + (1,)))
+            for precision in range(1, 33):
+                _assert_fraction_route(make_padic(p, v, (p - 1,) * precision))
+                digits = [rng.randrange(p) for _ in range(precision)]
+                digits[0] = rng.randrange(1, p)
+                _assert_fraction_route(make_padic(p, v, digits))
+
+
+def test_additive_character_equals_the_fraction_route_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # valuations down to -40 push p^(-v) past 2^53, where rounding would show
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from((2, 3, 5, 7, 29, 97, 65537)),
+        v=st.integers(-40, 4),
+        raw=st.lists(st.integers(0, 2**20), min_size=1, max_size=40),
+    )
+    def check(p, v, raw):
+        _assert_fraction_route(PadicNumber(p, v, tuple(d % p for d in raw)))
+
+    check()
 
 
 def test_circle_measure_exact():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from padic_lseries import (
     ConvergenceError,
     GammaSpec,
     LocalityError,
+    PadicNumber,
     PoleError,
     additive_character,
+    circle_representatives,
     conjugate_character,
     enumerate_characters,
     evaluate,
@@ -24,6 +27,8 @@ from padic_lseries import (
     gamma_closed_form,
     gamma_regions,
     integrate_circle,
+    rational_fractional_part,
+    unit_phase,
 )
 
 S_GRID = (0.3, 0.9, 2.0, 0.5 + 14.1j)
@@ -164,3 +169,80 @@ def test_remainder_bound_shrinks_with_n():
 def test_terms_used_reported():
     spec = GammaSpec(STANDARD, 3, 2.0)
     assert gamma_by_quadrature(spec, 17).terms_used == 17
+
+
+# A reference coset engine: representatives from one divmod chain per index,
+# phases through an exact Fraction.  The fast engine must reproduce it bit for
+# bit, so every comparison below is ==.
+
+
+def _index_loop_representatives(p, n, depth):
+    reps = []
+    digits = [0] * depth
+    for index in range((p - 1) * p ** (depth - 1)):
+        rem = index
+        digits[0] = 1 + rem % (p - 1)
+        rem //= p - 1
+        for i in range(1, depth):
+            digits[i] = rem % p
+            rem //= p
+        reps.append(PadicNumber(p, n, tuple(digits)))
+    return reps
+
+
+def _fraction_route_character(xi):
+    if xi.is_zero or xi.valuation >= 0:
+        return unit_phase(Fraction(0))
+    return unit_phase(rational_fractional_part(xi.as_fraction(), xi.prime))
+
+
+def _reference_circle_sum(func, p, n):
+    depth = max(1, -n)  # locality 0
+    total = complex(0.0, 0.0)
+    for rep in _index_loop_representatives(p, n, depth):
+        total += func(rep)
+    return total * float(Fraction(p) ** (-(n + depth)))
+
+
+def _reference_outer(spec):
+    p, s = spec.prime, complex(spec.s)
+    outer = complex(0.0, 0.0)
+    for n in (-1, -2, -3):
+        radius_factor = cmath.exp(-n * (s - 1) * math.log(p))
+        twist_factor = spec.twist.power(n)
+        outer += _reference_circle_sum(
+            lambda xi, r=radius_factor, t=twist_factor: _fraction_route_character(xi) * r * t,
+            p,
+            n,
+        )
+    return outer
+
+
+def test_circle_representatives_follow_the_index_formula():
+    for p in (2, 3, 5):
+        for depth in (1, 2, 3):
+            reps = circle_representatives(p, -1, depth)
+            assert reps == _index_loop_representatives(p, -1, depth)
+            for index, rep in enumerate(reps):
+                d = rep.digits
+                tail = sum(digit * p**i for i, digit in enumerate(d[1:]))
+                assert index == (d[0] - 1) + (p - 1) * tail
+
+
+def test_circle_sum_is_bit_for_bit_the_fraction_route():
+    f = CircleIntegrand(additive_character, locality=0)
+    for p in (2, 3, 5, 7, 11):
+        for n in (-1, -2, -3):
+            assert integrate_circle(f, p, n) == _reference_circle_sum(_fraction_route_character, p, n)
+
+
+def test_gamma_outer_region_is_bit_for_bit_the_fraction_route():
+    primes = (2, 3, 5, 7, 11)
+    specs = [GammaSpec(STANDARD, p, s) for p in primes for s in S_GRID]
+    specs += [
+        GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
+        for p, chi in _character_specs(primes)
+        for s in (2.0, 0.5 + 14.1j)
+    ]
+    for spec in specs:
+        assert gamma_regions(spec, 64)[2] == _reference_outer(spec)
