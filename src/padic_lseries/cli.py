@@ -12,7 +12,7 @@ PADIC_LSERIES_OUTPUT, which redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
 character addresses), 2 on domain errors (nonconvergence, poles, degenerate
-twists, out-of-range coefficients).
+twists, out-of-range coefficients, a character modulus or table past its cap).
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ def _parse_character(text: str) -> DirichletCharacter:
         k, index = int(head), int(tail)
     except ValueError as exc:
         raise _UsageError(f"character address {text!r} is not of the form k:index") from exc
+    return _character(k, index)
+
+
+def _character(k: int, index: int) -> DirichletCharacter:
     if k < 1:
         raise _UsageError(f"character modulus must be positive, got {k}")
     chars = enumerate_characters(k)
@@ -190,10 +194,8 @@ def _render(report: dict, output_format: str) -> str:
 
 
 def _cmd_gamma(args, config: RunConfig) -> dict:
-    chars = enumerate_characters(args.k)
-    if not 0 <= args.chi < len(chars):
-        raise _UsageError(f"--chi {args.chi} outside 0..{len(chars) - 1} for --k {args.k}")
-    spec = GammaSpec(CHARACTER_TWISTED, args.p, _parse_complex(args.s), character=chars[args.chi])
+    chi = _character(args.k, args.chi)
+    spec = GammaSpec(CHARACTER_TWISTED, args.p, _parse_complex(args.s), character=chi)
     closed = gamma_closed_form(spec)
     quadrature = gamma_by_quadrature(spec, args.n_terms or config.truncation, cap=config.coset_cap)
     return {
@@ -375,7 +377,9 @@ def _cmd_selftest(args, config: RunConfig) -> dict:
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--format", choices=("json", "tsv"), help="output format")
+    common.add_argument(
+        "--format", dest="output_format", choices=("json", "tsv"), help="output format"
+    )
     common.add_argument("--truncation", type=int, help="trace/quadrature truncation M")
     common.add_argument("--prime-bound", type=int, help="Euler product prime bound P")
     common.add_argument(
@@ -439,28 +443,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_FLAG_FIELDS = (
-    ("truncation", "truncation"),
-    ("prime_bound", "prime_bound"),
-    ("series_length", "series_length"),
-    ("tolerance", "tolerance"),
-    ("coset_cap", "coset_cap"),
-    ("format", "output_format"),
-)
-
-
 def _effective_config(args) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         config = replace(config, **_load_config_file(args.config))
-    overrides = {}
-    for attr, field_name in _FLAG_FIELDS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def run(argv) -> int:

@@ -25,6 +25,10 @@ class TableCapError(PadicLseriesError):
     """A coefficient table would exceed its documented length cap."""
 
 
+class ModulusCapError(PadicLseriesError):
+    """A character modulus exceeds its documented cap."""
+
+
 class LocalityError(PadicLseriesError):
     """An integrand failed its declared local-constancy spot check."""
 

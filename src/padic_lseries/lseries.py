@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter, character_angle, evaluate
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
-from .modular import CoefficientProvider, coefficient, factorize_local
+from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
 from .padic import is_prime
 from .quadrature import CHARACTER_TWISTED, POLE_EPSILON
 from .wavelets import PLAIN, OperatorSpec, eigenvalue, is_degenerate
@@ -39,9 +39,8 @@ from .wavelets import PLAIN, OperatorSpec, eigenvalue, is_degenerate
 ZETA_LOCAL = "zeta_local"
 DIRICHLET_LOCAL = "dirichlet_local"
 MODULAR_LOCAL = "modular_local"
-HECKE_CONJUGATED = "hecke_conjugated"
 
-_TRACE_KINDS = (ZETA_LOCAL, DIRICHLET_LOCAL, MODULAR_LOCAL, HECKE_CONJUGATED)
+_TRACE_KINDS = (ZETA_LOCAL, DIRICHLET_LOCAL, MODULAR_LOCAL)
 
 DEFAULT_TRUNCATION = 64
 PRIME_BOUND_CAP = 10**7
@@ -57,7 +56,6 @@ class TraceRequest:
     truncation: int = DEFAULT_TRUNCATION
     character: DirichletCharacter | None = None
     provider: CoefficientProvider | None = None
-    shift: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _TRACE_KINDS:
@@ -66,12 +64,10 @@ class TraceRequest:
             raise ValueError(f"prime must be prime, got {self.prime}")
         if self.kind == DIRICHLET_LOCAL and self.character is None:
             raise ValueError("dirichlet_local needs a character")
-        if self.kind in (MODULAR_LOCAL, HECKE_CONJUGATED) and self.provider is None:
+        if self.kind == MODULAR_LOCAL and self.provider is None:
             raise ValueError(f"{self.kind} needs a coefficient provider")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -150,33 +146,42 @@ def local_trace(req: TraceRequest) -> SeriesResult:
                 "local factor there is exactly 1"
             )
         return _geometric_unimodular_trace(spec, p, s, M)
-    if req.kind == MODULAR_LOCAL:
-        q1, q2, ratio = _modular_ratios(req.provider, p, s)
-        total = _triangular_lattice_sum(q1, q2, M)
-        return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
-    return hecke_conjugated_trace(req.provider, p, s, req.shift, M)
+    q1, q2, ratio = _modular_ratios(req.provider, p, s)
+    total = _triangular_lattice_sum(q1, q2, M)
+    return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
 
 
-def local_factor_closed(req: TraceRequest, pole_epsilon: float = POLE_EPSILON) -> complex:
-    """The closed local factor the trace converges to."""
-    p, s = req.prime, complex(req.s)
+def _closed_factor(
+    p: int, s: complex, a: complex, c: complex | None = None, pole_epsilon: float = POLE_EPSILON
+) -> complex:
+    """1/(1 - a p^(-s)), or 1/(1 - a p^(-s) + c p^(-2s)) given c; poles are refused."""
     scale = cmath.exp(-s * math.log(p))
-    if req.kind == ZETA_LOCAL:
-        denom = 1.0 - scale
-    elif req.kind == DIRICHLET_LOCAL:
-        denom = 1.0 - evaluate(req.character, p) * scale
-    elif req.kind == MODULAR_LOCAL:
-        fac = factorize_local(req.provider, p)
-        denom = 1.0 - fac.a_p * scale + fac.chi_pk * scale * scale
-    else:
-        raise ValueError("the conjugated trace has no single closed factor; "
-                         "compare it against a(p^l) p^(-s l) times the modular factor")
+    denom = 1.0 - a * scale if c is None else 1.0 - a * scale + c * scale * scale
     if abs(denom) < pole_epsilon:
         raise PoleError(
             f"local factor denominator {abs(denom):.3e} at p = {p}, s = {s} "
             f"is inside the pole epsilon {pole_epsilon:.1e}"
         )
     return 1.0 / denom
+
+
+def _hecke_coefficients(provider: CoefficientProvider, p: int) -> tuple[complex, complex]:
+    """a(p) and chi(p) p^(k-1), the coefficients of the local Hecke quadratic."""
+    return complex(coefficient(provider, p)), complex(quadratic_constant(provider, p))
+
+
+def local_factor_closed(req: TraceRequest, pole_epsilon: float = POLE_EPSILON) -> complex:
+    """The closed local factor the trace converges to."""
+    p, s = req.prime, complex(req.s)
+    if req.kind == MODULAR_LOCAL:
+        return _closed_factor(p, s, *_hecke_coefficients(req.provider, p), pole_epsilon)
+    a = 1.0 if req.kind == ZETA_LOCAL else evaluate(req.character, p)
+    return _closed_factor(p, s, a, pole_epsilon=pole_epsilon)
+
+
+def _character_table(chi: DirichletCharacter) -> list[complex]:
+    """chi(0), ..., chi(k - 1): the r-th item is chi(n) for every n = r mod k."""
+    return [evaluate(chi, r) for r in range(chi.modulus)]
 
 
 def _series_exponent_shift(twist) -> float:
@@ -204,12 +209,13 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
     modular = isinstance(twist, CoefficientProvider)
     primes = primes_up_to(prime_bound)
     value = complex(1.0)
-    for p in primes:
-        if modular:
-            req = TraceRequest(MODULAR_LOCAL, p, s, provider=twist)
-        else:
-            req = TraceRequest(DIRICHLET_LOCAL, p, s, character=twist)
-        value *= local_factor_closed(req)
+    if modular:
+        for p in primes:
+            value *= _closed_factor(p, s, *_hecke_coefficients(twist, p))
+    else:
+        table, k = _character_table(twist), twist.modulus
+        for p in primes:
+            value *= _closed_factor(p, s, table[p % k])
 
     # |log factor| <= c p^(-sigma) per unimodular twist, twice that for the
     # two modular roots; then sum_{p > P} p^(-sigma) < P^(1-sigma)/(sigma-1)
@@ -220,23 +226,12 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
 
 def _is_alternating(chi: DirichletCharacter) -> bool:
     """True for a real nonprincipal character whose nonzero values alternate."""
-    k = chi.modulus
-    if k == 1:
-        return False
-    signs = []
-    for n in range(1, 2 * k + 1):
-        theta = character_angle(chi, n)
-        if theta is None:
-            continue
-        if theta == 0:
-            signs.append(1)
-        elif theta == Fraction(1, 2):
-            signs.append(-1)
-        else:
-            return False  # complex values never alternate in the real sense
-    if all(sign == 1 for sign in signs):
-        return False
-    return all(a != b for a, b in zip(signs, signs[1:]))
+    # angles at the units among n = 1, ..., 2k: 0 is chi(n) = 1, 1/2 is chi(n) = -1
+    angles = [character_angle(chi, n) for n in range(1, chi.modulus + 1)]
+    angles = [theta for theta in angles if theta is not None] * 2
+    if any(theta not in (0, Fraction(1, 2)) for theta in angles):
+        return False  # complex values never alternate in the real sense
+    return any(angles) and all(a != b for a, b in zip(angles, angles[1:]))
 
 
 def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
@@ -268,7 +263,8 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
                 f"with real s > 0); got s = {s}"
             )
         # chi(1), ..., chi(k), repeated: the n-th item is chi(n)
-        coefficients = itertools.cycle([evaluate(chi, r) for r in range(1, chi.modulus + 1)])
+        table = _character_table(chi)
+        coefficients = itertools.cycle(table[1:] + table[:1])
         bounds = []
         if s.real > 1.0:
             bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))

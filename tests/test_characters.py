@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
+    CHARACTER_MODULUS_CAP,
+    ModulusCapError,
     Twist,
     character_angle,
     character_twist,
@@ -18,7 +20,9 @@ from padic_lseries import (
     euler_phi,
     evaluate,
     unit_group,
+    unit_phase,
 )
+from padic_lseries import characters as characters_module
 
 
 def test_unit_group_spans_all_units():
@@ -198,3 +202,43 @@ def test_character_values_are_roots_of_unity():
                 assert (angle * phi).denominator == 1  # order divides phi(k)
                 value = evaluate(chi, m)
                 assert abs(value - cmath.exp(2j * cmath.pi * float(angle))) < 1e-14
+
+
+def _reference_angles(chi) -> dict[int, Fraction]:
+    """Reference: per unit residue, the running Fraction sum of a_i e_i / d_i, mod 1."""
+    group = chi.group
+    table = {}
+    for residue, logs in group.discrete_logs.items():
+        theta = Fraction(0)
+        for a, e, d in zip(logs, chi.exponents, group.generator_orders):
+            theta += Fraction(a * e, d)
+        table[residue] = theta % 1
+    return table
+
+
+def test_angles_on_demand_equal_the_stored_table_formula():
+    for k in [*range(1, 65), 100, 360]:
+        for chi in enumerate_characters(k):
+            table = _reference_angles(chi)
+            bar = conjugate_character(chi)
+            for r in range(k):
+                want = table.get(r)
+                angle = character_angle(chi, r)
+                if want is None:
+                    assert angle is None and character_angle(bar, r) is None
+                    continue
+                assert angle == want
+                assert evaluate(chi, r) == unit_phase(want)
+                assert character_angle(bar, r) == (-want) % 1
+
+
+def test_modulus_past_the_cap_raises_before_any_table(monkeypatch):
+    def no_tables(k):
+        raise AssertionError("a table was started past the cap")
+
+    monkeypatch.setattr(characters_module, "_factorize", no_tables)
+    for build in (unit_group, enumerate_characters):
+        with pytest.raises(ModulusCapError, match=str(CHARACTER_MODULUS_CAP)):
+            build(CHARACTER_MODULUS_CAP + 1)
+    monkeypatch.undo()
+    assert unit_group(CHARACTER_MODULUS_CAP).totient == euler_phi(CHARACTER_MODULUS_CAP)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from padic_lseries import (
+    CHARACTER_MODULUS_CAP,
     DELTA_TERMS_CAP,
     MODULAR_LOCAL,
     TraceRequest,
@@ -57,6 +58,24 @@ def test_character_index_out_of_range_is_usage_error(capsys):
                 "--character", "4:9"]) == 1
     _, err = _capture(capsys)
     assert "outside" in err
+
+
+def test_gamma_character_address_is_usage_error(capsys):
+    for k in ("0", "-4"):
+        assert run(["gamma", "--p", "3", "--k", k, "--chi", "0", "--s", "2"]) == 1
+        _, err = _capture(capsys)
+        assert "usage error" in err
+    assert run(["gamma", "--p", "3", "--k", "4", "--chi", "9", "--s", "2"]) == 1
+    _, err = _capture(capsys)
+    assert "outside" in err
+
+
+def test_character_modulus_cap_exits_two(capsys):
+    address = f"{CHARACTER_MODULUS_CAP + 1}:0"
+    assert run(["lseries", "--kind", "dirichlet", "--character", address, "--s", "2"]) == 2
+    payload = json.loads(_capture(capsys)[1])
+    assert payload["error"]["type"] == "ModulusCapError"
+    assert str(CHARACTER_MODULUS_CAP) in payload["error"]["message"]
 
 
 def test_domain_error_exits_two_with_named_parameter(capsys):

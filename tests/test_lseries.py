@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from padic_lseries import (
     dirichlet_series,
     enumerate_characters,
     euler_product,
+    evaluate,
     factorize_local,
     hecke_conjugated_trace,
     local_factor_closed,
@@ -245,3 +247,39 @@ def test_trace_request_validation():
         TraceRequest(MODULAR_LOCAL, 3, 8.0, 64)  # missing provider
     with pytest.raises(ValueError):
         TraceRequest(ZETA_LOCAL, 3, 2.0, 0)  # truncation must be positive
+
+
+def _reference_closed_factor(request: dict, p: int, s: complex) -> complex:
+    """The closed factor written out with the float operations in their order."""
+    scale = cmath.exp(-complex(s) * math.log(p))
+    if request["kind"] == DIRICHLET_LOCAL:
+        return 1.0 / (1.0 - evaluate(request["character"], p) * scale)
+    fac = factorize_local(request["provider"], p)
+    return 1.0 / (1.0 - fac.a_p * scale + fac.chi_pk * scale * scale)
+
+
+def test_euler_product_is_the_product_of_closed_factors():
+    # the Euler product must equal, bit for bit, the left-to-right product of
+    # the closed factors that local_factor_closed gives one prime at a time
+    cases = []
+    for chi in (enumerate_characters(1)[0], enumerate_characters(5)[1], enumerate_characters(4)[1]):
+        for s in (2.0, 2 + 3j):
+            cases.append((chi, s, 3000, dict(kind=DIRICHLET_LOCAL, character=chi)))
+    provider = delta_provider(600)
+    for s in (8.0, 8 + 5j):
+        cases.append((provider, s, 600, dict(kind=MODULAR_LOCAL, provider=provider)))
+    for twist, s, bound, request in cases:
+        want = reference = complex(1.0)
+        for p in primes_up_to(bound):
+            want *= local_factor_closed(TraceRequest(prime=p, s=s, **request))
+            reference *= _reference_closed_factor(request, p, s)
+        result = euler_product(twist, s, bound)
+        assert result.value == want == reference
+        assert result.terms_used == len(primes_up_to(bound))
+
+
+def test_zeta_closed_factor_is_the_plain_geometric_sum():
+    for p in primes_up_to(200):
+        for s in (0.5, 2.0, 2 + 3j, 0.5 - 14.1j):
+            scale = cmath.exp(-complex(s) * math.log(p))
+            assert local_factor_closed(TraceRequest(ZETA_LOCAL, p, s)) == 1.0 / (1.0 - scale)
