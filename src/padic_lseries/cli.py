@@ -27,10 +27,6 @@ from fractions import Fraction
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import PadicLseriesError
 from .lseries import (
-    DIRICHLET_LOCAL,
-    MODULAR_LOCAL,
-    ZETA_LOCAL,
-    TraceRequest,
     dirichlet_series,
     euler_product,
     hecke_conjugated_trace,
@@ -197,7 +193,7 @@ def _cmd_gamma(args, config: RunConfig) -> dict:
     chi = _character(args.k, args.chi)
     spec = GammaSpec(CHARACTER_TWISTED, args.p, _parse_complex(args.s), character=chi)
     closed = gamma_closed_form(spec)
-    quadrature = gamma_by_quadrature(spec, args.n_terms or config.truncation, cap=config.coset_cap)
+    quadrature = gamma_by_quadrature(spec, config.truncation, cap=config.coset_cap)
     return {
         "closed_form": closed,
         "quadrature": quadrature.value,
@@ -229,6 +225,8 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
         radius = 2 if args.kind in (MODULAR_A1, MODULAR_A2) else 40
     if not 1 <= args.points <= _SAMPLE_MULTIPLIERS:
         raise _UsageError(f"--points must lie in 1..{_SAMPLE_MULTIPLIERS}")
+    if args.max_ket < 0:
+        raise _UsageError("--max-ket must be nonnegative")
     multipliers = (0, 1, p, p + 1, p * p)[: args.points]
 
     entries = []
@@ -262,25 +260,26 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
     }
 
 
-def _trace_request(args, config: RunConfig) -> TraceRequest:
-    s = _parse_complex(args.s)
-    truncation = args.truncation or config.truncation
+def _twist(args, table_size: int):
+    """The L-function --kind (and --character) names, as euler_product takes it.
+
+    Zeta is the principal character mod 1; modular is the discriminant's
+    coefficient table of ``table_size`` terms.
+    """
     if args.kind == "zeta":
-        return TraceRequest(ZETA_LOCAL, args.p, s, truncation)
+        return enumerate_characters(1)[0]
     if args.kind == "dirichlet":
         if args.character is None:
-            raise _UsageError("dirichlet local factors need --character k:index")
-        return TraceRequest(
-            DIRICHLET_LOCAL, args.p, s, truncation, character=_parse_character(args.character)
-        )
-    provider = delta_provider(max(8, args.p))
-    return TraceRequest(MODULAR_LOCAL, args.p, s, truncation, provider=provider)
+            raise _UsageError("--kind dirichlet needs --character k:index")
+        return _parse_character(args.character)
+    return delta_provider(table_size)
 
 
 def _cmd_local_factor(args, config: RunConfig) -> dict:
-    req = _trace_request(args, config)
-    closed = local_factor_closed(req)
-    trace = local_trace(req)
+    s = _parse_complex(args.s)
+    twist = _twist(args, max(8, args.p))
+    closed = local_factor_closed(twist, args.p, s)
+    trace = local_trace(twist, args.p, s, config.truncation)
     difference = abs(trace.value - closed)
     return {
         "kind": args.kind,
@@ -295,27 +294,20 @@ def _cmd_local_factor(args, config: RunConfig) -> dict:
 
 def _cmd_lseries(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    prime_bound = args.prime_bound or config.prime_bound
-    series_length = args.series_length or config.series_length
-    if args.kind == "zeta":
-        twist = enumerate_characters(1)[0]
-    elif args.kind == "dirichlet":
-        if args.character is None:
-            raise _UsageError("dirichlet L-series need --character k:index")
-        twist = _parse_character(args.character)
-    elif args.method == "euler":
-        # euler needs coefficients at every sieved prime
-        twist = delta_provider(args.table_size or max(8, prime_bound))
-    else:
-        # the series sums its whole table; the expansion cost is real, so the
-        # length comes from the flags or the library default, never from the
-        # config's series_length (1e6 by default, meant for Dirichlet kinds)
-        series_length = args.series_length or args.table_size or DEFAULT_DELTA_TERMS
-        twist = delta_provider(series_length)
     if args.method == "euler":
-        result = euler_product(twist, s, prime_bound)
-        scope = {"prime_bound": prime_bound}
+        # modular euler needs coefficients at every sieved prime
+        twist = _twist(args, args.table_size or max(8, config.prime_bound))
+        result = euler_product(twist, s, config.prime_bound)
+        scope = {"prime_bound": config.prime_bound}
     else:
+        series_length = config.series_length
+        if args.kind == "modular":
+            # the series sums its whole table; the expansion cost is real, so
+            # the length comes from the flags or the library default, never
+            # from the config's series_length (1e6 by default, meant for
+            # Dirichlet kinds)
+            series_length = args.series_length or args.table_size or DEFAULT_DELTA_TERMS
+        twist = _twist(args, series_length)
         result = dirichlet_series(twist, s, series_length)
         scope = {"series_length": series_length}
     return {
@@ -349,12 +341,9 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
 
 def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    truncation = args.truncation or config.truncation
     provider = delta_provider(max(8, args.p, args.p**args.shift))
-    result = hecke_conjugated_trace(provider, args.p, s, args.shift, truncation)
-    closed = local_factor_closed(
-        TraceRequest(MODULAR_LOCAL, args.p, s, truncation, provider=provider)
-    )
+    result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
+    closed = local_factor_closed(provider, args.p, s)
     reference = (
         complex(coefficient(provider, args.p**args.shift))
         * (args.p ** -complex(s).real if s.imag == 0 else args.p ** -complex(s)) ** args.shift
@@ -396,7 +385,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--k", type=int, required=True, help="character modulus")
     g.add_argument("--chi", type=int, required=True, help="character index mod k")
     g.add_argument("--s", required=True)
-    g.add_argument("--n-terms", type=int, help="inner circles (default: truncation)")
     g.set_defaults(handler=_cmd_gamma)
 
     e = sub.add_parser("eigencheck", parents=[common], help="kernel vs spectral action")

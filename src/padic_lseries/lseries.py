@@ -34,40 +34,10 @@ from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
 from .padic import is_prime
 from .quadrature import CHARACTER_TWISTED, POLE_EPSILON
-from .wavelets import PLAIN, OperatorSpec, eigenvalue, is_degenerate
-
-ZETA_LOCAL = "zeta_local"
-DIRICHLET_LOCAL = "dirichlet_local"
-MODULAR_LOCAL = "modular_local"
-
-_TRACE_KINDS = (ZETA_LOCAL, DIRICHLET_LOCAL, MODULAR_LOCAL)
+from .wavelets import OperatorSpec, eigenvalue, is_degenerate
 
 DEFAULT_TRUNCATION = 64
 PRIME_BOUND_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """One local trace: which L-function, at which prime and argument."""
-
-    kind: str
-    prime: int
-    s: complex
-    truncation: int = DEFAULT_TRUNCATION
-    character: DirichletCharacter | None = None
-    provider: CoefficientProvider | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _TRACE_KINDS:
-            raise ValueError(f"unknown trace kind {self.kind!r}")
-        if not is_prime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
-        if self.kind == DIRICHLET_LOCAL and self.character is None:
-            raise ValueError("dirichlet_local needs a character")
-        if self.kind == MODULAR_LOCAL and self.provider is None:
-            raise ValueError(f"{self.kind} needs a coefficient provider")
-        if self.truncation < 1:
-            raise ValueError("truncation must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,35 +102,39 @@ def _modular_ratios(provider: CoefficientProvider, p: int, s: complex) -> tuple[
     return q1, q2, ratio
 
 
-def local_trace(req: TraceRequest) -> SeriesResult:
-    """The truncated trace realizing one local L-factor, with its tail bound."""
-    p, s, M = req.prime, complex(req.s), req.truncation
-    if req.kind == ZETA_LOCAL:
-        return _geometric_unimodular_trace(OperatorSpec(PLAIN, p, -s), p, s, M)
-    if req.kind == DIRICHLET_LOCAL:
-        spec = OperatorSpec(CHARACTER_TWISTED, p, -s, character=req.character)
-        if is_degenerate(spec):
-            raise DegenerateTwistError(
-                f"p = {p} divides the modulus {req.character.modulus}: the twist "
-                "degenerates to the identity and its trace diverges; the closed "
-                "local factor there is exactly 1"
-            )
-        return _geometric_unimodular_trace(spec, p, s, M)
-    q1, q2, ratio = _modular_ratios(req.provider, p, s)
-    total = _triangular_lattice_sum(q1, q2, M)
-    return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
+def local_trace(twist, p: int, s: complex, M: int = DEFAULT_TRUNCATION) -> SeriesResult:
+    """The truncated trace realizing one local L-factor, with its tail bound.
+
+    ``twist`` is a DirichletCharacter or a CoefficientProvider, as for
+    euler_product; zeta is the principal character mod 1.
+    """
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
+    if M < 1:
+        raise ValueError("truncation must be positive")
+    s = complex(s)
+    if isinstance(twist, CoefficientProvider):
+        q1, q2, ratio = _modular_ratios(twist, p, s)
+        total = _triangular_lattice_sum(q1, q2, M)
+        return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
+    spec = OperatorSpec(CHARACTER_TWISTED, p, -s, character=twist)
+    if is_degenerate(spec):
+        raise DegenerateTwistError(
+            f"p = {p} divides the modulus {twist.modulus}: the twist "
+            "degenerates to the identity and its trace diverges; the closed "
+            "local factor there is exactly 1"
+        )
+    return _geometric_unimodular_trace(spec, p, s, M)
 
 
-def _closed_factor(
-    p: int, s: complex, a: complex, c: complex | None = None, pole_epsilon: float = POLE_EPSILON
-) -> complex:
+def _closed_factor(p: int, s: complex, a: complex, c: complex | None = None) -> complex:
     """1/(1 - a p^(-s)), or 1/(1 - a p^(-s) + c p^(-2s)) given c; poles are refused."""
     scale = cmath.exp(-s * math.log(p))
     denom = 1.0 - a * scale if c is None else 1.0 - a * scale + c * scale * scale
-    if abs(denom) < pole_epsilon:
+    if abs(denom) < POLE_EPSILON:
         raise PoleError(
             f"local factor denominator {abs(denom):.3e} at p = {p}, s = {s} "
-            f"is inside the pole epsilon {pole_epsilon:.1e}"
+            f"is inside the pole epsilon {POLE_EPSILON:.1e}"
         )
     return 1.0 / denom
 
@@ -170,13 +144,14 @@ def _hecke_coefficients(provider: CoefficientProvider, p: int) -> tuple[complex,
     return complex(coefficient(provider, p)), complex(quadratic_constant(provider, p))
 
 
-def local_factor_closed(req: TraceRequest, pole_epsilon: float = POLE_EPSILON) -> complex:
-    """The closed local factor the trace converges to."""
-    p, s = req.prime, complex(req.s)
-    if req.kind == MODULAR_LOCAL:
-        return _closed_factor(p, s, *_hecke_coefficients(req.provider, p), pole_epsilon)
-    a = 1.0 if req.kind == ZETA_LOCAL else evaluate(req.character, p)
-    return _closed_factor(p, s, a, pole_epsilon=pole_epsilon)
+def local_factor_closed(twist, p: int, s: complex) -> complex:
+    """The closed local factor the trace converges to; ``twist`` as for local_trace."""
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
+    s = complex(s)
+    if isinstance(twist, CoefficientProvider):
+        return _closed_factor(p, s, *_hecke_coefficients(twist, p))
+    return _closed_factor(p, s, evaluate(twist, p))
 
 
 def _character_table(chi: DirichletCharacter) -> list[complex]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .characters import DirichletCharacter, enumerate_characters, evaluate
 from .errors import TableCapError
+from .padic import is_prime
 
 DELTA_WEIGHT = 12
 DEFAULT_DELTA_TERMS = 5000
@@ -197,11 +198,13 @@ class LocalFactorization:
 
 
 def factorize_local(provider: CoefficientProvider, p: int) -> LocalFactorization:
-    """Split the local Hecke quadratic; root order is deterministic.
+    """Split the local Hecke quadratic at a prime p; root order is deterministic.
 
     The root with nonnegative imaginary part comes first; a real pair is
     ordered by descending real part.
     """
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
     a_p = complex(coefficient(provider, p))
     chi_pk = complex(quadratic_constant(provider, p))
     square_root = cmath.sqrt(a_p * a_p - 4.0 * chi_pk)

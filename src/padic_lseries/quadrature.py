@@ -56,18 +56,11 @@ class CircleIntegrand:
     locality: int
 
 
-def integrate_circle(
-    f: CircleIntegrand,
-    p: int,
-    n: int,
-    cap: int = COSET_CAP,
-    spot_check: bool = True,
-) -> complex:
+def integrate_circle(f: CircleIntegrand, p: int, n: int, cap: int = COSET_CAP) -> complex:
     """Exact coset sum of f over {|xi|_p = p^(-n)}."""
     depth = max(1, f.locality - n)
     reps = circle_representatives(p, n, depth, cap=cap)
-    if spot_check:
-        _check_locality(f, p, n, reps)
+    _check_locality(f, p, n, reps)
     coset_measure = float(Fraction(p) ** (-(n + depth)))
     total = complex(0.0, 0.0)
     for rep in reps:
@@ -149,22 +142,22 @@ def _p_power(p: int, z: complex) -> complex:
     return cmath.exp(z * math.log(p))
 
 
-def gamma_closed_form(spec: GammaSpec, pole_epsilon: float = POLE_EPSILON) -> complex:
+def gamma_closed_form(spec: GammaSpec) -> complex:
     """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0."""
-    return twisted_gamma(spec.twist, spec.s, pole_epsilon)
+    return twisted_gamma(spec.twist, spec.s)
 
 
-def twisted_gamma(twist: Twist, s: complex, pole_epsilon: float = POLE_EPSILON) -> complex:
+def twisted_gamma(twist: Twist, s: complex) -> complex:
     """The closed form of gamma_closed_form from the twist and s alone."""
     T = twist.value
     if T == 0:
         return complex(0.0, 0.0)
     p, s = twist.prime, complex(s)
     denom = 1.0 - T * _p_power(p, -s)
-    if abs(denom) < pole_epsilon:
+    if abs(denom) < POLE_EPSILON:
         raise PoleError(
             f"gamma denominator |1 - T p^(-s)| = {abs(denom):.3e} at s = {s} "
-            f"is inside the pole epsilon {pole_epsilon:.1e}"
+            f"is inside the pole epsilon {POLE_EPSILON:.1e}"
         )
     return (T - _p_power(p, s - 1)) / (T * denom)
 

@@ -12,10 +12,6 @@ import math
 
 from .characters import conjugate_character, enumerate_characters, evaluate
 from .lseries import (
-    DIRICHLET_LOCAL,
-    MODULAR_LOCAL,
-    ZETA_LOCAL,
-    TraceRequest,
     dirichlet_series,
     euler_product,
     hecke_conjugated_trace,
@@ -117,16 +113,15 @@ def _check_power_sum_identity() -> float:
 
 
 def _check_local_traces() -> float:
-    provider = delta_provider(8)
-    requests = (
-        TraceRequest(ZETA_LOCAL, 2, complex(1.0), 60),
-        TraceRequest(DIRICHLET_LOCAL, 3, complex(1.0), 60, character=enumerate_characters(4)[1]),
-        TraceRequest(MODULAR_LOCAL, 2, complex(8.0), 64, provider=provider),
+    cases = (
+        (enumerate_characters(1)[0], 2, complex(1.0), 60),
+        (enumerate_characters(4)[1], 3, complex(1.0), 60),
+        (delta_provider(8), 2, complex(8.0), 64),
     )
     worst = -math.inf
-    for req in requests:
-        result = local_trace(req)
-        gap = abs(result.value - local_factor_closed(req)) - result.remainder_bound
+    for twist, p, s, M in cases:
+        result = local_trace(twist, p, s, M)
+        gap = abs(result.value - local_factor_closed(twist, p, s)) - result.remainder_bound
         worst = max(worst, gap)
     return worst
 
@@ -134,7 +129,7 @@ def _check_local_traces() -> float:
 def _check_hecke_trace() -> float:
     provider = delta_provider(8)
     result = hecke_conjugated_trace(provider, 2, complex(8.0), 1, 64)
-    closed = local_factor_closed(TraceRequest(MODULAR_LOCAL, 2, complex(8.0), provider=provider))
+    closed = local_factor_closed(provider, 2, complex(8.0))
     reference = coefficient(provider, 2) * 2.0**-8 * closed
     return abs(result.value - reference) - result.remainder_bound
 

@@ -16,15 +16,11 @@ from fractions import Fraction
 
 from padic_lseries import (
     CHARACTER_TWISTED,
-    DIRICHLET_LOCAL,
     MODULAR_A1,
     MODULAR_A2,
-    MODULAR_LOCAL,
     PLAIN,
-    ZETA_LOCAL,
     GammaSpec,
     OperatorSpec,
-    TraceRequest,
     apply_kernel,
     coefficient,
     conjugate_character,
@@ -143,11 +139,11 @@ def test_criterion_04_eigenrelation():
 
 def test_criterion_05_local_trace_identities():
     failures = []
+    zeta = enumerate_characters(1)[0]
     for p in (2, 3, 5, 7):
         for s in (1.0, 2.0, 0.5 + 3j):
-            req = TraceRequest(ZETA_LOCAL, p, s, 64)
-            trace = local_trace(req)
-            closed = local_factor_closed(req)
+            trace = local_trace(zeta, p, s, 64)
+            closed = local_factor_closed(zeta, p, s)
             if abs(trace.value - closed) > trace.remainder_bound + 1e-8:
                 failures.append(f"zeta p={p} s={s}")
         for k in range(1, 9):
@@ -155,17 +151,15 @@ def test_criterion_05_local_trace_identities():
                 continue
             for chi in enumerate_characters(k):
                 for s in (1.0, 2.0, 0.5 + 3j):
-                    req = TraceRequest(DIRICHLET_LOCAL, p, s, 64, character=chi)
-                    trace = local_trace(req)
-                    closed = local_factor_closed(req)
+                    trace = local_trace(chi, p, s, 64)
+                    closed = local_factor_closed(chi, p, s)
                     if abs(trace.value - closed) > trace.remainder_bound + 1e-8:
                         failures.append(f"dirichlet p={p} k={k} chi={chi.index} s={s}")
     provider = delta_provider(8)
     for p in (2, 3, 5):
         for s in (7.0, 8.0):
-            req = TraceRequest(MODULAR_LOCAL, p, s, 64, provider=provider)
-            trace = local_trace(req)
-            closed = local_factor_closed(req)
+            trace = local_trace(provider, p, s, 64)
+            closed = local_factor_closed(provider, p, s)
             if abs(trace.value - closed) > trace.remainder_bound + 1e-8:
                 failures.append(f"modular p={p} s={s}")
     _verdict(5, "local trace vs closed factor", failures)
@@ -240,8 +234,7 @@ def test_criterion_09_hecke_like_trace():
     failures = []
     provider = delta_provider(100)
     for p in (2, 3):
-        req = TraceRequest(MODULAR_LOCAL, p, 8.0, 64, provider=provider)
-        closed = local_factor_closed(req)
+        closed = local_factor_closed(provider, p, 8.0)
         for shift in range(5):
             result = hecke_conjugated_trace(provider, p, 8.0, shift, M=64)
             want = complex(coefficient(provider, p**shift)) * p ** (-8.0 * shift) * closed

@@ -9,8 +9,6 @@ import pytest
 from padic_lseries import (
     CHARACTER_MODULUS_CAP,
     DELTA_TERMS_CAP,
-    MODULAR_LOCAL,
-    TraceRequest,
     delta_provider,
     local_factor_closed,
 )
@@ -31,6 +29,25 @@ def test_gamma_worked_example(capsys):
     assert report["closed_form"][0] == pytest.approx(1.0)
     assert report["config"]["truncation"] == 64
     assert report["terms_used"] == 64
+
+
+def test_gamma_truncation_sets_the_inner_circle_count(capsys):
+    # the values the removed --n-terms 16 flag gave for the same request
+    code = run(["gamma", "--p", "3", "--k", "4", "--chi", "1", "--s", "0.5", "--truncation", "16"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["quadrature"] == [1.0000371920341193, -2.3093059156505283e-16]
+    assert report["remainder_bound"] == 0.0001388025609698153
+    assert report["terms_used"] == 16
+
+
+def test_gamma_rejects_the_removed_inner_circle_flag(capsys):
+    code = run(["gamma", "--p", "3", "--k", "4", "--chi", "1", "--s", "0.5", "--n-terms", "16"])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert "--n-terms" in err
 
 
 def test_complex_argument_accepts_i_suffix(capsys):
@@ -192,6 +209,22 @@ def test_eigencheck_plain_defaults_to_deep_radius(capsys):
     assert report["all_passed"] is True
 
 
+def test_eigencheck_negative_max_ket_is_usage_error(capsys):
+    code = run(["eigencheck", "--kind", "plain", "--p", "3", "--alpha", "1", "--max-ket", "-1"])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert "--max-ket" in err
+
+
+def test_factorize_composite_prime_exits_two(capsys):
+    code = run(["factorize", "--p", "4"])
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == "prime must be prime, got 4"
+
+
 def test_hecke_trace_report(capsys):
     code = run(["hecke-trace", "--p", "2", "--s", "8", "--shift", "1"])
     out, _ = _capture(capsys)
@@ -206,9 +239,7 @@ def test_hecke_trace_shift_zero_is_the_local_factor(capsys):
     out, _ = _capture(capsys)
     assert code == 0
     report = json.loads(out)
-    closed = local_factor_closed(
-        TraceRequest(MODULAR_LOCAL, 11, 8.0, provider=delta_provider(11))
-    )
+    closed = local_factor_closed(delta_provider(11), 11, 8.0)
     value = complex(*report["value"])
     assert abs(value - closed) <= report["remainder_bound"] + 1e-9
 

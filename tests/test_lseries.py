@@ -9,13 +9,10 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    DIRICHLET_LOCAL,
-    MODULAR_LOCAL,
-    ZETA_LOCAL,
+    CoefficientProvider,
     ConvergenceError,
     DegenerateTwistError,
     PoleError,
-    TraceRequest,
     coefficient,
     delta_provider,
     dirichlet_series,
@@ -31,6 +28,7 @@ from padic_lseries import (
 )
 
 PI = math.pi
+ZETA = enumerate_characters(1)[0]  # zeta is the principal character mod 1
 
 
 def test_prime_sieve():
@@ -45,9 +43,8 @@ def test_prime_sieve():
 def test_zeta_local_trace_matches_closed():
     for p in (2, 3, 5, 7):
         for s in (1.0, 2.0, 0.5 + 3j):
-            req = TraceRequest(ZETA_LOCAL, p, s, 64)
-            trace = local_trace(req)
-            closed = local_factor_closed(req)
+            trace = local_trace(ZETA, p, s, 64)
+            closed = local_factor_closed(ZETA, p, s)
             assert abs(closed - 1 / (1 - p ** (-s))) < 1e-12
             assert abs(trace.value - closed) <= trace.remainder_bound + 1e-12
 
@@ -59,55 +56,50 @@ def test_dirichlet_local_trace_grid():
                 continue
             for chi in enumerate_characters(k):
                 for s in (1.0, 2.0, 0.5 + 3j):
-                    req = TraceRequest(DIRICHLET_LOCAL, p, s, 64, character=chi)
-                    trace = local_trace(req)
-                    closed = local_factor_closed(req)
+                    trace = local_trace(chi, p, s, 64)
+                    closed = local_factor_closed(chi, p, s)
                     assert abs(trace.value - closed) <= trace.remainder_bound + 1e-12
 
 
 def test_degenerate_twist_rejected_with_explanation():
     chi = enumerate_characters(4)[1]
-    req = TraceRequest(DIRICHLET_LOCAL, 2, 2.0, 64, character=chi)
     with pytest.raises(DegenerateTwistError) as excinfo:
-        local_trace(req)
+        local_trace(chi, 2, 2.0, 64)
     assert "exactly 1" in str(excinfo.value)
     # the closed factor at p | k is exactly 1 and still available
-    assert local_factor_closed(req) == 1
+    assert local_factor_closed(chi, 2, 2.0) == 1
 
 
 def test_modular_local_trace_delta():
     provider = delta_provider(130)
     for p in (2, 3, 5):
         for s in (7.0, 8.0):
-            req = TraceRequest(MODULAR_LOCAL, p, s, 64, provider=provider)
-            trace = local_trace(req)
-            closed = local_factor_closed(req)
+            trace = local_trace(provider, p, s, 64)
+            closed = local_factor_closed(provider, p, s)
             assert abs(trace.value - closed) <= trace.remainder_bound + 1e-8
 
 
 def test_modular_known_value_at_two():
     provider = delta_provider(8)
-    req = TraceRequest(MODULAR_LOCAL, 2, 8.0, 64, provider=provider)
     # 1/(1 - tau(2) 2^-8 + 2^11 2^-16) = 1/(1 + 24/256 + 2^-5) = 8/9
-    assert abs(local_factor_closed(req) - Fraction(8, 9)) < 1e-12
-    assert abs(local_trace(req).value - 8 / 9) < 1e-10
+    assert abs(local_factor_closed(provider, 2, 8.0) - Fraction(8, 9)) < 1e-12
+    assert abs(local_trace(provider, 2, 8.0, 64).value - 8 / 9) < 1e-10
 
 
 def test_modular_trace_requires_convergent_s():
     provider = delta_provider(8)
-    req = TraceRequest(MODULAR_LOCAL, 2, 5.0, 64, provider=provider)
     with pytest.raises(ConvergenceError):
-        local_trace(req)  # |a_i| 2^-5 = 2^0.5 >= 1
+        local_trace(provider, 2, 5.0, 64)  # |a_i| 2^-5 = 2^0.5 >= 1
 
 
 def test_zeta_trace_diverges_at_zero():
     with pytest.raises(ConvergenceError):
-        local_trace(TraceRequest(ZETA_LOCAL, 3, 0.0, 64))
+        local_trace(ZETA, 3, 0.0, 64)
 
 
 def test_pole_detection_in_closed_factor():
     with pytest.raises(PoleError):
-        local_factor_closed(TraceRequest(ZETA_LOCAL, 2, 0.0, 64))
+        local_factor_closed(ZETA, 2, 0.0)
 
 
 def test_factorized_equivalence_total_degree():
@@ -128,8 +120,7 @@ def test_factorized_equivalence_total_degree():
 def test_hecke_conjugated_reduces_to_local_trace():
     provider = delta_provider(8)
     for p in (2, 3):
-        req = TraceRequest(MODULAR_LOCAL, p, 8.0, 48, provider=provider)
-        plain = local_trace(req)
+        plain = local_trace(provider, p, 8.0, 48)
         shifted = hecke_conjugated_trace(provider, p, 8.0, 0, M=48)
         assert shifted.value == plain.value
         assert shifted.remainder_bound == plain.remainder_bound
@@ -148,8 +139,7 @@ def test_hecke_conjugated_shift_factor():
         fac = factorize_local(provider, p)
         s = 8.0
         result = hecke_conjugated_trace(provider, p, s, shift, M=64)
-        req = TraceRequest(MODULAR_LOCAL, p, s, 64, provider=provider)
-        closed = local_factor_closed(req)
+        closed = local_factor_closed(provider, p, s)
         want = complex(coefficient(provider, p**shift)) * p ** (-s * shift) * closed
         assert abs(result.value - want) <= result.remainder_bound + 1e-9
 
@@ -233,28 +223,35 @@ def test_monotone_refinement():
     series_bounds = [dirichlet_series(trivial, 2.0, N).remainder_bound for N in (100, 1000, 10000)]
     assert series_bounds[0] > series_bounds[1] > series_bounds[2]
     provider = delta_provider(130)
-    req64 = TraceRequest(MODULAR_LOCAL, 2, 8.0, 64, provider=provider)
-    req32 = TraceRequest(MODULAR_LOCAL, 2, 8.0, 32, provider=provider)
-    assert local_trace(req64).remainder_bound < local_trace(req32).remainder_bound
+    bound64 = local_trace(provider, 2, 8.0, 64).remainder_bound
+    assert bound64 < local_trace(provider, 2, 8.0, 32).remainder_bound
 
 
-def test_trace_request_validation():
-    with pytest.raises(ValueError):
-        TraceRequest(ZETA_LOCAL, 4, 2.0, 64)  # not prime
-    with pytest.raises(ValueError):
-        TraceRequest(DIRICHLET_LOCAL, 3, 2.0, 64)  # missing character
-    with pytest.raises(ValueError):
-        TraceRequest(MODULAR_LOCAL, 3, 8.0, 64)  # missing provider
-    with pytest.raises(ValueError):
-        TraceRequest(ZETA_LOCAL, 3, 2.0, 0)  # truncation must be positive
+def test_local_entry_points_validate_prime_and_truncation():
+    provider = delta_provider(8)
+    for twist, s in ((ZETA, 2.0), (enumerate_characters(4)[1], 2.0), (provider, 8.0)):
+        with pytest.raises(ValueError, match="must be prime"):
+            local_trace(twist, 4, s, 64)
+        with pytest.raises(ValueError, match="must be prime"):
+            local_factor_closed(twist, 4, s)
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            local_trace(twist, 3, s, 0)
 
 
-def _reference_closed_factor(request: dict, p: int, s: complex) -> complex:
+def test_modular_paths_refuse_a_composite_prime():
+    provider = delta_provider(8)
+    with pytest.raises(ValueError, match="must be prime"):
+        factorize_local(provider, 4)
+    with pytest.raises(ValueError, match="must be prime"):
+        hecke_conjugated_trace(provider, 4, 8.0, 1)
+
+
+def _reference_closed_factor(twist, p: int, s: complex) -> complex:
     """The closed factor written out with the float operations in their order."""
     scale = cmath.exp(-complex(s) * math.log(p))
-    if request["kind"] == DIRICHLET_LOCAL:
-        return 1.0 / (1.0 - evaluate(request["character"], p) * scale)
-    fac = factorize_local(request["provider"], p)
+    if not isinstance(twist, CoefficientProvider):
+        return 1.0 / (1.0 - evaluate(twist, p) * scale)
+    fac = factorize_local(twist, p)
     return 1.0 / (1.0 - fac.a_p * scale + fac.chi_pk * scale * scale)
 
 
@@ -264,15 +261,15 @@ def test_euler_product_is_the_product_of_closed_factors():
     cases = []
     for chi in (enumerate_characters(1)[0], enumerate_characters(5)[1], enumerate_characters(4)[1]):
         for s in (2.0, 2 + 3j):
-            cases.append((chi, s, 3000, dict(kind=DIRICHLET_LOCAL, character=chi)))
+            cases.append((chi, s, 3000))
     provider = delta_provider(600)
     for s in (8.0, 8 + 5j):
-        cases.append((provider, s, 600, dict(kind=MODULAR_LOCAL, provider=provider)))
-    for twist, s, bound, request in cases:
+        cases.append((provider, s, 600))
+    for twist, s, bound in cases:
         want = reference = complex(1.0)
         for p in primes_up_to(bound):
-            want *= local_factor_closed(TraceRequest(prime=p, s=s, **request))
-            reference *= _reference_closed_factor(request, p, s)
+            want *= local_factor_closed(twist, p, s)
+            reference *= _reference_closed_factor(twist, p, s)
         result = euler_product(twist, s, bound)
         assert result.value == want == reference
         assert result.terms_used == len(primes_up_to(bound))
@@ -282,4 +279,4 @@ def test_zeta_closed_factor_is_the_plain_geometric_sum():
     for p in primes_up_to(200):
         for s in (0.5, 2.0, 2 + 3j, 0.5 - 14.1j):
             scale = cmath.exp(-complex(s) * math.log(p))
-            assert local_factor_closed(TraceRequest(ZETA_LOCAL, p, s)) == 1.0 / (1.0 - scale)
+            assert local_factor_closed(ZETA, p, s) == 1.0 / (1.0 - scale)

@@ -126,7 +126,7 @@ def test_integrate_weighted_character_example():
         assert abs(integrate_circle(f, p, -1) - (-1 / p)) < 1e-12
 
 
-def test_locality_spot_check_catches_liars():
+def test_locality_check_catches_liars():
     # depends on the digit at level 2, declared locality 0
     def deep(xi):
         q = xi.as_fraction()
