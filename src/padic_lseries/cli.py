@@ -41,7 +41,7 @@ from .modular import (
     factorize_local,
     quadratic_constant,
 )
-from .padic import padic_from_fraction
+from .padic import is_prime, padic_from_fraction
 from .quadrature import (
     CHARACTER_TWISTED,
     MODULAR_A1,
@@ -149,6 +149,12 @@ def _character(k: int, index: int) -> DirichletCharacter:
     return chars[index]
 
 
+def _require_prime(p: int) -> None:
+    """The library's own prime check, made before a tau table is sized by p."""
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
+
+
 def _encode(value):
     if isinstance(value, bool):
         return value
@@ -216,6 +222,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
             raise _UsageError("character_twisted eigencheck needs --character k:index")
         spec = OperatorSpec(CHARACTER_TWISTED, p, alpha, character=_parse_character(args.character))
     else:
+        _require_prime(p)
         fac = factorize_local(delta_provider(max(8, p)), p)
         root = fac.a1 if args.kind == MODULAR_A1 else fac.a2
         spec = OperatorSpec(args.kind, p, alpha, coefficient=root)
@@ -277,6 +284,8 @@ def _twist(args, table_size: int):
 
 def _cmd_local_factor(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
+    if args.kind == "modular":
+        _require_prime(args.p)
     twist = _twist(args, max(8, args.p))
     closed = local_factor_closed(twist, args.p, s)
     trace = local_trace(twist, args.p, s, config.truncation)
@@ -326,6 +335,7 @@ def _cmd_tau(args, config: RunConfig) -> dict:
 
 
 def _cmd_factorize(args, config: RunConfig) -> dict:
+    _require_prime(args.p)
     provider = delta_provider(max(8, args.p))
     fac = factorize_local(provider, args.p)
     return {
@@ -341,6 +351,12 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
 
 def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
+    # hecke_conjugated_trace's checks, in its order, before the table
+    if args.shift < 0:
+        raise ValueError("shift must be nonnegative")
+    if config.truncation < args.shift:
+        raise ValueError(f"truncation M = {config.truncation} cannot be below the shift {args.shift}")
+    _require_prime(args.p)
     provider = delta_provider(max(8, args.p, args.p**args.shift))
     result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
     closed = local_factor_closed(provider, args.p, s)

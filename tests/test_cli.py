@@ -12,6 +12,7 @@ from padic_lseries import (
     delta_provider,
     local_factor_closed,
 )
+from padic_lseries import cli, modular
 from padic_lseries.cli import RunConfig, run
 
 
@@ -223,6 +224,36 @@ def test_factorize_composite_prime_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["message"] == "prime must be prime, got 4"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["factorize", "--p", "150000"], "prime must be prime, got 150000"),
+        (["local-factor", "--kind", "modular", "--p", "150000", "--s", "8"],
+         "prime must be prime, got 150000"),
+        (["eigencheck", "--kind", "modular_a1", "--p", "150000", "--alpha", "1"],
+         "prime must be prime, got 150000"),
+        (["eigencheck", "--kind", "modular_a2", "--p", "4", "--alpha", "1"],
+         "prime must be prime, got 4"),
+        (["hecke-trace", "--p", "150000", "--s", "8", "--shift", "1"],
+         "prime must be prime, got 150000"),
+        (["hecke-trace", "--p", "11", "--s", "8", "--shift", "-1"], "shift must be nonnegative"),
+        (["hecke-trace", "--p", "3", "--s", "8", "--shift", "5", "--truncation", "4"],
+         "truncation M = 4 cannot be below the shift 5"),
+    ],
+)
+def test_bad_prime_or_shift_fails_before_any_table(argv, message, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a tau table was built before the argument check")
+
+    monkeypatch.setattr(cli, "delta_provider", no_table)
+    monkeypatch.setattr(modular, "delta_expansion", no_table)
+    code = run(argv)
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
 
 
 def test_hecke_trace_report(capsys):

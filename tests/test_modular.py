@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
+    DELTA_TERMS_CAP,
+    TableCapError,
     binomial_side,
     coefficient,
     delta_expansion,
@@ -19,8 +22,121 @@ from padic_lseries import (
     table_provider,
     verify_recursion,
 )
+from padic_lseries import modular
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
+
+
+@pytest.fixture
+def no_memo(monkeypatch):
+    """Start from an empty tau-table memo, so delta_expansion builds afresh."""
+    monkeypatch.setattr(modular, "_tau_memo", [])
+
+
+# Reference engine: the former delta_expansion, the pentagonal-number
+# product raised to the 24th power by the chain 1 -> 2 -> 3 -> 6 -> 12 -> 24
+# of big-integer Kronecker products.
+
+
+def _pack(coeffs, limb_bytes):
+    buf = bytearray(limb_bytes * len(coeffs))
+    for i, c in enumerate(coeffs):
+        buf[i * limb_bytes : i * limb_bytes + limb_bytes] = c.to_bytes(limb_bytes, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(packed, limb_bytes, count):
+    packed &= (1 << (8 * limb_bytes * count)) - 1
+    buf = packed.to_bytes(limb_bytes * count, "little")
+    return [int.from_bytes(buf[i * limb_bytes : i * limb_bytes + limb_bytes], "little") for i in range(count)]
+
+
+def _polymul_trunc(a, b, n):
+    n = min(n, len(a) + len(b) - 1)
+    amax = max((abs(c) for c in a), default=0)
+    bmax = max((abs(c) for c in b), default=0)
+    if amax == 0 or bmax == 0:
+        return [0] * n
+    bits = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
+    limb_bytes = (bits + 7) // 8
+    a_pos = _pack([c if c > 0 else 0 for c in a], limb_bytes)
+    a_neg = _pack([-c if c < 0 else 0 for c in a], limb_bytes)
+    if b is a:
+        cross = a_pos * a_neg
+        plus = a_pos * a_pos + a_neg * a_neg
+        minus = 2 * cross
+    else:
+        b_pos = _pack([c if c > 0 else 0 for c in b], limb_bytes)
+        b_neg = _pack([-c if c < 0 else 0 for c in b], limb_bytes)
+        plus = a_pos * b_pos + a_neg * b_neg
+        minus = a_pos * b_neg + a_neg * b_pos
+    return [x - y for x, y in zip(_unpack(plus, limb_bytes, n), _unpack(minus, limb_bytes, n))]
+
+
+def _reference_tau(N):
+    eta = [0] * N
+    eta[0] = 1
+    k = 1
+    while k * (3 * k - 1) // 2 < N:
+        for exponent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if exponent < N:
+                eta[exponent] = -1 if k % 2 else 1
+        k += 1
+    power = {1: eta}
+    for exp, (lo, hi) in ((2, (1, 1)), (3, (1, 2)), (6, (3, 3)), (12, (6, 6)), (24, (12, 12))):
+        power[exp] = _polymul_trunc(power[lo], power[hi], N)
+    return power[24]
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 97, 128, 1000, 20000])
+def test_engine_matches_the_reference_chain(N, no_memo):
+    assert delta_expansion(N) == _reference_tau(N)
+
+
+def test_returned_tables_do_not_alias_the_memo(no_memo):
+    first = delta_expansion(40)
+    first[:] = [0] * 40
+    assert delta_expansion(40) == _reference_tau(40)
+    longest = delta_expansion(50)
+    longest.append(7)
+    longest[3] = 0
+    assert delta_expansion(50) == _reference_tau(50)
+
+
+def test_short_table_after_long_equals_fresh_build(no_memo, monkeypatch):
+    delta_expansion(3000)
+    short = delta_expansion(97)
+    monkeypatch.setattr(modular, "_tau_memo", [])
+    assert short == delta_expansion(97) == _reference_tau(97)
+
+
+def test_bad_sizes_raise_at_once_with_a_memo(no_memo, monkeypatch):
+    delta_expansion(200)
+
+    def no_build(N):
+        raise AssertionError("the engine ran for an invalid size")
+
+    monkeypatch.setattr(modular, "_tau_table", no_build)
+    with pytest.raises(TableCapError):
+        delta_expansion(DELTA_TERMS_CAP + 1)
+    for N in (0, -5):
+        with pytest.raises(ValueError):
+            delta_expansion(N)
+    assert delta_expansion(150) == _reference_tau(150)
+
+
+def test_caller_decimal_context_is_neither_read_nor_changed(no_memo):
+    expected = _reference_tau(1000)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.Emax = 5
+        ctx.traps[decimal.Inexact] = True
+        ctx.traps[decimal.Rounded] = True
+        before = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+        assert delta_expansion(1000) == expected
+        after = (ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+        assert decimal.getcontext() is ctx
+    assert after == before
 
 
 def test_tau_spot_values():
