@@ -123,8 +123,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "pairs": args.pairs,
         "run_seconds": bench["run_seconds"],
-        "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
-        "attempted": runs["parent"][0]["attempted"],
         "metrics": report,
     }
     out.update(
