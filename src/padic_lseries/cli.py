@@ -98,7 +98,8 @@ def _load_config_file(path: str) -> dict:
     overrides = {}
     coerce = {f.name: type(f.default) for f in fields(RunConfig)}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

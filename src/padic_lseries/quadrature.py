@@ -12,7 +12,11 @@ The gamma functions come in two routes that the test suite plays against
 each other: a closed form, and a three-region quadrature of the defining
 integral of e^(2 pi i xi) |xi|^(s-1) twist(|xi|^(-1)) over Q_p (inner
 circles summed as a geometric series term by term, the unit circle exactly,
-outer circles by the coset sum above).
+the outer region by the coset sum above).  Of the outer circles only
+|xi| = p is summed: on |xi| = p^d with d >= 2 the additive character sums to
+the Ramanujan sum c_{p^d}(1), which is exactly 0.  The test suite keeps that
+fact checked (``test_zero_circles_integrate_to_zero`` in
+tests/test_quadrature.py) instead of every call recomputing it.
 """
 
 from __future__ import annotations
@@ -173,10 +177,11 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     """The three pieces of the defining integral, separately.
 
     Returns (inner, unit, outer): inner circles |xi| = p^(-n) for n = 1..N,
-    the unit circle, and the outer circles |xi| = p^(-n) for n = -1..-3.
-    Everything beyond the first outer circle vanishes by root-of-unity
-    cancellation; computing three of them keeps that fact under test instead
-    of assuming it.
+    the unit circle, and the outer region, which is the one circle n = -1
+    (p - 1 cosets at depth 1).  The circles n <= -2 are exactly 0: there the
+    additive character sums to the Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2,
+    so they are not summed; ``test_zero_circles_integrate_to_zero`` checks
+    that integrate_circle gives 0 on them.
     """
     twist = spec.twist
     T = twist.value
@@ -201,15 +206,13 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
 
     unit = complex((p - 1) / p, 0.0)
 
-    outer = complex(0.0, 0.0)
-    for n in (-1, -2, -3):
-        radius_factor = _p_power(p, -n * (s - 1))
-        twist_factor = twist.power(n)
+    radius_factor = _p_power(p, s - 1)
+    twist_factor = twist.power(-1)
 
-        def integrand(xi: PadicNumber) -> complex:
-            return additive_character(xi) * radius_factor * twist_factor
+    def integrand(xi: PadicNumber) -> complex:
+        return additive_character(xi) * radius_factor * twist_factor
 
-        outer += integrate_circle(CircleIntegrand(integrand, 0), p, n, cap=cap)
+    outer = integrate_circle(CircleIntegrand(integrand, 0), p, -1, cap=cap)
     return inner, unit, outer
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -33,14 +35,24 @@ def test_gamma_worked_example(capsys):
 
 
 def test_gamma_truncation_sets_the_inner_circle_count(capsys):
-    # the values the removed --n-terms 16 flag gave for the same request
+    # the real part and the bound are the values the removed --n-terms 16 flag
+    # gave for the same request; the imaginary part (exactly 0) is the rounding
+    # of the one outer circle n = -1
     code = run(["gamma", "--p", "3", "--k", "4", "--chi", "1", "--s", "0.5", "--truncation", "16"])
     out, _ = _capture(capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["quadrature"] == [1.0000371920341193, -2.3093059156505283e-16]
+    assert report["quadrature"] == [1.0000371920341193, -2.031750159494239e-16]
     assert report["remainder_bound"] == 0.0001388025609698153
     assert report["terms_used"] == 16
+
+
+def test_gamma_at_p_101_stays_under_the_coset_cap(capsys):
+    # the outer region is p - 1 cosets, so gamma no longer meets the cap here
+    code = run(["gamma", "--p", "101", "--k", "1", "--chi", "0", "--s", "2"])
+    out, err = _capture(capsys)
+    assert code == 0, err
+    assert json.loads(out)["abs_difference"] < 1e-11
 
 
 def test_gamma_rejects_the_removed_inner_circle_flag(capsys):
@@ -313,6 +325,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert run(["selftest", "--config", str(config)]) == 1
     _, err = _capture(capsys)
     assert "unknown config key" in err
+
+
+def test_config_file_is_closed_after_loading(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("truncation = 32\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli._load_config_file(str(config)) == {"truncation": 32}
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_tsv_flattening(capsys):

@@ -103,8 +103,15 @@ def test_truncation_at_zero_leaves_unit_and_outer_regions():
             spec = GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
             value = gamma_by_quadrature(spec, 0).value
             expected = (p - 1) / p - p ** (s - 1) / evaluate(chi, p)
-            # outer circles at depth > 1 cancel only up to float rounding
-            assert abs(value - expected) < 1e-9
+            assert abs(value - expected) < 1e-12
+
+
+def test_standard_gamma_quadrature_matches_closed_form_at_large_p():
+    # summing the zero circles n = -2, -3 as well left 1.25e-6 at p = 31 and
+    # 2.1e-3 at p = 97 of pure rounding noise
+    for p in (31, 97):
+        spec = GammaSpec(STANDARD, p, 2.0)
+        assert abs(gamma_by_quadrature(spec).value - gamma_closed_form(spec)) < 1e-11
 
 
 def test_integrate_unit_circle_constant():
@@ -205,17 +212,14 @@ def _reference_circle_sum(func, p, n):
 
 
 def _reference_outer(spec):
+    # the outer region is the one circle n = -1; the circles n <= -2 are zero
+    # (test_zero_circles_integrate_to_zero)
     p, s = spec.prime, complex(spec.s)
-    outer = complex(0.0, 0.0)
-    for n in (-1, -2, -3):
-        radius_factor = cmath.exp(-n * (s - 1) * math.log(p))
-        twist_factor = spec.twist.power(n)
-        outer += _reference_circle_sum(
-            lambda xi, r=radius_factor, t=twist_factor: _fraction_route_character(xi) * r * t,
-            p,
-            n,
-        )
-    return outer
+    radius_factor = cmath.exp((s - 1) * math.log(p))
+    twist_factor = spec.twist.power(-1)
+    return _reference_circle_sum(
+        lambda xi: _fraction_route_character(xi) * radius_factor * twist_factor, p, -1
+    )
 
 
 def test_circle_representatives_follow_the_index_formula():
@@ -234,6 +238,23 @@ def test_circle_sum_is_bit_for_bit_the_fraction_route():
     for p in (2, 3, 5, 7, 11):
         for n in (-1, -2, -3):
             assert integrate_circle(f, p, n) == _reference_circle_sum(_fraction_route_character, p, n)
+
+
+def test_zero_circles_integrate_to_zero():
+    # On |xi| = p^d, d >= 2, the additive character sums to the Ramanujan sum
+    # c_{p^d}(1) = 0, which is why gamma_regions sums only n = -1.  At locality
+    # 0 the circle n = -d is cut at depth d into K = (p - 1) p^(d - 1) cosets of
+    # measure p^0 = 1, so the computed value is a plain sum of K unit phases.
+    # Each phase is within about one ulp (eps = 2^-52) of exact, and each of
+    # the K additions rounds at the scale of the running sum; those errors are
+    # independent and largely cancel.  Measured at p <= 13 the worst is 3.0 eps
+    # per coset (8.1e-13 at p = 11, n = -3), so the allowance is 8 eps per
+    # coset: at most 3.6e-12 here, against |integral| = 1 on the circle n = -1.
+    f = CircleIntegrand(additive_character, locality=0)
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (-2, -3):
+            cosets = (p - 1) * p ** (-n - 1)
+            assert abs(integrate_circle(f, p, n)) <= 8 * cosets * 2.0**-52
 
 
 def test_gamma_outer_region_is_bit_for_bit_the_fraction_route():
