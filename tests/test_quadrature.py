@@ -107,8 +107,8 @@ def test_truncation_at_zero_leaves_unit_and_outer_regions():
 
 
 def test_standard_gamma_quadrature_matches_closed_form_at_large_p():
-    # summing the zero circles n = -2, -3 as well left 1.25e-6 at p = 31 and
-    # 2.1e-3 at p = 97 of pure rounding noise
+    # the zero circles n = -2, -3, if summed, add their rounding noise here:
+    # about 1.25e-6 at p = 31 and 2.1e-3 at p = 97
     for p in (31, 97):
         spec = GammaSpec(STANDARD, p, 2.0)
         assert abs(gamma_by_quadrature(spec).value - gamma_closed_form(spec)) < 1e-11
