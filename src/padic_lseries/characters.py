@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModulusCapError
-from .padic import unit_phase
+from .padic import is_prime, unit_phase
 
 # unit_group refuses larger moduli with ModulusCapError before building any
 # table: the discrete-log table has phi(k) entries, and all characters mod
@@ -200,12 +200,17 @@ class Twist:
     T is held as an exact angle, T = exp(2 pi i angle), where angle 0 is the
     untwisted case and None means T = 0 (p divides a character's modulus);
     or as a complex ``root`` of a local Hecke quadratic, which takes
-    precedence over the angle.
+    precedence over the angle.  Building a Twist checks that ``prime`` is
+    prime, so no GammaSpec or OperatorSpec can hold a non-prime.
     """
 
     prime: int
     angle: Fraction | None = Fraction(0)
     root: complex | None = None
+
+    def __post_init__(self) -> None:
+        if not is_prime(self.prime):
+            raise ValueError(f"prime must be prime, got {self.prime}")
 
     @property
     def value(self) -> complex:

@@ -24,8 +24,8 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
-from .characters import DirichletCharacter, enumerate_characters
-from .errors import PadicLseriesError
+from .characters import DirichletCharacter, Twist, character_twist, enumerate_characters
+from .errors import PadicLseriesError, TableCapError
 from .lseries import (
     dirichlet_series,
     euler_product,
@@ -35,6 +35,7 @@ from .lseries import (
 )
 from .modular import (
     DEFAULT_DELTA_TERMS,
+    DELTA_TERMS_CAP,
     coefficient,
     delta_expansion,
     delta_provider,
@@ -42,17 +43,9 @@ from .modular import (
     quadratic_constant,
 )
 from .padic import is_prime, padic_from_fraction
-from .quadrature import (
-    CHARACTER_TWISTED,
-    MODULAR_A1,
-    MODULAR_A2,
-    GammaSpec,
-    gamma_by_quadrature,
-    gamma_closed_form,
-)
+from .quadrature import GammaSpec, gamma_by_quadrature, gamma_closed_form
 from .selftest import run_selftest
 from .wavelets import (
-    PLAIN,
     OperatorSpec,
     apply_kernel,
     eigenvalue,
@@ -198,7 +191,8 @@ def _render(report: dict, output_format: str) -> str:
 
 def _cmd_gamma(args, config: RunConfig) -> dict:
     chi = _character(args.k, args.chi)
-    spec = GammaSpec(CHARACTER_TWISTED, args.p, _parse_complex(args.s), character=chi)
+    s = _parse_complex(args.s)  # a bad --s is a usage error even when --p is not prime
+    spec = GammaSpec(character_twist(chi, args.p), s)
     closed = gamma_closed_form(spec)
     quadrature = gamma_by_quadrature(spec, config.truncation, cap=config.coset_cap)
     return {
@@ -216,21 +210,21 @@ _SAMPLE_MULTIPLIERS = 5
 def _cmd_eigencheck(args, config: RunConfig) -> dict:
     p = args.p
     alpha = _parse_complex(args.alpha)
-    if args.kind == PLAIN:
-        spec = OperatorSpec(PLAIN, p, alpha)
-    elif args.kind == CHARACTER_TWISTED:
+    if args.kind == "plain":
+        twist = Twist(p)
+    elif args.kind == "character_twisted":
         if args.character is None:
             raise _UsageError("character_twisted eigencheck needs --character k:index")
-        spec = OperatorSpec(CHARACTER_TWISTED, p, alpha, character=_parse_character(args.character))
+        twist = character_twist(_parse_character(args.character), p)
     else:
         _require_prime(p)
         fac = factorize_local(delta_provider(max(8, p)), p)
-        root = fac.a1 if args.kind == MODULAR_A1 else fac.a2
-        spec = OperatorSpec(args.kind, p, alpha, coefficient=root)
+        twist = Twist(p, root=fac.a1 if args.kind == "modular_a1" else fac.a2)
+    spec = OperatorSpec(twist, alpha)
 
     radius = args.radius
     if radius is None:
-        radius = 2 if args.kind in (MODULAR_A1, MODULAR_A2) else 40
+        radius = 2 if args.kind in ("modular_a1", "modular_a2") else 40
     if not 1 <= args.points <= _SAMPLE_MULTIPLIERS:
         raise _UsageError(f"--points must lie in 1..{_SAMPLE_MULTIPLIERS}")
     if args.max_ket < 0:
@@ -358,6 +352,12 @@ def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     if config.truncation < args.shift:
         raise ValueError(f"truncation M = {config.truncation} cannot be below the shift {args.shift}")
     _require_prime(args.p)
+    # p^18 > DELTA_TERMS_CAP for every p: decide the cap without building p^shift
+    if args.p ** min(args.shift, DELTA_TERMS_CAP.bit_length()) > DELTA_TERMS_CAP:
+        raise TableCapError(
+            f"tau table of p^shift = {args.p}^{args.shift} coefficients exceeds "
+            f"the cap of {DELTA_TERMS_CAP}"
+        )
     provider = delta_provider(max(8, args.p, args.p**args.shift))
     result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
     closed = local_factor_closed(provider, args.p, s)
@@ -405,7 +405,7 @@ def _build_parser() -> _Parser:
     g.set_defaults(handler=_cmd_gamma)
 
     e = sub.add_parser("eigencheck", parents=[common], help="kernel vs spectral action")
-    e.add_argument("--kind", choices=(PLAIN, CHARACTER_TWISTED, MODULAR_A1, MODULAR_A2), required=True)
+    e.add_argument("--kind", choices=("plain", "character_twisted", "modular_a1", "modular_a2"), required=True)
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--alpha", required=True)
     e.add_argument("--character", help="k:index for character_twisted")

@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter, character_angle, evaluate
+from .characters import DirichletCharacter, character_angle, character_twist, evaluate
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
 from .padic import is_prime
-from .quadrature import CHARACTER_TWISTED, POLE_EPSILON
-from .wavelets import OperatorSpec, eigenvalue, is_degenerate
+from .quadrature import POLE_EPSILON
+from .wavelets import OperatorSpec, eigenvalue
 
 DEFAULT_TRUNCATION = 64
 PRIME_BOUND_CAP = 10**7
@@ -117,8 +117,8 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_TRUNCATION) -> Serie
         q1, q2, ratio = _modular_ratios(twist, p, s)
         total = _triangular_lattice_sum(q1, q2, M)
         return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
-    spec = OperatorSpec(CHARACTER_TWISTED, p, -s, character=twist)
-    if is_degenerate(spec):
+    spec = OperatorSpec(character_twist(twist, p), -s)
+    if spec.twist.value == 0:
         raise DegenerateTwistError(
             f"p = {p} divides the modulus {twist.modulus}: the twist "
             "degenerates to the identity and its trace diverges; the closed "

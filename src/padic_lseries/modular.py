@@ -33,9 +33,6 @@ DEFAULT_DELTA_TERMS = 5000
 # keeps one table of at most this many terms.
 DELTA_TERMS_CAP = 200_000
 
-BUILTIN_DELTA = "builtin_delta"
-EXPLICIT_TABLE = "explicit_table"
-
 
 # Exact integer arithmetic in decimal: the precision and exponent range are
 # the largest libmpdec allows, and a rounding of any kind raises instead of
@@ -131,7 +128,6 @@ class CoefficientProvider:
     weight: int
     level: int
     character: DirichletCharacter
-    source: str
     values: tuple = field(repr=False)
 
     @property
@@ -141,9 +137,7 @@ class CoefficientProvider:
 
 def delta_provider(max_n: int = DEFAULT_DELTA_TERMS) -> CoefficientProvider:
     """The discriminant form: weight 12, level 1, trivial nebentypus."""
-    return CoefficientProvider(
-        DELTA_WEIGHT, 1, _trivial_character(), BUILTIN_DELTA, tuple(delta_expansion(max_n))
-    )
+    return CoefficientProvider(DELTA_WEIGHT, 1, _trivial_character(), tuple(delta_expansion(max_n)))
 
 
 def table_provider(
@@ -158,7 +152,7 @@ def table_provider(
         raise ValueError("coefficient tables are normalized with a(1) = 1")
     if character is None:
         character = _trivial_character()
-    return CoefficientProvider(weight, level, character, EXPLICIT_TABLE, values)
+    return CoefficientProvider(weight, level, character, values)
 
 
 def coefficient(provider: CoefficientProvider, n: int):

@@ -24,28 +24,22 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .characters import DirichletCharacter, Twist, character_twist
+from .characters import Twist
 from .errors import ConvergenceError, LocalityError, PoleError
 from .padic import (
     COSET_CAP,
     PadicNumber,
     additive_character,
     circle_representatives,
-    is_prime,
     padic_from_fraction,
 )
 
 POLE_EPSILON = 1e-12
 DEFAULT_INNER_CIRCLES = 64
-
-STANDARD = "standard"
-CHARACTER_TWISTED = "character_twisted"
-MODULAR_A1 = "modular_a1"
-MODULAR_A2 = "modular_a2"
 
 
 @dataclass(frozen=True)
@@ -91,54 +85,17 @@ def _check_locality(f: CircleIntegrand, p: int, n: int, reps: list[PadicNumber])
                 )
 
 
-def spec_twist(spec, role: str, untwisted: str) -> Twist:
-    """Validate a spec's twist fields and derive its Twist.
-
-    GammaSpec and OperatorSpec share this: ``role`` names the spec in error
-    messages and ``untwisted`` is its kind without a twist.  A character
-    belongs to ``character_twisted`` only and a coefficient (one root of the
-    local Hecke quadratic) to the modular kinds only, so no stray field can
-    change the derived twist.
-    """
-    if spec.kind not in (untwisted, CHARACTER_TWISTED, MODULAR_A1, MODULAR_A2):
-        raise ValueError(f"unknown {role} kind {spec.kind!r}")
-    if not is_prime(spec.prime):
-        raise ValueError(f"prime must be prime, got {spec.prime}")
-    modular = spec.kind in (MODULAR_A1, MODULAR_A2)
-    if spec.kind == CHARACTER_TWISTED and spec.character is None:
-        raise ValueError(f"character_twisted {role} needs a character")
-    if spec.kind != CHARACTER_TWISTED and spec.character is not None:
-        raise ValueError(f"{spec.kind} {role} takes no character")
-    if modular and spec.coefficient is None:
-        raise ValueError(f"modular {role} needs a coefficient")
-    if not modular and spec.coefficient is not None:
-        raise ValueError(f"{spec.kind} {role} takes no coefficient")
-    if spec.kind == CHARACTER_TWISTED:
-        return character_twist(spec.character, spec.prime)
-    if modular:
-        return Twist(spec.prime, root=complex(spec.coefficient))
-    return Twist(spec.prime)
-
-
 @dataclass(frozen=True)
 class GammaSpec:
-    """Which gamma function, at which prime and argument.
+    """The gamma function of one local twist T at the argument s.
 
-    kind selects the twist: ``standard`` (no twist), ``character_twisted``
-    (a Dirichlet character evaluated at p), or ``modular_a1``/``modular_a2``
-    (one root of a local Hecke quadratic, passed as ``coefficient``).
-    ``twist`` is derived from these fields.
+    T is 1 for the standard gamma function, chi(p) for a Dirichlet
+    character (``character_twist``), or one root of a local Hecke quadratic
+    (``Twist(p, root=...)``); the prime is ``twist.prime``.
     """
 
-    kind: str
-    prime: int
+    twist: Twist
     s: complex
-    character: DirichletCharacter | None = None
-    coefficient: complex | None = None
-    twist: Twist = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "twist", spec_twist(self, "gamma", STANDARD))
 
 
 def _p_power(p: int, z: complex) -> complex:
@@ -148,15 +105,10 @@ def _p_power(p: int, z: complex) -> complex:
 
 def gamma_closed_form(spec: GammaSpec) -> complex:
     """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0."""
-    return twisted_gamma(spec.twist, spec.s)
-
-
-def twisted_gamma(twist: Twist, s: complex) -> complex:
-    """The closed form of gamma_closed_form from the twist and s alone."""
-    T = twist.value
+    T = spec.twist.value
     if T == 0:
         return complex(0.0, 0.0)
-    p, s = twist.prime, complex(s)
+    p, s = spec.twist.prime, complex(spec.s)
     denom = 1.0 - T * _p_power(p, -s)
     if abs(denom) < POLE_EPSILON:
         raise PoleError(
@@ -185,7 +137,7 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     """
     twist = spec.twist
     T = twist.value
-    p, s = spec.prime, complex(spec.s)
+    p, s = twist.prime, complex(spec.s)
     if T == 0:
         return (complex(0.0), complex(0.0), complex(0.0))
     ratio = abs(T) * p ** (-s.real)
@@ -226,7 +178,7 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
     if T == 0:
         return QuadratureResult(complex(0.0, 0.0), 0.0, 0)
     inner, unit, outer = gamma_regions(spec, N, cap=cap)
-    p, s = spec.prime, complex(spec.s)
+    p, s = spec.twist.prime, complex(spec.s)
     ratio = abs(T) * p ** (-s.real)
     tail = (1 - 1 / p) * ratio ** (N + 1) / (1 - ratio)
     return QuadratureResult(inner + unit + outer, tail, N)

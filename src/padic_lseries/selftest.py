@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .characters import conjugate_character, enumerate_characters, evaluate
+from .characters import Twist, character_twist, conjugate_character, enumerate_characters, evaluate
 from .lseries import (
     dirichlet_series,
     euler_product,
@@ -28,9 +28,6 @@ from .modular import (
 )
 from .padic import additive_character, padic_zero
 from .quadrature import (
-    CHARACTER_TWISTED,
-    MODULAR_A1,
-    STANDARD,
     CircleIntegrand,
     GammaSpec,
     gamma_by_quadrature,
@@ -38,7 +35,6 @@ from .quadrature import (
     integrate_circle,
 )
 from .wavelets import (
-    PLAIN,
     OperatorSpec,
     apply_kernel,
     eigenvalue,
@@ -52,20 +48,20 @@ _TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -1159
 
 def _check_gamma_quadrature() -> float:
     chi = enumerate_characters(4)[1]
-    spec = GammaSpec(CHARACTER_TWISTED, 3, complex(0.5), character=chi)
+    spec = GammaSpec(character_twist(chi, 3), complex(0.5))
     quad = gamma_by_quadrature(spec, 64)
     return abs(quad.value - gamma_closed_form(spec)) - quad.remainder_bound
 
 
 def _check_gamma_reflection() -> float:
     chi = enumerate_characters(5)[1]
-    spec = GammaSpec(CHARACTER_TWISTED, 2, complex(0.7), character=chi)
-    mirror = GammaSpec(CHARACTER_TWISTED, 2, complex(0.3), character=conjugate_character(chi))
+    spec = GammaSpec(character_twist(chi, 2), complex(0.7))
+    mirror = GammaSpec(character_twist(conjugate_character(chi), 2), complex(0.3))
     return abs(gamma_closed_form(spec) * gamma_closed_form(mirror) - 1.0)
 
 
 def _check_gamma_trivial() -> float:
-    value = gamma_closed_form(GammaSpec(STANDARD, 2, complex(2.0)))
+    value = gamma_closed_form(GammaSpec(Twist(2), complex(2.0)))
     return abs(value - (-4.0 / 3.0))
 
 
@@ -135,7 +131,7 @@ def _check_hecke_trace() -> float:
 
 
 def _check_eigenrelation() -> float:
-    spec = OperatorSpec(PLAIN, 2, complex(1.0))
+    spec = OperatorSpec(Twist(2), complex(1.0))
     idx = ket(2, 1)
     point = padic_zero(2)
     value, tail = apply_kernel(spec, idx, point, 20)
@@ -145,7 +141,7 @@ def _check_eigenrelation() -> float:
 
 def _check_modular_eigenrelation() -> float:
     fac = factorize_local(delta_provider(8), 3)
-    spec = OperatorSpec(MODULAR_A1, 3, complex(1.0), coefficient=fac.a1)
+    spec = OperatorSpec(Twist(3, root=fac.a1), complex(1.0))
     idx = ket(3, 2)
     point = padic_zero(3)
     value, tail = apply_kernel(spec, idx, point, 2)

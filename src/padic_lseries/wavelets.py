@@ -9,25 +9,25 @@ of p^(1-n) Z_p.  Kets are labeled by the eigenvalue exponent: |l> is the
 wavelet with n = 1 - l, m = 0, j = 1, and the raising operator annihilates
 the label-0 ground state of that family.
 
-An operator is applied two ways.  Spectrally, eigenvalue() multiplies a ket
-by (T p^alpha)^label, where T is the twist value at p (1 for the plain
-derivative, chi(p) for a character twist, one root of the local Hecke
-quadratic for the modular twists).  Through the kernel, apply_kernel()
-evaluates the defining singular integral by exact shell decomposition:
-shells finer than the wavelet's constancy level cancel exactly, the shell
-at the support radius is a finite coset sum, and coarser shells contribute
-closed-form terms, so the only truncation is the outer radius p^R, whose
-discarded tail is returned as a certified bound.
+An operator (OperatorSpec) is a local twist T and an order alpha, applied
+two ways.  Spectrally, eigenvalue() multiplies a ket by (T p^alpha)^label,
+where T is 1 for the plain derivative, chi(p) for a character twist, or one
+root of the local Hecke quadratic for a modular twist.  Through the kernel,
+apply_kernel() evaluates the defining singular integral by exact shell
+decomposition: shells finer than the wavelet's constancy level cancel
+exactly, the shell at the support radius is a finite coset sum, and coarser
+shells contribute closed-form terms, so the only truncation is the outer
+radius p^R, whose discarded tail is returned as a certified bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter, Twist
+from .characters import Twist
 from .errors import ConvergenceError, CosetCapError, PrimeMismatchError
 from .padic import (
     COSET_CAP,
@@ -37,9 +37,7 @@ from .padic import (
     rational_valuation,
     unit_phase,
 )
-from .quadrature import spec_twist, twisted_gamma
-
-PLAIN = "plain"
+from .quadrature import GammaSpec, gamma_closed_form
 
 RAISE = "+"
 LOWER = "-"
@@ -126,34 +124,22 @@ def raise_lower(idx: WaveletIndex, direction: str) -> WaveletIndex | None:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A twisted derivative of order alpha at a prime.
+    """The derivative of order alpha twisted by one local twist T.
 
-    kind is ``plain``, ``character_twisted`` (with ``character``), or
-    ``modular_a1``/``modular_a2`` (with ``coefficient`` holding the root).
-    ``twist`` is derived from these fields exactly as for GammaSpec.
+    T is 1 for the plain derivative (``Twist(p)``), chi(p) for a Dirichlet
+    character (``character_twist``), or one root of a local Hecke quadratic
+    (``Twist(p, root=...)``); the prime is ``twist.prime``.
     """
 
-    kind: str
-    prime: int
+    twist: Twist
     alpha: complex
-    character: DirichletCharacter | None = None
-    coefficient: complex | None = None
-    twist: Twist = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "twist", spec_twist(self, "operator", PLAIN))
-
-
-def is_degenerate(spec: OperatorSpec) -> bool:
-    """True when the twist vanishes and the operator is the identity."""
-    return spec.twist.value == 0
 
 
 def eigenvalue(spec: OperatorSpec, ket_label: int) -> complex:
     """(T p^alpha)^label; 1 for every label when the twist degenerates."""
-    if is_degenerate(spec):
+    if spec.twist.value == 0:
         return complex(1.0, 0.0)
-    scale = cmath.exp(complex(spec.alpha) * ket_label * math.log(spec.prime))
+    scale = cmath.exp(complex(spec.alpha) * ket_label * math.log(spec.twist.prime))
     return spec.twist.power(ket_label) * scale
 
 
@@ -182,7 +168,7 @@ def apply_kernel(
 
     Returns (value, tail_bound).
     """
-    if idx.prime != xi.prime or idx.prime != spec.prime:
+    if idx.prime != xi.prime or idx.prime != spec.twist.prime:
         raise PrimeMismatchError("operator, wavelet, and point must share a prime")
     alpha = complex(spec.alpha)
     if alpha.real <= 0:
@@ -190,10 +176,11 @@ def apply_kernel(
             f"kernel application needs Re(alpha) > 0 for the outer shells; got {alpha}"
         )
     psi_xi_direct = wavelet_eval(idx, xi)
-    if is_degenerate(spec):
+    twist = spec.twist
+    if twist.value == 0:
         return psi_xi_direct, 0.0
 
-    p, n = spec.prime, idx.n
+    p, n = twist.prime, idx.n
     if R < n:
         raise ValueError(
             f"truncation radius p^{R} is smaller than the support radius p^{n}"
@@ -205,8 +192,7 @@ def apply_kernel(
         raise ValueError("evaluation point lies outside the truncation ball")
 
     log_p = math.log(p)
-    twist = spec.twist
-    gamma_norm = twisted_gamma(twist, -alpha)
+    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
     diff = xif - idx.center
     inside = diff == 0 or rational_valuation(diff, p) >= -n
     psi_xi = _eval_at_fraction(idx, xif) if inside else complex(0.0, 0.0)

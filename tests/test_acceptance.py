@@ -15,13 +15,11 @@ import time
 from fractions import Fraction
 
 from padic_lseries import (
-    CHARACTER_TWISTED,
-    MODULAR_A1,
-    MODULAR_A2,
-    PLAIN,
     GammaSpec,
     OperatorSpec,
+    Twist,
     apply_kernel,
+    character_twist,
     coefficient,
     conjugate_character,
     delta_expansion,
@@ -67,7 +65,7 @@ def _gamma_grid():
 def test_criterion_01_gamma_oracle():
     failures = []
     for p, k, chi, s in _gamma_grid():
-        spec = GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
+        spec = GammaSpec(character_twist(chi, p), s)
         closed = gamma_closed_form(spec)
         result = gamma_by_quadrature(spec, 64)
         gap = abs(result.value - closed)
@@ -84,7 +82,7 @@ def test_criterion_02_trivial_character_reduction():
                 continue
             trivial = enumerate_characters(k)[0]
             for s in GAMMA_S:
-                twisted = gamma_closed_form(GammaSpec(CHARACTER_TWISTED, p, s, character=trivial))
+                twisted = gamma_closed_form(GammaSpec(character_twist(trivial, p), s))
                 standard = (1 - p ** (s - 1)) / (1 - p ** (-s))
                 if abs(twisted - standard) > 1e-12:
                     failures.append(f"p={p} k={k} s={s}: diff={abs(twisted - standard):.3e}")
@@ -94,9 +92,9 @@ def test_criterion_02_trivial_character_reduction():
 def test_criterion_03_reflection():
     failures = []
     for p, k, chi, s in _gamma_grid():
-        left = gamma_closed_form(GammaSpec(CHARACTER_TWISTED, p, s, character=chi))
+        left = gamma_closed_form(GammaSpec(character_twist(chi, p), s))
         right = gamma_closed_form(
-            GammaSpec(CHARACTER_TWISTED, p, 1 - s, character=conjugate_character(chi))
+            GammaSpec(character_twist(conjugate_character(chi), p), 1 - s)
         )
         if abs(left * right - 1) > 1e-10:
             failures.append(f"p={p} k={k} chi={chi.index} s={s}: |prod-1|={abs(left*right-1):.3e}")
@@ -107,10 +105,10 @@ def _operator_specs(p: int, alpha: float):
     # one representative character per prime, modulus coprime to p
     chi = enumerate_characters(3 if p != 3 else 4)[1]
     fac = factorize_local(delta_provider(8), p)
-    yield OperatorSpec(PLAIN, p, alpha), 40
-    yield OperatorSpec(CHARACTER_TWISTED, p, alpha, character=chi), 40
-    yield OperatorSpec(MODULAR_A1, p, alpha, coefficient=fac.a1), 2
-    yield OperatorSpec(MODULAR_A2, p, alpha, coefficient=fac.a2), 2
+    yield OperatorSpec(Twist(p), alpha), 40
+    yield OperatorSpec(character_twist(chi, p), alpha), 40
+    yield OperatorSpec(Twist(p, root=fac.a1), alpha), 2
+    yield OperatorSpec(Twist(p, root=fac.a2), alpha), 2
 
 
 def test_criterion_04_eigenrelation():
@@ -129,12 +127,12 @@ def test_criterion_04_eigenrelation():
                         gap = abs(value - lam * wavelet_eval(idx, xi))
                         if gap > tail + 1e-8:
                             failures.append(
-                                f"{spec.kind} p={p} alpha={alpha} ket={label} "
+                                f"{spec.twist} alpha={alpha} ket={label} "
                                 f"mult={mult}: gap={gap:.3e} tail={tail:.3e}"
                             )
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"eigenrelation sweep took {elapsed:.1f}s"
-    _verdict(4, "kernel eigenrelation, all kinds", failures)
+    _verdict(4, "kernel eigenrelation, all twists", failures)
 
 
 def test_criterion_05_local_trace_identities():

@@ -182,6 +182,17 @@ def test_plain_twist_is_exactly_one_and_root_twist_powers_the_root():
         assert twist.power(n) == root**n
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, -3])
+def test_twist_refuses_a_non_prime(n):
+    chi = enumerate_characters(4)[1]
+    with pytest.raises(ValueError, match="prime must be prime"):
+        Twist(n)
+    with pytest.raises(ValueError, match="prime must be prime"):
+        Twist(n, root=1j)
+    with pytest.raises(ValueError, match="prime must be prime"):
+        character_twist(chi, n)
+
+
 def test_evaluate_vanishes_off_units():
     for k in (4, 6, 9, 12):
         for chi in enumerate_characters(k):

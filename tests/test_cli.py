@@ -11,6 +11,7 @@ import pytest
 from padic_lseries import (
     CHARACTER_MODULUS_CAP,
     DELTA_TERMS_CAP,
+    TableCapError,
     delta_provider,
     local_factor_closed,
 )
@@ -253,6 +254,11 @@ def test_factorize_composite_prime_exits_two(capsys):
         (["hecke-trace", "--p", "11", "--s", "8", "--shift", "-1"], "shift must be nonnegative"),
         (["hecke-trace", "--p", "3", "--s", "8", "--shift", "5", "--truncation", "4"],
          "truncation M = 4 cannot be below the shift 5"),
+        (["gamma", "--p", "4", "--k", "3", "--chi", "1", "--s", "2"], "prime must be prime, got 4"),
+        (["eigencheck", "--kind", "plain", "--p", "4", "--alpha", "1"],
+         "prime must be prime, got 4"),
+        (["eigencheck", "--kind", "character_twisted", "--p", "4", "--alpha", "1",
+          "--character", "3:1"], "prime must be prime, got 4"),
     ],
 )
 def test_bad_prime_or_shift_fails_before_any_table(argv, message, monkeypatch, capsys):
@@ -266,6 +272,31 @@ def test_bad_prime_or_shift_fails_before_any_table(argv, message, monkeypatch, c
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+def test_gamma_bad_s_is_usage_error_before_the_prime_check(capsys):
+    code = run(["gamma", "--p", "4", "--k", "4", "--chi", "1", "--s", "bogus"])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert "bogus" in err
+
+
+@pytest.mark.parametrize("p, shift", [(2, 15000), (99991, 1_000_000)])
+def test_hecke_trace_large_shift_hits_the_table_cap(p, shift, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a tau table was requested past the cap")
+
+    monkeypatch.setattr(cli, "delta_provider", no_table)
+    code = run(["hecke-trace", "--p", str(p), "--s", "8", "--shift", str(shift),
+                "--truncation", str(shift)])
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == TableCapError.__name__
+    assert f"p^shift = {p}^{shift}" in error["message"]
+    assert str(DELTA_TERMS_CAP) in error["message"]
 
 
 def test_hecke_trace_report(capsys):

@@ -10,15 +10,15 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    CHARACTER_TWISTED,
-    STANDARD,
     CircleIntegrand,
     ConvergenceError,
     GammaSpec,
     LocalityError,
     PadicNumber,
     PoleError,
+    Twist,
     additive_character,
+    character_twist,
     circle_representatives,
     conjugate_character,
     enumerate_characters,
@@ -43,13 +43,13 @@ def _character_specs(primes=(2, 3, 5, 7), moduli=(1, 3, 4, 5, 8)):
 
 
 def test_standard_gamma_known_value():
-    spec = GammaSpec(STANDARD, 2, 2.0)
+    spec = GammaSpec(Twist(2), 2.0)
     assert abs(gamma_closed_form(spec) - (-4 / 3)) < 1e-15
 
 
 def test_twisted_gamma_known_value():
     chi = enumerate_characters(4)[1]
-    spec = GammaSpec(CHARACTER_TWISTED, 3, 0.5, character=chi)
+    spec = GammaSpec(character_twist(chi, 3), 0.5)
     # chi(3) = -1 makes numerator and denominator cancel to exactly 1
     assert abs(gamma_closed_form(spec) - 1.0) < 1e-12
 
@@ -57,7 +57,7 @@ def test_twisted_gamma_known_value():
 def test_quadrature_matches_closed_form_within_tail():
     for p, chi in _character_specs():
         for s in S_GRID:
-            spec = GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
+            spec = GammaSpec(character_twist(chi, p), s)
             closed = gamma_closed_form(spec)
             result = gamma_by_quadrature(spec, 64)
             assert abs(result.value - closed) <= result.remainder_bound + 1e-10
@@ -67,8 +67,8 @@ def test_trivial_character_reduces_to_standard():
     trivial = enumerate_characters(1)[0]
     for p in (2, 3, 5, 7):
         for s in S_GRID:
-            twisted = gamma_closed_form(GammaSpec(CHARACTER_TWISTED, p, s, character=trivial))
-            plain = gamma_closed_form(GammaSpec(STANDARD, p, s))
+            twisted = gamma_closed_form(GammaSpec(character_twist(trivial, p), s))
+            plain = gamma_closed_form(GammaSpec(Twist(p), s))
             direct = (1 - p ** (s - 1)) / (1 - p ** (-s))
             assert abs(twisted - direct) < 1e-12
             assert abs(plain - direct) < 1e-12
@@ -77,16 +77,16 @@ def test_trivial_character_reduces_to_standard():
 def test_reflection_identity():
     for p, chi in _character_specs():
         for s in S_GRID:
-            left = gamma_closed_form(GammaSpec(CHARACTER_TWISTED, p, s, character=chi))
+            left = gamma_closed_form(GammaSpec(character_twist(chi, p), s))
             right = gamma_closed_form(
-                GammaSpec(CHARACTER_TWISTED, p, 1 - s, character=conjugate_character(chi))
+                GammaSpec(character_twist(conjugate_character(chi), p), 1 - s)
             )
             assert abs(left * right - 1) < 1e-10
 
 
 def test_region_additivity_any_order():
     chi = enumerate_characters(5)[1]
-    spec = GammaSpec(CHARACTER_TWISTED, 3, 1.3, character=chi)
+    spec = GammaSpec(character_twist(chi, 3), 1.3)
     regions = gamma_regions(spec, 32)
     total = gamma_by_quadrature(spec, 32).value
     for perm in itertools.permutations(regions):
@@ -100,7 +100,7 @@ def test_truncation_at_zero_leaves_unit_and_outer_regions():
     chi = enumerate_characters(4)[1]
     for p in (3, 5, 7):
         for s in (0.7, 2.0):
-            spec = GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
+            spec = GammaSpec(character_twist(chi, p), s)
             value = gamma_by_quadrature(spec, 0).value
             expected = (p - 1) / p - p ** (s - 1) / evaluate(chi, p)
             assert abs(value - expected) < 1e-12
@@ -110,7 +110,7 @@ def test_standard_gamma_quadrature_matches_closed_form_at_large_p():
     # the zero circles n = -2, -3, if summed, add their rounding noise here:
     # about 1.25e-6 at p = 31 and 2.1e-3 at p = 97
     for p in (31, 97):
-        spec = GammaSpec(STANDARD, p, 2.0)
+        spec = GammaSpec(Twist(p), 2.0)
         assert abs(gamma_by_quadrature(spec).value - gamma_closed_form(spec)) < 1e-11
 
 
@@ -146,35 +146,30 @@ def test_locality_check_catches_liars():
 
 def test_pole_detected():
     with pytest.raises(PoleError):
-        gamma_closed_form(GammaSpec(STANDARD, 3, 0.0))
+        gamma_closed_form(GammaSpec(Twist(3), 0.0))
     trivial = enumerate_characters(1)[0]
     with pytest.raises(PoleError):
-        gamma_closed_form(GammaSpec(CHARACTER_TWISTED, 5, 0.0, character=trivial))
+        gamma_closed_form(GammaSpec(character_twist(trivial, 5), 0.0))
 
 
 def test_quadrature_requires_convergent_s():
     with pytest.raises(ConvergenceError):
-        gamma_by_quadrature(GammaSpec(STANDARD, 2, -1.0), 16)
+        gamma_by_quadrature(GammaSpec(Twist(2), -1.0), 16)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GammaSpec(CHARACTER_TWISTED, 3, 1.0)  # missing character
-    with pytest.raises(ValueError):
-        GammaSpec(STANDARD, 4, 1.0)  # not prime
-    chi = enumerate_characters(4)[1]
-    with pytest.raises(ValueError):
-        GammaSpec(STANDARD, 3, 1.0, character=chi)  # character on untwisted kind
+    with pytest.raises(ValueError, match="prime must be prime"):
+        GammaSpec(Twist(4), 1.0)  # not prime
 
 
 def test_remainder_bound_shrinks_with_n():
-    spec = GammaSpec(STANDARD, 2, 1.5)
+    spec = GammaSpec(Twist(2), 1.5)
     bounds = [gamma_by_quadrature(spec, n).remainder_bound for n in (4, 8, 16, 32)]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_terms_used_reported():
-    spec = GammaSpec(STANDARD, 3, 2.0)
+    spec = GammaSpec(Twist(3), 2.0)
     assert gamma_by_quadrature(spec, 17).terms_used == 17
 
 
@@ -214,7 +209,7 @@ def _reference_circle_sum(func, p, n):
 def _reference_outer(spec):
     # the outer region is the one circle n = -1; the circles n <= -2 are zero
     # (test_zero_circles_integrate_to_zero)
-    p, s = spec.prime, complex(spec.s)
+    p, s = spec.twist.prime, complex(spec.s)
     radius_factor = cmath.exp((s - 1) * math.log(p))
     twist_factor = spec.twist.power(-1)
     return _reference_circle_sum(
@@ -259,9 +254,9 @@ def test_zero_circles_integrate_to_zero():
 
 def test_gamma_outer_region_is_bit_for_bit_the_fraction_route():
     primes = (2, 3, 5, 7, 11)
-    specs = [GammaSpec(STANDARD, p, s) for p in primes for s in S_GRID]
+    specs = [GammaSpec(Twist(p), s) for p in primes for s in S_GRID]
     specs += [
-        GammaSpec(CHARACTER_TWISTED, p, s, character=chi)
+        GammaSpec(character_twist(chi, p), s)
         for p, chi in _character_specs(primes)
         for s in (2.0, 0.5 + 14.1j)
     ]

@@ -8,15 +8,14 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    CHARACTER_TWISTED,
     LOWER,
-    MODULAR_A1,
-    PLAIN,
     RAISE,
     ConvergenceError,
     OperatorSpec,
     PrimeMismatchError,
+    Twist,
     apply_kernel,
+    character_twist,
     delta_provider,
     eigenvalue,
     enumerate_characters,
@@ -110,7 +109,7 @@ def test_orthogonality_across_j_and_m():
 def test_eigenvalue_ladder_relation():
     chi = enumerate_characters(4)[1]
     for alpha in (0.5, 1.0, 1.7):
-        spec = OperatorSpec(CHARACTER_TWISTED, 3, alpha, character=chi)
+        spec = OperatorSpec(character_twist(chi, 3), alpha)
         t = -1.0  # chi(3)
         for label in range(1, 4):
             lam = eigenvalue(spec, label)
@@ -120,8 +119,8 @@ def test_eigenvalue_ladder_relation():
 
 def test_spectral_values_multiply_exactly():
     # two kernels with different exponents commute: the eigenvalue products agree
-    spec_a = OperatorSpec(PLAIN, 2, 0.5)
-    spec_b = OperatorSpec(PLAIN, 2, 1.7)
+    spec_a = OperatorSpec(Twist(2), 0.5)
+    spec_b = OperatorSpec(Twist(2), 1.7)
     for label in range(4):
         left = eigenvalue(spec_a, label) * eigenvalue(spec_b, label)
         right = eigenvalue(spec_b, label) * eigenvalue(spec_a, label)
@@ -132,10 +131,10 @@ def test_kernel_eigenrelation_plain_and_character():
     chi3 = enumerate_characters(3)[1]
     chi4 = enumerate_characters(4)[1]
     cases = [
-        (OperatorSpec(PLAIN, 2, 1.0), 2),
-        (OperatorSpec(PLAIN, 3, 0.5), 3),
-        (OperatorSpec(CHARACTER_TWISTED, 2, 1.7, character=chi3), 2),
-        (OperatorSpec(CHARACTER_TWISTED, 5, 1.0, character=chi4), 5),
+        (OperatorSpec(Twist(2), 1.0), 2),
+        (OperatorSpec(Twist(3), 0.5), 3),
+        (OperatorSpec(character_twist(chi3, 2), 1.7), 2),
+        (OperatorSpec(character_twist(chi4, 5), 1.0), 5),
     ]
     for spec, p in cases:
         for label in range(3):
@@ -153,7 +152,7 @@ def test_kernel_eigenrelation_modular_relative():
     provider = delta_provider(8)
     for p in (2, 3):
         fac = factorize_local(provider, p)
-        spec = OperatorSpec(MODULAR_A1, p, 1.0, coefficient=fac.a1)
+        spec = OperatorSpec(Twist(p, root=fac.a1), 1.0)
         for label in range(3):
             idx = ket(p, label)
             xi = _point(p, idx.center)
@@ -167,7 +166,7 @@ def test_kernel_eigenrelation_modular_relative():
 def test_kernel_modular_certified_bound_holds_at_shallow_radius():
     provider = delta_provider(8)
     fac = factorize_local(provider, 2)
-    spec = OperatorSpec(MODULAR_A1, 2, 1.0, coefficient=fac.a1)
+    spec = OperatorSpec(Twist(2, root=fac.a1), 1.0)
     idx = ket(2, 1)
     xi = _point(2, idx.center)
     value, tail = apply_kernel(spec, idx, xi, R=2)
@@ -176,7 +175,7 @@ def test_kernel_modular_certified_bound_holds_at_shallow_radius():
 
 
 def test_kernel_outside_support_point():
-    spec = OperatorSpec(PLAIN, 3, 1.0)
+    spec = OperatorSpec(Twist(3), 1.0)
     idx = ket(3, 1)  # support Z_3 (n = 0)
     xi = _point(3, Fraction(1, 9))  # |1/9| = 9 > 1
     value, tail = apply_kernel(spec, idx, xi, R=40)
@@ -186,7 +185,7 @@ def test_kernel_outside_support_point():
 
 def test_kernel_degenerate_twist_acts_as_identity():
     chi = enumerate_characters(4)[1]
-    spec = OperatorSpec(CHARACTER_TWISTED, 2, 1.0, character=chi)  # chi(2) = 0
+    spec = OperatorSpec(character_twist(chi, 2), 1.0)  # chi(2) = 0
     idx = ket(2, 1)
     xi = _point(2, idx.center)
     value, tail = apply_kernel(spec, idx, xi, R=10)
@@ -197,7 +196,7 @@ def test_kernel_degenerate_twist_acts_as_identity():
 
 
 def test_kernel_preconditions():
-    spec = OperatorSpec(PLAIN, 3, 1.0)
+    spec = OperatorSpec(Twist(3), 1.0)
     idx = ket(3, 0)  # n = 1
     with pytest.raises(ValueError):
         apply_kernel(spec, idx, _point(3, idx.center), R=0)  # R < n
@@ -206,20 +205,9 @@ def test_kernel_preconditions():
     with pytest.raises(PrimeMismatchError):
         apply_kernel(spec, ket(3, 0), _point(5, Fraction(0)), R=4)
     with pytest.raises(ConvergenceError):
-        apply_kernel(OperatorSpec(PLAIN, 3, -0.5), idx, _point(3, idx.center), R=4)
-    with pytest.raises(ValueError):
-        OperatorSpec(CHARACTER_TWISTED, 3, 1.0)  # missing character
-    with pytest.raises(ValueError):
-        OperatorSpec(PLAIN, 4, 1.0)  # not prime
-    chi = enumerate_characters(4)[1]
-    with pytest.raises(ValueError):
-        OperatorSpec(PLAIN, 3, 1.0, character=chi)  # character on untwisted kind
-    with pytest.raises(ValueError):
-        OperatorSpec(MODULAR_A1, 3, 1.0, character=chi, coefficient=2.0)  # character on modular kind
-    with pytest.raises(ValueError):
-        OperatorSpec(CHARACTER_TWISTED, 3, 1.0, character=chi, coefficient=2.0)  # stray coefficient
-    with pytest.raises(ValueError):
-        OperatorSpec(PLAIN, 3, 1.0, coefficient=1.0)  # coefficient on untwisted kind
+        apply_kernel(OperatorSpec(Twist(3), -0.5), idx, _point(3, idx.center), R=4)
+    with pytest.raises(ValueError, match="prime must be prime"):
+        OperatorSpec(Twist(4), 1.0)  # not prime
 
 
 def test_wavelet_index_canonical_offsets():

@@ -1,0 +1,110 @@
+"""Compare the CLI's output bytes between a parent commit and the working tree.
+
+    python3 tools/report_diff.py --parent REV
+
+Replays the same requests on both sides through ``padic_lseries.cli.run``:
+every request of ``perfbench/workloads.generate(w, s)`` for the three
+workloads and seeds 1 and 2, then ``selftest`` and the ``padic-lseries``
+examples in README.md.  Each side runs in one fresh process with its own
+``src/``.  The parent is the committed tree of REV, exported with
+``git archive`` as ``tools/bench_pair.py`` does; the change is this
+repository's working tree.  The request lists are built once, from the
+working tree's ``perfbench/workloads.py`` and README.md.
+
+For each request the SHA-256 of stdout and of stderr and the exit code are
+compared.  The argv of every request that differs is printed, and the exit
+status is 1 if any differs, else 0.  Nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+from bench_pair import ROOT, _export
+
+SEEDS = (1, 2)
+
+# Run in each side's process: argv lists arrive as JSON on stdin, one
+# [exit code, stdout sha256, stderr sha256] triple per request leaves on
+# stdout.  A request that raises out of run() records the exception's repr
+# as its exit code, as perfbench/run.py counts it as raising.
+_REPLAY = """
+import contextlib, hashlib, io, json, os, sys
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
+from padic_lseries import cli
+if not os.path.abspath(cli.__file__).startswith(os.path.abspath(sys.argv[1]) + os.sep):
+    raise ImportError(f"padic_lseries resolved to {cli.__file__}, not to {sys.argv[1]}")
+digests = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(list(argv))
+    except (Exception, SystemExit) as exc:
+        code = repr(exc)
+    sha = [hashlib.sha256(t.getvalue().encode()).hexdigest() for t in (out, err)]
+    digests.append([code, *sha])
+sys.__stdout__.write(json.dumps(digests))
+"""
+
+
+def _requests() -> list[list[str]]:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    requests = []
+    for workload in workloads.WHY:
+        for seed in SEEDS:
+            requests += workloads.generate(workload, seed)
+    requests.append(["selftest"])
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    requests += [line.split()[1:] for line in re.findall(r"^padic-lseries .*$", readme, re.M)]
+    return requests
+
+
+def _replay(checkout: str, requests: list[list[str]]) -> list[list]:
+    env = dict(os.environ)
+    env.pop("PADIC_LSERIES_OUTPUT", None)  # reports must reach the captured stdout
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY, checkout],
+        input=json.dumps(requests),
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=checkout,
+        env=env,
+    )
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    args = parser.parse_args(argv)
+
+    requests = _requests()
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_checkout = os.path.join(tmp, "parent")
+        _export(args.parent, parent_checkout)
+        parent = _replay(parent_checkout, requests)
+    change = _replay(ROOT, requests)
+
+    differences = 0
+    for argv, before, after in zip(requests, parent, change):
+        if before != after:
+            differences += 1
+            parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
+            print(f"differs ({', '.join(parts)}): {' '.join(argv)}")
+    print(f"{len(requests)} requests, {differences} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
