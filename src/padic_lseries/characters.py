@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModulusCapError
-from .padic import is_prime, unit_phase
+from .padic import is_prime, residue_phase, unit_phase
 
 # unit_group refuses larger moduli with ModulusCapError before building any
 # table: the discrete-log table has phi(k) entries, and all characters mod
@@ -222,12 +222,13 @@ class Twist:
         """T^n, on exact angles for unimodular twists; T^0 = 1 as an empty product."""
         if self.root is not None:
             return self.root**n
-        # the untwisted constant skips Fraction arithmetic: kernels call this per shell
-        if n == 0 or self.angle == 0:
+        if n == 0:
             return complex(1.0, 0.0)
         if self.angle is None:
             return complex(0.0, 0.0)
-        return unit_phase((n * self.angle) % 1)
+        # the angle a/d to the n: the residue (n a mod d) / d, no Fraction built
+        d = self.angle.denominator
+        return residue_phase(n * self.angle.numerator % d, d)
 
 
 def character_twist(chi: DirichletCharacter, p: int) -> Twist:

@@ -18,6 +18,7 @@ twists, out-of-range coefficients, a character modulus or table past its cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -380,7 +381,9 @@ def _cmd_selftest(args, config: RunConfig) -> dict:
     return run_selftest()
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first run() and reused."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument(

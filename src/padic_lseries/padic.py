@@ -12,7 +12,7 @@ measure and a coset decomposition into representatives at a chosen depth.
 
 The additive character exp(2 pi i {x}_p) is computed from exact integer
 residues: for v < 0, {x}_p = r / p^(-v) with r the unit part mod p^(-v), and
-the phase uses the correctly rounded quotient r / p^(-v), which equals
+residue_phase uses the correctly rounded quotient r / p^(-v), which equals
 float() of that fraction.  No Fraction is built per coset, so the coset sums
 stay bit-for-bit those of the exact rational route while costing a few
 integer operations each.
@@ -233,23 +233,24 @@ def fractional_part(x: PadicNumber) -> Fraction:
     return Fraction(r, m)
 
 
+def residue_phase(r: int, m: int) -> complex:
+    """exp(2 pi i r / m), exactly 1 when r = 0; bit-for-bit unit_phase(Fraction(r, m))."""
+    if r == 0:
+        return complex(1.0, 0.0)
+    return cmath.exp(complex(0.0, _TWO_PI * (r / m)))
+
+
 def unit_phase(angle: Fraction) -> complex:
     """exp(2 pi i angle) for an exact rational angle."""
-    if angle == 0:
-        return complex(1.0, 0.0)
-    return cmath.exp(complex(0.0, _TWO_PI * float(angle)))
+    return residue_phase(angle.numerator, angle.denominator)
 
 
 def additive_character(x: PadicNumber) -> complex:
     """exp(2 pi i {x}_p); identically 1 on Z_p.
 
-    Bit-for-bit unit_phase(fractional_part(x)): int / int is correctly
-    rounded, as float(Fraction) is, so no Fraction needs to be built.
+    Bit-for-bit unit_phase(fractional_part(x)), with no Fraction built.
     """
-    r, m = _fractional_residue(x)
-    if r == 0:
-        return complex(1.0, 0.0)
-    return cmath.exp(complex(0.0, _TWO_PI * (r / m)))
+    return residue_phase(*_fractional_residue(x))
 
 
 def circle_measure(p: int, n: int) -> Fraction:

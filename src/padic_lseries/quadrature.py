@@ -168,17 +168,56 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     return inner, unit, outer
 
 
+_U = 2.0**-53  # unit roundoff of a double
+_PHASE = 6 * math.pi + 9  # error of a phase exp(2 pi i r / m), in units of _U
+
+
+def _remainder_bound(spec: GammaSpec, N: int, inner: complex, unit: complex, outer: complex) -> float:
+    """The truncation tail plus an a priori radius for the rounding of gamma_regions.
+
+    Counts are in units of u = 2^-53.  A real +, -, *, / errs by at most u
+    relative, a complex sum by u of its modulus, a complex product by
+    sqrt(5) u (Brent, Percival and Zimmermann, 2007).  cmath.exp, math.log
+    and ** are assumed within 2 ulps (4 u per real component): Python does
+    not promise it, the C libraries it runs on meet it.  So p^z errs by
+    5 |z| ln p + 9, and a phase, whose argument below 2 pi carries three
+    roundings, by 6 pi + 9; that also covers T (a phase or an exact Hecke
+    root) and 1/T (a phase or one complex division).  The terms are first
+    order: 1/(1 - g u), g the sum of the counts, covers the higher orders
+    and the rounding of x, a and the tail, and (1 + 16 u) that of this formula.
+    """
+    T = spec.twist.value
+    p, s = spec.twist.prime, complex(spec.s)
+    log_p, product = math.log(p), math.sqrt(5.0)
+    x = abs(T) * p ** (-s.real)
+    tail = (1 - 1 / p) * x ** (N + 1) / (1 - x)
+    # the tail carries the error of |T| into x, and N + 1 times into x^(N+1)
+    tail_count = (N + 1) * (_PHASE + 6) + (x * (_PHASE + 6) + 1) / (1 - x) + 9
+    # inner: x^k carries k times the error of x and of a product; the running
+    # sum adds u of a partial sum below x / (1 - x), the scaling 2 u
+    x_count = _PHASE + 5 * abs(s) * log_p + 9 + product
+    inner_radius = (1 - 1 / p) * x / (1 - x) * ((x_count + product) / (1 - x) + N + 1)
+    # outer: p - 1 terms of size a = |p^(s-1) / T|, each with the errors of its
+    # phase, p^(s-1), 1/T and two products; the running sum adds u of a
+    # partial sum below k a after k terms; then unit's division and two sums
+    term_count = 2 * _PHASE + 5 * abs(s - 1) * log_p + 9 + 2 * product
+    outer_radius = abs(_p_power(p, s - 1) / T) * (p - 1) * (term_count + p / 2)
+    sum_radius = 1 + 2 * (abs(inner) + abs(unit) + abs(outer))
+    g = tail_count + N * (x_count + 2 * product + 1) + term_count + p * p
+    radius = (inner_radius + outer_radius + sum_radius) * _U
+    bound = (tail + radius) * (1 + 16 * _U) / (1 - g * _U)
+    return math.nextafter(bound, math.inf) if g * _U < 0.5 else math.inf
+
+
 def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: int = COSET_CAP) -> QuadratureResult:
-    """Direct evaluation of the gamma integral with a certified tail.
+    """Direct evaluation of the gamma integral with a certified remainder bound.
 
     The only truncation is the inner-circle count N; the discarded circles
     form a geometric series with ratio |T| p^(-Re s), bounded in closed form.
+    The bound adds an a priori radius for the float rounding (_remainder_bound).
     """
-    T = spec.twist.value
-    if T == 0:
+    if spec.twist.value == 0:
         return QuadratureResult(complex(0.0, 0.0), 0.0, 0)
     inner, unit, outer = gamma_regions(spec, N, cap=cap)
-    p, s = spec.twist.prime, complex(spec.s)
-    ratio = abs(T) * p ** (-s.real)
-    tail = (1 - 1 / p) * ratio ** (N + 1) / (1 - ratio)
-    return QuadratureResult(inner + unit + outer, tail, N)
+    bound = _remainder_bound(spec, N, inner, unit, outer)
+    return QuadratureResult(inner + unit + outer, bound, N)

@@ -35,6 +35,7 @@ from .padic import (
     is_prime,
     rational_fractional_part,
     rational_valuation,
+    residue_phase,
     unit_phase,
 )
 from .quadrature import GammaSpec, gamma_closed_form
@@ -175,10 +176,10 @@ def apply_kernel(
         raise ConvergenceError(
             f"kernel application needs Re(alpha) > 0 for the outer shells; got {alpha}"
         )
-    psi_xi_direct = wavelet_eval(idx, xi)
+    psi_xi = wavelet_eval(idx, xi)
     twist = spec.twist
     if twist.value == 0:
-        return psi_xi_direct, 0.0
+        return psi_xi, 0.0
 
     p, n = twist.prime, idx.n
     if R < n:
@@ -195,34 +196,29 @@ def apply_kernel(
     gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
     diff = xif - idx.center
     inside = diff == 0 or rational_valuation(diff, p) >= -n
-    psi_xi = _eval_at_fraction(idx, xif) if inside else complex(0.0, 0.0)
+    coset_measure = float(Fraction(p) ** (n - 1))
 
     acc = complex(0.0, 0.0)
     missed = 0.0
     if inside:
-        # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets
-        coset_measure = float(Fraction(p) ** (n - 1))
+        # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets;
+        # with {j p^(n-1) xi}_p = r0 / m (m = p when 0), the phase of
+        # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
         shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist.power(-n)
-        step = Fraction(p) ** (-n)
+        amplitude = p ** (-n / 2)
+        phase = rational_fractional_part(idx.j * Fraction(p) ** (n - 1) * xif, p)
+        r0, m = phase.numerator, max(phase.denominator, p)
+        stride = idx.j * (m // p)
         for d in range(1, p):
-            acc += (
-                (_eval_at_fraction(idx, xif + d * step) - psi_xi)
-                * coset_measure
-                * shell_weight
-            )
+            phase_d = residue_phase((r0 + d * stride) % m, m)
+            acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
         # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
         for t in range(n + 1, R + 1):
-            acc -= (
-                psi_xi
-                * (1 - 1 / p)
-                * cmath.exp(-alpha * t * log_p)
-                * twist.power(-t)
-            )
+            acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * twist.power(-t)
     else:
         # |xi' - xi| is constant over the whole support ball
         t0 = -rational_valuation(diff, p)
         weight = cmath.exp(-(alpha + 1) * t0 * log_p) * twist.power(-t0)
-        coset_measure = float(Fraction(p) ** (n - 1))
         step = Fraction(p) ** (-n)
         for d in range(p):
             rep = idx.center + d * step

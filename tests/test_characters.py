@@ -182,6 +182,19 @@ def test_plain_twist_is_exactly_one_and_root_twist_powers_the_root():
         assert twist.power(n) == root**n
 
 
+def test_twist_power_is_the_fraction_route_exactly():
+    # Twist.power works on the residue (n a mod d) / d; the Fraction route
+    # reduces (n * angle) % 1 first, and both must give the same bits
+    twists = [Twist(3, Fraction(a, d)) for d in (1, 2, 3, 7, 12, 60) for a in range(d)]
+    twists += [character_twist(chi, p) for p in (2, 7, 101) for k in range(1, 25) for chi in enumerate_characters(k)]
+    for twist in twists:
+        for n in range(-60, 61):
+            if twist.angle is None:
+                assert twist.power(n) == (1 + 0j if n == 0 else 0j)
+            else:
+                assert twist.power(n) == unit_phase((n * twist.angle) % 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 4, -3])
 def test_twist_refuses_a_non_prime(n):
     chi = enumerate_characters(4)[1]

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -36,16 +39,59 @@ def test_gamma_worked_example(capsys):
 
 
 def test_gamma_truncation_sets_the_inner_circle_count(capsys):
-    # the real part and the bound are the values the removed --n-terms 16 flag
-    # gave for the same request; the imaginary part (exactly 0) is the rounding
-    # of the one outer circle n = -1
+    # the real part is the value the removed --n-terms 16 flag gave for the
+    # same request; the imaginary part (exactly 0) is the rounding of the one
+    # outer circle n = -1; the bound is that flag's truncation tail
+    # 0.0001388025609698153 plus the rounding radius
     code = run(["gamma", "--p", "3", "--k", "4", "--chi", "1", "--s", "0.5", "--truncation", "16"])
     out, _ = _capture(capsys)
     assert code == 0
     report = json.loads(out)
     assert report["quadrature"] == [1.0000371920341193, -2.031750159494239e-16]
-    assert report["remainder_bound"] == 0.0001388025609698153
+    assert report["remainder_bound"] == 0.00013880256099195243
     assert report["terms_used"] == 16
+
+
+_REUSE = [
+    ["eigencheck", "--kind", "plain", "--p", "17"],  # usage error: no --alpha
+    ["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1", "--max-ket", "0"],
+    ["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1"],
+    ["eigencheck", "--kind", "plain", "--p", "17"],
+]
+
+# one process runs every request of _REUSE through cli.run and reports
+# [exit code, stdout, stderr] for each, and how often the parser was built
+_RUN_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from padic_lseries import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+sys.__stdout__.write(json.dumps([results, cli._build_parser.cache_info().misses]))
+"""
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PADIC_LSERIES_OUTPUT", None)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return [done.returncode, done.stdout, done.stderr]
+
+
+def test_one_parser_serves_every_request_of_a_process_byte_for_byte():
+    code, out, err = _python("-c", _RUN_IN_ONE_PROCESS, json.dumps(_REUSE))
+    assert code == 0, err
+    results, parsers_built = json.loads(out)
+    assert parsers_built == 1
+    fresh = [_python("-m", "padic_lseries", *argv) for argv in _REUSE]
+    assert results == fresh
+    assert [r[0] for r in results] == [1, 0, 0, 1]
+    assert len(json.loads(results[1][1])["entries"]) == 5
+    assert len(json.loads(results[2][1])["entries"]) == 20
 
 
 def test_gamma_at_p_101_stays_under_the_coset_cap(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from padic_lseries import (
     rational_fractional_part,
     unit_phase,
 )
+from padic_lseries.padic import residue_phase
 
 PRIMES = (2, 3, 5, 7)
 
@@ -153,6 +156,19 @@ def test_additive_character_basics():
     assert abs(additive_character(x) + 1) < 1e-15
     # characters are trivial on integers
     assert additive_character(make_padic(3, 2, (2, 1))) == 1 + 0j
+
+
+def test_residue_phase_is_the_fraction_formula_in_and_out_of_lowest_terms():
+    # the formula unit_phase had before the helper: float() of the Fraction
+    for m in (1, 2, 3, 4, 6, 9, 12, 25, 97, 2**10, 3**7):
+        for r in range(m):
+            for scale in (1, 2, 7):
+                got = residue_phase(r * scale, m * scale)
+                if r == 0:
+                    assert got == 1 + 0j
+                else:
+                    assert got == cmath.exp(complex(0.0, 2.0 * math.pi * float(Fraction(r, m))))
+                assert unit_phase(Fraction(r, m)) == got
 
 
 def _assert_fraction_route(x):

@@ -18,6 +18,7 @@ from padic_lseries import (
     PoleError,
     Twist,
     additive_character,
+    character_angle,
     character_twist,
     circle_representatives,
     conjugate_character,
@@ -166,6 +167,54 @@ def test_remainder_bound_shrinks_with_n():
     spec = GammaSpec(Twist(2), 1.5)
     bounds = [gamma_by_quadrature(spec, n).remainder_bound for n in (4, 8, 16, 32)]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+def _exact_gamma(mpmath, p, angle, s):
+    # the closed form at 50 digits, with T = exp(2 pi i angle) exact
+    T = mpmath.expjpi(2 * mpmath.mpf(angle.numerator) / angle.denominator)
+    s = mpmath.mpc(s)
+    return (T - mpmath.power(p, s - 1)) / (T * (1 - T * mpmath.power(p, -s)))
+
+
+def test_gamma_bound_covers_rounding_against_a_50_digit_oracle():
+    # the remainder bound is truncation plus rounding: it must cover the
+    # distance to the exact value, up to p = 99991 where the float sum of
+    # the outer circle is off by about 1.8e-5 and the tail is 0
+    mpmath = pytest.importorskip("mpmath")
+    primes = [p for p in range(2, 48) if all(p % d for d in range(2, p))] + [97, 307, 997, 9973, 99991]
+    angles = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(5, 12), Fraction(7, 10))
+    for p in primes:
+        for s in (0.5, 2, 3, 6, 0.5 + 14.1j, 1.5 - 7j):
+            for angle in angles:
+                result = gamma_by_quadrature(GammaSpec(Twist(p, angle), s))
+                with mpmath.workdps(50):
+                    error = abs(mpmath.mpc(result.value) - _exact_gamma(mpmath, p, angle, s))
+                assert error <= result.remainder_bound, (p, s, angle)
+
+
+def test_gamma_bound_meets_the_benchmark_rule_on_the_local_grid_space():
+    # every gamma request the local-grid benchmark workload can draw: p <= 47,
+    # k <= 12 prime to p, every character, three s.  The benchmark passes a
+    # report when |quadrature - closed form| <= bound + 4 ulps of the closed form
+    mpmath = pytest.importorskip("mpmath")
+    ulp = 2.0**-52
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for k in range(1, 13):
+            if math.gcd(k, p) != 1:
+                continue
+            for chi in enumerate_characters(k):
+                angle = character_angle(chi, p)
+                for s in (0.5, 2, 0.5 + 14.1j):
+                    spec = GammaSpec(character_twist(chi, p), s)
+                    result = gamma_by_quadrature(spec)
+                    closed = gamma_closed_form(spec)
+                    assert abs(result.value - closed) <= result.remainder_bound + 4 * ulp * abs(closed)
+                    with mpmath.workdps(50):
+                        error = abs(mpmath.mpc(result.value) - _exact_gamma(mpmath, p, angle, s))
+                    assert error <= result.remainder_bound
+                    cases += 1
+    assert cases == 1905
 
 
 def test_terms_used_reported():

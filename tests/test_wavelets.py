@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from padic_lseries import (
     LOWER,
     RAISE,
     ConvergenceError,
+    GammaSpec,
     OperatorSpec,
     PrimeMismatchError,
     Twist,
@@ -20,13 +23,16 @@ from padic_lseries import (
     eigenvalue,
     enumerate_characters,
     factorize_local,
+    gamma_closed_form,
     inner_product,
     ket,
     padic_from_fraction,
     raise_lower,
+    rational_fractional_part,
     wavelet_eval,
     wavelet_index,
 )
+from padic_lseries.padic import rational_valuation
 
 
 def _point(p, q, precision=32):
@@ -218,3 +224,78 @@ def test_wavelet_index_canonical_offsets():
         wavelet_index(3, 0, 1, 1)  # integer offsets collapse to zero
     with pytest.raises(ValueError):
         wavelet_index(3, 0, 0, 0)  # j must be a unit digit
+
+
+# A reference kernel on the exact rational route: every support-shell coset
+# evaluates the wavelet at the Fraction xi + d p^(-n), and every phase and
+# twist power is float() of an exact Fraction angle.  apply_kernel steps
+# integer residues instead and must reproduce it bit for bit, so the
+# comparison is ==.
+
+
+def _fraction_phase(angle):
+    if angle == 0:
+        return complex(1.0, 0.0)
+    return cmath.exp(complex(0.0, 2.0 * math.pi * float(angle)))
+
+
+def _fraction_psi(idx, xi):
+    p, n = idx.prime, idx.n
+    diff = xi - idx.center
+    if diff != 0 and rational_valuation(diff, p) < -n:
+        return complex(0.0, 0.0)
+    return p ** (-n / 2) * _fraction_phase(rational_fractional_part(idx.j * Fraction(p) ** (n - 1) * xi, p))
+
+
+def _fraction_power(twist, n):
+    if twist.root is not None:
+        return twist.root**n
+    if n == 0 or twist.angle == 0:
+        return complex(1.0, 0.0)
+    if twist.angle is None:
+        return complex(0.0, 0.0)
+    return _fraction_phase((n * twist.angle) % 1)
+
+
+def _fraction_route_kernel(spec, idx, xi, R):
+    # the support-shell case: every eigencheck point lies in the support
+    alpha, twist = complex(spec.alpha), spec.twist
+    p, n = twist.prime, idx.n
+    xif = xi.as_fraction()
+    psi_xi = _fraction_psi(idx, xif)
+    if twist.value == 0:
+        return psi_xi, 0.0
+    log_p = math.log(p)
+    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
+    coset_measure = float(Fraction(p) ** (n - 1))
+    shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * _fraction_power(twist, -n)
+    step = Fraction(p) ** (-n)
+    acc = complex(0.0, 0.0)
+    for d in range(1, p):
+        acc += (_fraction_psi(idx, xif + d * step) - psi_xi) * coset_measure * shell_weight
+    for t in range(n + 1, R + 1):
+        acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * _fraction_power(twist, -t)
+    decay = p**-alpha.real
+    tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
+    return acc / gamma_norm, tail / abs(gamma_norm)
+
+
+def test_kernel_is_bit_for_bit_the_fraction_route():
+    chi7 = enumerate_characters(7)[1]  # order 6
+    chi12 = enumerate_characters(12)[3]
+    for p in (2, 3, 5, 17, 29, 97):
+        root = factorize_local(delta_provider(max(8, p)), p).a1
+        specs = [
+            (OperatorSpec(Twist(p), 1.0), 40),
+            (OperatorSpec(character_twist(chi7 if p != 7 else chi12, p), 0.5 + 2j), 40),
+            (OperatorSpec(character_twist(chi12 if p > 3 else chi7, p), 1.7), 40),
+            (OperatorSpec(Twist(p, root=root), 1.0), 2),
+            (OperatorSpec(character_twist(enumerate_characters(p)[0], p), 1.0), 40),
+        ]
+        assert specs[-1][0].twist.value == 0  # p divides the modulus: degenerate
+        for spec, R in specs:
+            for label in range(4):
+                idx = ket(p, label)
+                for mult in (0, 1, p, p + 1, p * p):  # the eigencheck points
+                    xi = _point(p, idx.center + mult * Fraction(p) ** (-idx.n))
+                    assert apply_kernel(spec, idx, xi, R) == _fraction_route_kernel(spec, idx, xi, R)

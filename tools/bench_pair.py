@@ -15,7 +15,10 @@ The result is merged into the --out file under the key "WORKLOAD/seed", so
 one file collects every workload and seed.  Per metric and side it records
 each run's value, the median and the quartiles, and how many pairs the
 change won (ties count for neither side); ``better`` and ``bound`` come
-from BENCHMARK.json.
+from BENCHMARK.json.  Per side it also records each run's ``failed`` and
+``attempted`` counts and the pooled share failed / attempted over all runs.
+A run counts failures per pass times its passes, so the pooled share
+weights each run by how many passes it made.
 """
 
 from __future__ import annotations
@@ -118,12 +121,18 @@ def main(argv=None) -> int:
             "change": _summary(values["change"]),
             "change_wins": _wins(values["parent"], values["change"], spec["better"]),
         }
+    failures = {}
+    for side, results in runs.items():
+        failed = [r["failed"] for r in results]
+        attempted = [r["attempted"] for r in results]
+        failures[side] = {"failed": failed, "attempted": attempted, "pooled_share": sum(failed) / sum(attempted)}
     entry = {
         "workload": args.workload,
         "seed": args.seed,
         "pairs": args.pairs,
         "run_seconds": bench["run_seconds"],
         "metrics": report,
+        "failures": failures,
     }
     out.update(
         sides,
