@@ -6,7 +6,7 @@ nonzero terms below q^N, so three truncated squarings give the table.  Each
 squaring is one multiplication of decimal numbers whose fixed-width digit
 blocks hold the coefficients (Kronecker substitution), done by libmpdec in
 an exact context that raises on any rounding.  The process keeps the
-longest table it has built and slices shorter requests from it.
+tables it has built, by length, and serves a repeated length from them.
 
 A CoefficientProvider wraps either that built-in table or a caller-supplied
 one together with its weight, level, and nebentypus.  factorize_local splits
@@ -30,7 +30,7 @@ DEFAULT_DELTA_TERMS = 5000
 # delta_expansion refuses longer tables with TableCapError at once.  A build
 # at the cap takes 1.4-1.6 s of wall time and 92 MB of peak RSS in a fresh
 # process (Python 3.11.7, libmpdec 2.5.1, a 2-core x86-64 host); the memo
-# keeps one table of at most this many terms.
+# keeps tables of at most this many terms in all.
 DELTA_TERMS_CAP = 200_000
 
 
@@ -90,30 +90,33 @@ def _tau_table(N: int) -> list[int]:
     return series
 
 
-# The longest table built in this process; a shorter one is its prefix.
-# Bounded by DELTA_TERMS_CAP.  Each call reads it once into a local, so a
-# concurrent build that replaces it can cost a rebuild but never a wrong or
-# short result.
-_tau_memo: list[int] = []
+# The tables built in this process, by length.  A request is cut only from
+# a table of its own length (or from the one of _SHORTEST_BUILD terms, if
+# shorter), so what it costs does not depend on the lengths asked for
+# before it.  A build past DELTA_TERMS_CAP terms in all empties the memo.
+_SHORTEST_BUILD = 128
+_tau_memo: dict[int, list[int]] = {}
 
 
 def delta_expansion(N: int) -> list[int]:
     """Exact tau(1..N): the coefficients of q prod_{n>=1} (1 - q^n)^24.
 
     N is capped at DELTA_TERMS_CAP; past it TableCapError is raised at once.
-    The result is a fresh list; a request no longer than the longest table
-    built so far in the process is sliced from it.
+    The result is a fresh list; a length built before in the process is
+    copied from the memo.
     """
-    global _tau_memo
     if N < 1:
         raise ValueError("need at least one coefficient")
     if N > DELTA_TERMS_CAP:
         raise TableCapError(
             f"tau table of {N} coefficients exceeds the cap of {DELTA_TERMS_CAP}"
         )
-    table = _tau_memo
-    if N > len(table):
-        table = _tau_memo = _tau_table(N)
+    length = max(N, _SHORTEST_BUILD)
+    table = _tau_memo.get(length)
+    if table is None:
+        if length + sum(map(len, _tau_memo.values())) > DELTA_TERMS_CAP:
+            _tau_memo.clear()
+        table = _tau_memo[length] = _tau_table(length)
     return table[:N]
 
 

@@ -30,7 +30,7 @@ TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -11592
 @pytest.fixture
 def no_memo(monkeypatch):
     """Start from an empty tau-table memo, so delta_expansion builds afresh."""
-    monkeypatch.setattr(modular, "_tau_memo", [])
+    monkeypatch.setattr(modular, "_tau_memo", {})
 
 
 # Reference engine: the former delta_expansion, the pentagonal-number
@@ -106,7 +106,7 @@ def test_returned_tables_do_not_alias_the_memo(no_memo):
 def test_short_table_after_long_equals_fresh_build(no_memo, monkeypatch):
     delta_expansion(3000)
     short = delta_expansion(97)
-    monkeypatch.setattr(modular, "_tau_memo", [])
+    monkeypatch.setattr(modular, "_tau_memo", {})
     assert short == delta_expansion(97) == _reference_tau(97)
 
 
@@ -122,7 +122,27 @@ def test_bad_sizes_raise_at_once_with_a_memo(no_memo, monkeypatch):
     for N in (0, -5):
         with pytest.raises(ValueError):
             delta_expansion(N)
-    assert delta_expansion(150) == _reference_tau(150)
+    assert delta_expansion(200) == _reference_tau(200)
+
+
+def test_builds_are_one_per_length_in_any_order(no_memo, monkeypatch):
+    """A length is built once and never cut from a longer table (below the
+    shortest build, one table serves all), so the builds that a list of
+    requests costs do not depend on the order it comes in."""
+    sizes = [60, 300, 60, 200, 120, 300]
+    for order in (sizes, sorted(sizes), sorted(sizes, reverse=True)):
+        monkeypatch.setattr(modular, "_tau_memo", {})
+        built = []
+        build = modular._tau_table
+
+        def counted(N):
+            built.append(N)
+            return build(N)
+
+        monkeypatch.setattr(modular, "_tau_table", counted)
+        assert [delta_expansion(N) for N in order] == [_reference_tau(N) for N in order]
+        assert sorted(built) == [modular._SHORTEST_BUILD, 200, 300]
+        monkeypatch.setattr(modular, "_tau_table", build)
 
 
 def test_caller_decimal_context_is_neither_read_nor_changed(no_memo):
