@@ -26,6 +26,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +40,8 @@ from .wavelets import OperatorSpec, eigenvalue
 
 DEFAULT_TRUNCATION = 64
 PRIME_BOUND_CAP = 10**7
+FSUM_CHUNK = 4096
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,20 @@ class SeriesResult:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """Deterministic byte-array sieve."""
+    """Deterministic odd-only byte-array sieve: index i stands for 2i + 1."""
     if bound > PRIME_BOUND_CAP:
         raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for q in range(2, math.isqrt(bound) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    count = (bound + 1) // 2
+    sieve = bytearray([1]) * count
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            q = 2 * i + 1
+            start = q * q // 2
+            sieve[start::q] = bytes((count - 1 - start) // q + 1)
+    return [2, *itertools.compress(range(1, bound + 1, 2), sieve)]
 
 
 def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> SeriesResult:
@@ -209,6 +216,20 @@ def _is_alternating(chi: DirichletCharacter) -> bool:
     return any(angles) and all(a != b for a, b in zip(angles, angles[1:]))
 
 
+def _complex_fsum(terms: Iterable) -> complex:
+    """Compensated sum of real or complex terms, with math.fsum running in C.
+
+    The terms are taken FSUM_CHUNK at a time; the real and the imaginary
+    parts of each chunk are summed by fsum, and the chunk sums by fsum again.
+    """
+    terms = iter(terms)
+    reals, imags = [], []
+    while chunk := list(itertools.islice(terms, FSUM_CHUNK)):
+        reals.append(math.fsum(map(_REAL, chunk)))
+        imags.append(math.fsum(map(_IMAG, chunk)))
+    return complex(math.fsum(reals), math.fsum(imags))
+
+
 def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
     """Partial sum of chi(n)/n^s or a(n)/n^s with a certified remainder.
 
@@ -219,6 +240,8 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
     s = complex(s)
     if N < 1:
         raise ValueError("the partial sum needs N >= 1")
+    # n^(-s) is a float for real s and a complex number otherwise
+    exponent = -s.real if s.imag == 0.0 else -s
     if isinstance(twist, CoefficientProvider):
         sigma = s.real - _series_exponent_shift(twist) - 0.5  # |a(n)| <= 2 n^(k/2)
         if sigma <= 1.0:
@@ -227,8 +250,9 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
             )
         if N > twist.max_n:
             coefficient(twist, twist.max_n + 1)  # raises the out-of-table IndexError
-        coefficients = twist.values
         tail = 2.0 * N ** (1.0 - sigma) / (sigma - 1.0)
+        terms = map(pow, range(1, N + 1), itertools.repeat(exponent))
+        value = _complex_fsum(map(operator.mul, twist.values, terms))
     else:
         chi: DirichletCharacter = twist
         alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0
@@ -237,9 +261,6 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
                 f"Dirichlet series needs Re(s) > 1 (or an alternating real character "
                 f"with real s > 0); got s = {s}"
             )
-        # chi(1), ..., chi(k), repeated: the n-th item is chi(n)
-        table = _character_table(chi)
-        coefficients = itertools.cycle(table[1:] + table[:1])
         bounds = []
         if s.real > 1.0:
             bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))
@@ -249,19 +270,14 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
                 nxt += 1
             bounds.append(nxt ** (-s.real))
         tail = min(bounds)
-
-    # two loops, not one: n**-x and cmath.exp round differently
-    total = complex(0.0)
-    if s.imag == 0.0:
-        x = s.real
-        for n, a in zip(range(1, N + 1), coefficients):
-            if a:
-                total += a * n**-x
-    else:
-        for n, a in zip(range(1, N + 1), coefficients):
-            if a:
-                total += a * cmath.exp(-s * math.log(n))
-    return SeriesResult(total, tail, N)
+        # chi is constant on each class n = r mod k: the series is the sum
+        # over the unit classes r of chi(r) times the class sum of n^(-s)
+        table, k = _character_table(chi), chi.modulus
+        classes = [r for r in range(k) if table[r] and (r or k) <= N]
+        class_sum = math.fsum if s.imag == 0.0 else _complex_fsum
+        sums = [class_sum(map(pow, range(r or k, N + 1, k), itertools.repeat(exponent))) for r in classes]
+        value = _complex_fsum(map(operator.mul, [table[r] for r in classes], sums))
+    return SeriesResult(value, tail, N)
 
 
 def hecke_conjugated_trace(

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
 
 import pytest
 
+from padic_lseries import lseries
 from padic_lseries import (
     CoefficientProvider,
     ConvergenceError,
     DegenerateTwistError,
     PoleError,
+    character_angle,
     coefficient,
     delta_provider,
     dirichlet_series,
@@ -280,3 +283,121 @@ def test_zeta_closed_factor_is_the_plain_geometric_sum():
         for s in (0.5, 2.0, 2 + 3j, 0.5 - 14.1j):
             scale = cmath.exp(-complex(s) * math.log(p))
             assert local_factor_closed(ZETA, p, s) == 1.0 / (1.0 - scale)
+
+
+def _trial_division_primes(bound: int) -> list[int]:
+    return [n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def test_sieve_equals_trial_division():
+    reference = _trial_division_primes(3000)
+    for bound in range(3001):
+        assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
+
+
+def test_sieve_prime_counts_up_to_the_cap():
+    assert len(primes_up_to(10**6)) == 78498
+    assert len(primes_up_to(10**7)) == 664579
+
+
+def test_euler_product_values_are_pinned():
+    # the values of the byte-array sieve over every index, before the odd-only one
+    assert euler_product(ZETA, 2.0, 3000).value == 1.6448731005410548 + 0j
+    chi = enumerate_characters(5)[1]
+    assert euler_product(chi, 2 + 3j, 3000).value == 1.2714824062773362 - 0.03919575005786609j
+    provider = delta_provider(600)
+    assert euler_product(provider, 8 + 5j, 600).value == 1.0992061566815856 + 0.0012523967983401863j
+
+
+# The series is summed per residue class with math.fsum, so its value is
+# within a few units of rounding u of the exact partial sum, measured
+# against the sum of the terms' magnitudes.
+_U = 2.0**-53
+
+
+def _exact_terms(mpmath, s: complex, N: int) -> list:
+    """n^(-s) for n = 0..N at the working precision (entry 0 unused)."""
+    return [None] + [mpmath.power(n, -mpmath.mpc(s)) for n in range(1, N + 1)]
+
+
+def _assert_within_rounding(mpmath, chi, s: complex, N: int, powers: list) -> None:
+    exact, magnitude = mpmath.mpc(0), 0.0
+    for n in range(1, N + 1):
+        angle = character_angle(chi, n)
+        if angle is not None:
+            exact += mpmath.expjpi(2 * mpmath.mpf(angle.numerator) / angle.denominator) * powers[n]
+            magnitude += abs(complex(powers[n]))
+    error = abs(mpmath.mpc(dirichlet_series(chi, s, N).value) - exact)
+    assert error <= 4 * _U * magnitude, (chi.modulus, chi.index, s, N)
+
+
+@pytest.mark.parametrize("k", (1, 3, 4, 8, 12, 47, 100))
+def test_series_is_within_rounding_of_the_exact_partial_sum(k):
+    mpmath = pytest.importorskip("mpmath")
+    characters = enumerate_characters(k)
+    lengths = sorted({1, 2, max(k - 1, 1), k, k + 1, 1000})  # N < k leaves classes empty
+    with mpmath.workdps(50):
+        for s in (1.5, 2, 6, 2 + 3j, 3 - 2j):
+            powers = _exact_terms(mpmath, s, 1000)
+            for chi in (characters[0], characters[len(characters) // 2], characters[-1]):
+                for N in lengths:
+                    _assert_within_rounding(mpmath, chi, s, N, powers)
+
+
+def test_alternating_series_is_within_rounding_of_the_exact_partial_sum():
+    mpmath = pytest.importorskip("mpmath")
+    chi = enumerate_characters(4)[1]
+    with mpmath.workdps(50):
+        for s in (0.5, 1):
+            powers = _exact_terms(mpmath, s, 1000)
+            for N in (1, 2, 3, 4, 5, 1000):
+                _assert_within_rounding(mpmath, chi, s, N, powers)
+
+
+def test_complex_series_across_chunks_is_within_rounding():
+    # more terms than one chunk of the complex compensated sum
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        N = 3 * lseries.FSUM_CHUNK + 5
+        _assert_within_rounding(mpmath, ZETA, 2 + 3j, N, _exact_terms(mpmath, 2 + 3j, N))
+
+
+def test_modular_series_is_within_rounding_of_the_exact_partial_sum():
+    mpmath = pytest.importorskip("mpmath")
+    provider = delta_provider(1000)
+    with mpmath.workdps(50):
+        for s in (8, 8 + 5j):
+            powers = _exact_terms(mpmath, s, 1000)
+            for N in (1, 2, 1000):
+                exact = mpmath.fsum(provider.values[n - 1] * powers[n] for n in range(1, N + 1))
+                magnitude = sum(abs(provider.values[n - 1] * complex(powers[n])) for n in range(1, N + 1))
+                error = abs(mpmath.mpc(dirichlet_series(provider, s, N).value) - exact)
+                assert error <= 4 * _U * magnitude, (s, N)
+
+
+@pytest.mark.parametrize(
+    ("address", "s", "N"),
+    [
+        ("8:0", 6, 10911),
+        ("4:0", 6, 13743),
+        ("24:0", 6, 17315),
+        ("96:0", 6, 56302),
+        ("96:0", 6, 77727),
+        ("400:0", 4, 501829),
+    ],
+)
+def test_series_meets_the_certified_rule_where_sequential_rounding_missed(address, s, N):
+    # dirichlet-global benchmark requests whose sequentially summed value
+    # missed |value - L| <= remainder_bound + 4 ulps |L| by 2e-15 to 1.1e-13
+    mpmath = pytest.importorskip("mpmath")
+    k, index = map(int, address.split(":"))
+    chi = enumerate_characters(k)[index]
+    result = dirichlet_series(chi, s, N)
+    with mpmath.workdps(50):
+        values = []
+        for r in range(k):
+            angle = character_angle(chi, r)
+            values.append(0 if angle is None else mpmath.expjpi(2 * mpmath.mpf(angle.numerator) / angle.denominator))
+        exact = mpmath.dirichlet(s, values)
+        error = float(abs(mpmath.mpc(result.value) - exact))
+    assert error <= result.remainder_bound + 4 * 2.0**-52 * float(abs(exact))
