@@ -39,6 +39,8 @@ def test_prime_sieve():
     assert len(primes) == 25
     assert primes[0] == 2 and primes[-1] == 97
     assert len(primes_up_to(100000)) == 9592
+    assert len(primes_up_to(10**6)) == 78498
+    assert len(primes_up_to(10**7)) == 664579  # at the cap
     with pytest.raises(ValueError):
         primes_up_to(10**7 + 1)
 
@@ -293,11 +295,6 @@ def test_sieve_equals_trial_division():
     reference = _trial_division_primes(3000)
     for bound in range(3001):
         assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
-
-
-def test_sieve_prime_counts_up_to_the_cap():
-    assert len(primes_up_to(10**6)) == 78498
-    assert len(primes_up_to(10**7)) == 664579
 
 
 def test_euler_product_values_are_pinned():

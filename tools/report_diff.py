@@ -11,14 +11,18 @@ examples in README.md.  Each side runs in one fresh process with its own
 repository's working tree.  The request lists are built once, from the
 working tree's ``perfbench/workloads.py`` and README.md.
 
-For each request the SHA-256 of stdout and of stderr and the exit code are
-compared.  The argv of every request that differs is printed, and the exit
-status is 1 if any differs, else 0.  Nothing under ``perfbench/`` is changed.
+For each request stdout, stderr and the exit code are compared.  The argv
+of every request that differs is printed; where stdout differs and parses
+as JSON on both sides, the dotted paths of the report fields that differ
+follow it, such as ``value[0]`` or ``checks[13].residual``.  A tally of the
+differing paths over all requests closes the output.  The exit status is 1
+if any request differs, else 0.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -31,16 +35,16 @@ from bench_pair import ROOT, _export
 SEEDS = (1, 2)
 
 # Run in each side's process: argv lists arrive as JSON on stdin, one
-# [exit code, stdout sha256, stderr sha256] triple per request leaves on
-# stdout.  A request that raises out of run() records the exception's repr
-# as its exit code, as perfbench/run.py counts it as raising.
+# [exit code, stdout, stderr] triple per request leaves on stdout.  A
+# request that raises out of run() records the exception's repr as its
+# exit code, as perfbench/run.py counts it as raising.
 _REPLAY = """
-import contextlib, hashlib, io, json, os, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, os.path.join(sys.argv[1], "src"))
 from padic_lseries import cli
 if not os.path.abspath(cli.__file__).startswith(os.path.abspath(sys.argv[1]) + os.sep):
     raise ImportError(f"padic_lseries resolved to {cli.__file__}, not to {sys.argv[1]}")
-digests = []
+results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -48,9 +52,8 @@ for argv in json.load(sys.stdin):
             code = cli.run(list(argv))
     except (Exception, SystemExit) as exc:
         code = repr(exc)
-    sha = [hashlib.sha256(t.getvalue().encode()).hexdigest() for t in (out, err)]
-    digests.append([code, *sha])
-sys.__stdout__.write(json.dumps(digests))
+    results.append([code, out.getvalue(), err.getvalue()])
+sys.__stdout__.write(json.dumps(results))
 """
 
 
@@ -84,6 +87,31 @@ def _replay(checkout: str, requests: list[list[str]]) -> list[list]:
     return json.loads(done.stdout)
 
 
+def _field_paths(before, after, path: str = ""):
+    """The dotted paths of the leaves where two parsed JSON values differ."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        for key in sorted(before.keys() | after.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in before and key in after:
+                yield from _field_paths(before[key], after[key], sub)
+            else:
+                yield sub
+    elif isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
+        for i, (a, b) in enumerate(zip(before, after)):
+            yield from _field_paths(a, b, f"{path}[{i}]")
+    elif type(before) is not type(after) or before != after:
+        yield path or "(whole report)"
+
+
+def _report_paths(before: str, after: str) -> list[str]:
+    """Field paths that differ between two stdout texts, if both are JSON reports."""
+    try:
+        paths = list(_field_paths(json.loads(before), json.loads(after)))
+    except json.JSONDecodeError:
+        return ["(stdout is not JSON)"]
+    return paths or ["(formatting only)"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -97,11 +125,18 @@ def main(argv=None) -> int:
     change = _replay(ROOT, requests)
 
     differences = 0
+    tally = collections.Counter()
     for argv, before, after in zip(requests, parent, change):
         if before != after:
             differences += 1
             parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), before, after) if a != b]
             print(f"differs ({', '.join(parts)}): {' '.join(argv)}")
+            if "stdout" in parts:
+                paths = _report_paths(before[1], after[1])
+                tally.update(paths)
+                print(f"    fields: {', '.join(paths)}")
+    for path, count in sorted(tally.items()):
+        print(f"field {path} differs in {count} requests")
     print(f"{len(requests)} requests, {differences} differ")
     return 1 if differences else 0
 
