@@ -151,22 +151,20 @@ def _require_prime(p: int) -> None:
 
 
 def _encode(value):
-    if isinstance(value, bool):
+    # Fraction last: its isinstance check goes through ABCMeta.__instancecheck__
+    # (about 0.2 us a value), and reports are mostly str, float and int
+    if isinstance(value, (str, float, bool)):
         return value
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, int):
         return value if abs(value) < _JSON_SAFE_INT else str(value)
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        return value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -251,8 +251,10 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
         if N > twist.max_n:
             coefficient(twist, twist.max_n + 1)  # raises the out-of-table IndexError
         tail = 2.0 * N ** (1.0 - sigma) / (sigma - 1.0)
-        terms = map(pow, range(1, N + 1), itertools.repeat(exponent))
-        value = _complex_fsum(map(operator.mul, twist.values, terms))
+        powers = map(pow, range(1, N + 1), itertools.repeat(exponent))
+        terms = map(operator.mul, twist.values, powers)
+        # real s gives real terms: one fsum, correctly rounded, as class_sum below
+        value = complex(math.fsum(terms)) if s.imag == 0.0 else _complex_fsum(terms)
     else:
         chi: DirichletCharacter = twist
         alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0

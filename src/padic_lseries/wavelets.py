@@ -23,20 +23,20 @@ radius p^R, whose discarded tail is returned as a certified bound.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import Twist
 from .errors import ConvergenceError, CosetCapError, PrimeMismatchError
 from .padic import (
     COSET_CAP,
     PadicNumber,
+    _int_valuation,
     is_prime,
-    rational_fractional_part,
-    rational_valuation,
     residue_phase,
-    unit_phase,
 )
 from .quadrature import GammaSpec, gamma_closed_form
 
@@ -87,13 +87,60 @@ def ket(p: int, label: int) -> WaveletIndex:
     return wavelet_index(p, 1 - label, 0, 1)
 
 
-def _eval_at_fraction(idx: WaveletIndex, xi: Fraction) -> complex:
+# The kernel works on exact integer pairs: a point xi = u p^v with u a unit
+# (u = 0 for zero; PadicNumber keeps its first digit nonzero), and a centre
+# m p^(-n) = a p^e with a prime to p.  The phases are residue_phase of
+# reduced residues, which is bit-for-bit unit_phase of the same Fraction.
+
+
+def _center_pair(idx: WaveletIndex) -> tuple[int, int]:
+    """(a, e) with centre m p^(-n) = a p^e; a = 0 when m = 0."""
+    m = idx.m
+    return m.numerator, -idx.n - _int_valuation(m.denominator, idx.prime)
+
+
+def _point_pair(xi: PadicNumber) -> tuple[int, int]:
+    """(u, v) with xi = u p^v; (0, 0) for zero."""
+    if xi.is_zero:
+        return 0, 0
+    return xi.unit_part(), xi.valuation
+
+
+def _sum_pair(p: int, u: int, v: int, w: int, e: int) -> tuple[int, int]:
+    """(c, low) with u p^v + w p^e = c p^low, low = min(v, e)."""
+    low = min(v, e)
+    return u * p ** (v - low) + w * p ** (e - low), low
+
+
+def _in_support(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> bool:
+    """Whether |u p^v - centre| <= p^n, i.e. the difference lies in p^(-n) Z_p."""
     p, n = idx.prime, idx.n
-    diff = xi - idx.center
-    if diff != 0 and rational_valuation(diff, p) < -n:
+    a, e = center
+    c, low = _sum_pair(p, u, v, -a, e)
+    return low >= -n or c % p ** (-n - low) == 0
+
+
+def _phase_residue(idx: WaveletIndex, u: int, v: int) -> tuple[int, int]:
+    """(r, q) with {j p^(n-1) u p^v}_p = r / q in lowest terms; (0, 1) when it is 0.
+
+    j u is prime to p, so r is too and q is the full power of p.
+    """
+    k = 1 - idx.n - v
+    if u == 0 or k <= 0:
+        return 0, 1
+    q = idx.prime**k
+    return idx.j * u % q, q
+
+
+def _psi(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> complex:
+    if not _in_support(idx, center, u, v):
         return complex(0.0, 0.0)
-    phase = rational_fractional_part(idx.j * Fraction(p) ** (n - 1) * xi, p)
-    return p ** (-n / 2) * unit_phase(phase)
+    return idx.prime ** (-idx.n / 2) * residue_phase(*_phase_residue(idx, u, v))
+
+
+def _coset_measure(p: int, n: int) -> float:
+    """Haar measure p^(n-1) of a coset of p^(1-n) Z_p, as float(Fraction(p) ** (n - 1))."""
+    return float(p ** (n - 1)) if n >= 1 else 1 / p ** (1 - n)
 
 
 def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
@@ -102,7 +149,7 @@ def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
         raise PrimeMismatchError(
             f"wavelet over Q_{idx.prime} evaluated at a Q_{xi.prime} point"
         )
-    return _eval_at_fraction(idx, xi.as_fraction())
+    return _psi(idx, _center_pair(idx), *_point_pair(xi))
 
 
 def raise_lower(idx: WaveletIndex, direction: str) -> WaveletIndex | None:
@@ -176,7 +223,9 @@ def apply_kernel(
         raise ConvergenceError(
             f"kernel application needs Re(alpha) > 0 for the outer shells; got {alpha}"
         )
-    psi_xi = wavelet_eval(idx, xi)
+    center = _center_pair(idx)
+    u, v = _point_pair(xi)
+    psi_xi = _psi(idx, center, u, v)
     twist = spec.twist
     if twist.value == 0:
         return psi_xi, 0.0
@@ -188,42 +237,40 @@ def apply_kernel(
         )
     if p > cap:
         raise CosetCapError(f"{p} shell cosets exceed the cap of {cap}")
-    xif = xi.as_fraction()
-    if xif != 0 and -rational_valuation(xif, p) > R:
+    if u != 0 and -v > R:
         raise ValueError("evaluation point lies outside the truncation ball")
 
-    log_p = math.log(p)
-    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
-    diff = xif - idx.center
-    inside = diff == 0 or rational_valuation(diff, p) >= -n
-    coset_measure = float(Fraction(p) ** (n - 1))
+    shells = _operator_shells(twist, alpha, n, R)
+    coset_measure = _coset_measure(p, n)
 
     acc = complex(0.0, 0.0)
     missed = 0.0
-    if inside:
+    if _in_support(idx, center, u, v):
         # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets;
         # with {j p^(n-1) xi}_p = r0 / m (m = p when 0), the phase of
         # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
-        shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist.power(-n)
+        shell_weight = shells.support_weight
         amplitude = p ** (-n / 2)
-        phase = rational_fractional_part(idx.j * Fraction(p) ** (n - 1) * xif, p)
-        r0, m = phase.numerator, max(phase.denominator, p)
+        r0, m = _phase_residue(idx, u, v)
+        m = max(m, p)
         stride = idx.j * (m // p)
         for d in range(1, p):
             phase_d = residue_phase((r0 + d * stride) % m, m)
             acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
         # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
-        for t in range(n + 1, R + 1):
-            acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * twist.power(-t)
+        scaled = psi_xi * (1 - 1 / p)
+        for scale, power in shells.outer:
+            acc -= scaled * scale * power
     else:
-        # |xi' - xi| is constant over the whole support ball
-        t0 = -rational_valuation(diff, p)
-        weight = cmath.exp(-(alpha + 1) * t0 * log_p) * twist.power(-t0)
-        step = Fraction(p) ** (-n)
+        # |xi' - xi| = p^t0 is constant over the whole support ball
+        a, e = center
+        c, low = _sum_pair(p, u, v, -a, e)
+        t0 = -low - _int_valuation(c, p)
+        weight = cmath.exp(-(alpha + 1) * t0 * math.log(p)) * twist.power(-t0)
         for d in range(p):
-            rep = idx.center + d * step
-            if rep == 0 or -rational_valuation(rep, p) <= R:
-                acc += _eval_at_fraction(idx, rep) * coset_measure * weight
+            ru, rv = _sum_pair(p, a, e, d, -n)  # the coset centre + d p^(-n)
+            if ru == 0 or -rv <= R:
+                acc += _psi(idx, center, ru, rv) * coset_measure * weight
             else:
                 missed += (
                     p ** (-n / 2)
@@ -234,7 +281,33 @@ def apply_kernel(
 
     decay = p**-alpha.real
     tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
+    gamma_norm = shells.gamma_norm
     return acc / gamma_norm, (tail + missed) / abs(gamma_norm)
+
+
+class _Shells(NamedTuple):
+    gamma_norm: complex  # Gamma(-alpha) of the twist
+    support_weight: complex  # |z|^(-(alpha+1)) twist(|z|^(-1)) at |z| = p^n
+    outer: tuple[tuple[complex, complex], ...]  # (p^(-alpha t), T^(-t)), t = n+1..R
+
+
+@functools.lru_cache(maxsize=8)
+def _operator_shells(twist: Twist, alpha: complex, n: int, R: int) -> _Shells:
+    """The factors of apply_kernel that depend only on the operator, n and R.
+
+    Every kernel call of one eigencheck label shares them.  Keys compare by
+    ==, so an alpha or Hecke root that differs only in the sign of a zero
+    part shares the entry; that can flip only the sign of a zero part of the
+    kernel value.  A PoleError is not cached: it is raised on every call.
+    """
+    p = twist.prime
+    log_p = math.log(p)
+    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
+    support_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist.power(-n)
+    outer = tuple(
+        (cmath.exp(-alpha * t * log_p), twist.power(-t)) for t in range(n + 1, R + 1)
+    )
+    return _Shells(gamma_norm, support_weight, outer)
 
 
 def inner_product(
@@ -253,25 +326,24 @@ def inner_product(
     if idx1.prime != idx2.prime:
         raise PrimeMismatchError("wavelets over different fields cannot be paired")
     p = idx1.prime
-    c1, c2 = idx1.center, idx2.center
-    separation = c1 - c2
-    if separation != 0 and -rational_valuation(separation, p) > max(idx1.n, idx2.n):
+    centers = {idx1: _center_pair(idx1), idx2: _center_pair(idx2)}
+    small, large = (idx1, idx2) if idx1.n <= idx2.n else (idx2, idx1)
+    # the balls meet exactly when the smaller one's centre is in the larger
+    if not _in_support(large, centers[large], *centers[small]):
         return complex(0.0, 0.0)
 
-    small = idx1 if idx1.n <= idx2.n else idx2
-    level = 1 - small.n  # both wavelets are constant on cosets of p^level Z_p
+    # both wavelets are constant on cosets of p^(1-n) Z_p, n the smaller scale
     if p > cap:
         raise CosetCapError(f"{p} coset representatives exceed the cap of {cap}")
-    coset_measure = float(Fraction(p) ** (-level))
-    step = Fraction(p) ** (-small.n)
+    coset_measure = _coset_measure(p, small.n)
     total = complex(0.0, 0.0)
     for d in range(p):
-        rep = small.center + d * step
-        if rep != 0 and -rational_valuation(rep, p) > R:
+        u, v = _sum_pair(p, *centers[small], d, -small.n)  # the centre + d p^(-n)
+        if u != 0 and -v > R:
             continue
         total += (
-            _eval_at_fraction(idx1, rep)
-            * _eval_at_fraction(idx2, rep).conjugate()
+            _psi(idx1, centers[idx1], u, v)
+            * _psi(idx2, centers[idx2], u, v).conjugate()
             * coset_measure
         )
     return total

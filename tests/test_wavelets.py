@@ -15,6 +15,7 @@ from padic_lseries import (
     ConvergenceError,
     GammaSpec,
     OperatorSpec,
+    PoleError,
     PrimeMismatchError,
     Twist,
     apply_kernel,
@@ -32,6 +33,7 @@ from padic_lseries import (
     wavelet_eval,
     wavelet_index,
 )
+from padic_lseries import cli, wavelets
 from padic_lseries.padic import rational_valuation
 
 
@@ -226,11 +228,11 @@ def test_wavelet_index_canonical_offsets():
         wavelet_index(3, 0, 0, 0)  # j must be a unit digit
 
 
-# A reference kernel on the exact rational route: every support-shell coset
-# evaluates the wavelet at the Fraction xi + d p^(-n), and every phase and
-# twist power is float() of an exact Fraction angle.  apply_kernel steps
-# integer residues instead and must reproduce it bit for bit, so the
-# comparison is ==.
+# A reference kernel on the exact rational route: every coset evaluates the
+# wavelet at a Fraction (xi + d p^(-n) on the support shell, centre + d p^(-n)
+# off the support), and every phase and twist power is float() of an exact
+# Fraction angle.  apply_kernel and inner_product work on integer pairs
+# instead and must reproduce it bit for bit, so every comparison is ==.
 
 
 def _fraction_phase(angle):
@@ -258,7 +260,6 @@ def _fraction_power(twist, n):
 
 
 def _fraction_route_kernel(spec, idx, xi, R):
-    # the support-shell case: every eigencheck point lies in the support
     alpha, twist = complex(spec.alpha), spec.twist
     p, n = twist.prime, idx.n
     xif = xi.as_fraction()
@@ -268,16 +269,70 @@ def _fraction_route_kernel(spec, idx, xi, R):
     log_p = math.log(p)
     gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
     coset_measure = float(Fraction(p) ** (n - 1))
-    shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * _fraction_power(twist, -n)
     step = Fraction(p) ** (-n)
     acc = complex(0.0, 0.0)
-    for d in range(1, p):
-        acc += (_fraction_psi(idx, xif + d * step) - psi_xi) * coset_measure * shell_weight
-    for t in range(n + 1, R + 1):
-        acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * _fraction_power(twist, -t)
+    missed = 0.0
+    diff = xif - idx.center
+    if diff == 0 or rational_valuation(diff, p) >= -n:
+        shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * _fraction_power(twist, -n)
+        for d in range(1, p):
+            acc += (_fraction_psi(idx, xif + d * step) - psi_xi) * coset_measure * shell_weight
+        for t in range(n + 1, R + 1):
+            acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * _fraction_power(twist, -t)
+    else:
+        t0 = -rational_valuation(diff, p)
+        weight = cmath.exp(-(alpha + 1) * t0 * log_p) * _fraction_power(twist, -t0)
+        for d in range(p):
+            rep = idx.center + d * step
+            if rep == 0 or -rational_valuation(rep, p) <= R:
+                acc += _fraction_psi(idx, rep) * coset_measure * weight
+            else:
+                missed += (
+                    p ** (-n / 2)
+                    * coset_measure
+                    * p ** (-t0 * (alpha.real + 1))
+                    * abs(_fraction_power(twist, -t0))
+                )
     decay = p**-alpha.real
     tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
-    return acc / gamma_norm, tail / abs(gamma_norm)
+    return acc / gamma_norm, (tail + missed) / abs(gamma_norm)
+
+
+def _fraction_route_inner_product(idx1, idx2, R):
+    p = idx1.prime
+    separation = idx1.center - idx2.center
+    if separation != 0 and -rational_valuation(separation, p) > max(idx1.n, idx2.n):
+        return complex(0.0, 0.0)
+    small = idx1 if idx1.n <= idx2.n else idx2
+    coset_measure = float(Fraction(p) ** (small.n - 1))
+    step = Fraction(p) ** (-small.n)
+    total = complex(0.0, 0.0)
+    for d in range(p):
+        rep = small.center + d * step
+        if rep != 0 and -rational_valuation(rep, p) > R:
+            continue
+        total += _fraction_psi(idx1, rep) * _fraction_psi(idx2, rep).conjugate() * coset_measure
+    return total
+
+
+def _offset_indices(p):
+    """Wavelets with m != 0 or j != 1, at scales on both sides of n = 0."""
+    out = []
+    for n in (-1, 0, 2):
+        for m in (0, Fraction(1, p), Fraction(p - 1, p**2), Fraction(p + 2, p**3)):
+            for j in sorted({1, p - 1}):
+                out.append(wavelet_index(p, n, m, j))
+    return out
+
+
+def _nearby_points(idx):
+    """The zero point and points at distances p^(n-1) .. p^(n+2) from the centre."""
+    p, n = idx.prime, idx.n
+    points = [Fraction(0)]
+    for k in range(-n - 2, -n + 2):
+        for c in (1, p - 1, p + 1, Fraction(1, p + 1)):
+            points.append(idx.center + c * Fraction(p) ** k)
+    return points
 
 
 def test_kernel_is_bit_for_bit_the_fraction_route():
@@ -299,3 +354,108 @@ def test_kernel_is_bit_for_bit_the_fraction_route():
                 for mult in (0, 1, p, p + 1, p * p):  # the eigencheck points
                     xi = _point(p, idx.center + mult * Fraction(p) ** (-idx.n))
                     assert apply_kernel(spec, idx, xi, R) == _fraction_route_kernel(spec, idx, xi, R)
+
+
+def test_wavelet_eval_is_bit_for_bit_the_fraction_route():
+    for p in (2, 3, 5, 7):
+        for idx in _offset_indices(p):
+            inside = outside = 0
+            for q in _nearby_points(idx):
+                xi = _point(p, q)
+                value = wavelet_eval(idx, xi)
+                assert value == _fraction_psi(idx, xi.as_fraction())
+                inside += value != 0
+                outside += value == 0
+            assert inside and outside
+
+
+def test_kernel_off_the_support_is_bit_for_bit_the_fraction_route():
+    chi7 = enumerate_characters(7)[1]
+    for p in (2, 3, 5):
+        root = factorize_local(delta_provider(8), p).a1
+        specs = [
+            OperatorSpec(Twist(p), 1.0),
+            OperatorSpec(character_twist(chi7, p), 0.5 + 2j),
+            OperatorSpec(Twist(p, root=root), 1.7),
+        ]
+        for spec in specs:
+            for idx in _offset_indices(p):
+                for q in _nearby_points(idx):
+                    xi = _point(p, q)
+                    # R from the support radius up to past every coset centre,
+                    # so some coset centres fall outside p^R and are missed
+                    low = max(idx.n, 0 if xi.is_zero else -xi.valuation)
+                    for R in range(low, low + 4):
+                        got = apply_kernel(spec, idx, xi, R)
+                        assert got == _fraction_route_kernel(spec, idx, xi, R)
+
+
+def test_kernel_counts_cosets_beyond_the_truncation_ball():
+    # centre 1/9 lies outside |xi| <= 3, so every support coset is missed
+    spec = OperatorSpec(Twist(3), 1.0)
+    idx = wavelet_index(3, 0, Fraction(1, 9), 1)
+    xi = _point(3, Fraction(1, 3))
+    value, bound = apply_kernel(spec, idx, xi, 1)
+    assert value == 0
+    assert bound > 0
+    assert (value, bound) == _fraction_route_kernel(spec, idx, xi, 1)
+
+
+def test_inner_product_is_bit_for_bit_the_fraction_route():
+    for p in (2, 3, 5):
+        indices = _offset_indices(p) + [ket(p, label) for label in range(3)]
+        for idx1 in indices:
+            for idx2 in indices:
+                for R in (1, 2, 4):
+                    want = _fraction_route_inner_product(idx1, idx2, R)
+                    assert inner_product(idx1, idx2, R) == want
+
+
+def test_kernel_cache_hit_returns_the_same_tuple():
+    spec = OperatorSpec(character_twist(enumerate_characters(7)[1], 5), 0.5 + 2j)
+    idx = ket(5, 2)
+    xi = _point(5, idx.center + 5 * Fraction(5) ** (-idx.n))
+    wavelets._operator_shells.cache_clear()
+    first = apply_kernel(spec, idx, xi, 40)
+    hits = wavelets._operator_shells.cache_info().hits
+    second = apply_kernel(spec, idx, xi, 40)
+    assert wavelets._operator_shells.cache_info().hits == hits + 1
+    assert second == first == _fraction_route_kernel(spec, idx, xi, 40)
+
+
+def test_kernel_pole_is_raised_on_every_call():
+    # T p^(-s) = 1 at s = -alpha = -1 for T = 1/2, p = 2: Gamma(-alpha) has a pole
+    spec = OperatorSpec(Twist(2, root=0.5), 1.0)
+    idx = ket(2, 1)
+    xi = _point(2, idx.center)
+    for _ in range(3):
+        with pytest.raises(PoleError):
+            apply_kernel(spec, idx, xi, 10)
+
+
+_EIGENCHECKS = [
+    ["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1.0"],
+    ["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "0.5", "--max-ket", "5"],
+    ["eigencheck", "--kind", "plain", "--p", "3", "--alpha", "1.7", "--radius", "12"],
+    ["eigencheck", "--kind", "character_twisted", "--p", "13", "--alpha", "0.5+2j", "--character", "7:1"],
+    ["eigencheck", "--kind", "character_twisted", "--p", "7", "--alpha", "1.0", "--character", "7:1"],
+    ["eigencheck", "--kind", "modular_a1", "--p", "5", "--alpha", "1.0"],
+    ["eigencheck", "--kind", "modular_a2", "--p", "5", "--alpha", "1.0", "--radius", "3"],
+    ["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1.0", "--radius", "0"],
+]
+
+
+def _replay(argvs, capsys):
+    reports = {}
+    for argv in argvs:
+        code = cli.run(argv)
+        reports[tuple(argv)] = (code, *capsys.readouterr())
+    return reports
+
+
+def test_eigencheck_reports_do_not_depend_on_request_order(capsys):
+    # more operators than the shell cache holds, replayed in two orders
+    forward = _replay(_EIGENCHECKS, capsys)
+    backward = _replay(reversed(_EIGENCHECKS), capsys)
+    assert forward == backward
+    assert {code for code, _, _ in forward.values()} == {0, 2}

@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent commit and the working tree.
 
     python3 tools/bench_pair.py --parent REV --workload NAME --seed N --pairs K \
-        --layer LAYER --out BENCH_<n>.json
+        --layer LAYER --out BENCH_<n>.json [--traced-pairs T]
 
 Runs the repository's benchmark (the command in BENCHMARK.json, that is
 ``perfbench/run.py``) K times on each side with ``--trace 0`` and the
@@ -19,6 +19,13 @@ from BENCHMARK.json.  Per side it also records each run's ``failed`` and
 ``attempted`` counts and the pooled share failed / attempted over all runs.
 A run counts failures per pass times its passes, so the pooled share
 weights each run by how many passes it made.
+
+With --traced-pairs T (default 0, none), T more pairs of ``--trace 1`` runs
+follow, alternating in the same way, and each per-layer metric of
+BENCHMARK.json is recorded under "layers" with the same per-side runs,
+median, quartiles and ``change_wins``.  One traced run is too noisy to
+resolve a per-layer change of a few tens of percent; the quartiles of
+several show whether the change is larger than the spread.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ def _export(rev: str, checkout: str) -> None:
     subprocess.run(["tar", "-x", "-C", checkout], input=archive, check=True)
 
 
-def _run(checkout: str, command: list, workload: str, seed: int, seconds: float) -> dict:
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def _run(checkout: str, command: list, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if argv[0] in ("python", "python3"):
         argv[0] = sys.executable
     done = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True)
@@ -67,6 +74,23 @@ def _wins(parent: list, change: list, better: str) -> int:
     return sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
 
 
+def _compare(specs: list, runs: dict) -> dict:
+    """Per metric of BENCHMARK.json: both sides' runs, medians, quartiles and the change's wins."""
+    report = {}
+    for spec in specs:
+        name = spec["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        report[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec.get("bound"),
+            "parent": _summary(values["parent"]),
+            "change": _summary(values["change"]),
+            "change_wins": _wins(values["parent"], values["change"], spec["better"]),
+        }
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -75,13 +99,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--layer", required=True, help="the layer the change moved, e.g. modular")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to create or extend")
+    parser.add_argument("--traced-pairs", type=int, default=0, help="pairs of --trace 1 runs for per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    if args.traced_pairs == 1 or args.traced_pairs < 0:
+        parser.error("--traced-pairs must be 0 or at least 2 for quartiles")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
-    metrics = {m["name"]: m for m in bench["end_to_end"]}
     parent_commit = _git("rev-parse", args.parent)
     sides = {
         "parent": {"commit": parent_commit, "src_tree": _git("rev-parse", f"{parent_commit}:src")},
@@ -99,28 +125,20 @@ def main(argv=None) -> int:
             parser.error(f"{args.out} records other commits; write a new file")
 
     runs = {"parent": [], "change": []}
+    traced = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         _export(parent_commit, checkouts["parent"])
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = _run(checkouts[side], bench["command"], args.workload, args.seed, bench["run_seconds"])
-                runs[side].append(result)
-                values = {name: m["value"] for name, m in result["metrics"].items()}
-                print(f"pair {i} {side}: " + json.dumps(values, sort_keys=True), file=sys.stderr)
+        for trace, pairs, results in ((0, args.pairs, runs), (1, args.traced_pairs, traced)):
+            for i in range(pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = _run(checkouts[side], bench["command"], args.workload, args.seed, bench["run_seconds"], trace)
+                    results[side].append(result)
+                    values = {name: m["value"] for name, m in result["metrics"].items()}
+                    print(f"trace {trace} pair {i} {side}: " + json.dumps(values, sort_keys=True), file=sys.stderr)
 
-    report = {}
-    for name, spec in metrics.items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        report[name] = {
-            "unit": spec["unit"],
-            "better": spec["better"],
-            "bound": spec.get("bound"),
-            "parent": _summary(values["parent"]),
-            "change": _summary(values["change"]),
-            "change_wins": _wins(values["parent"], values["change"], spec["better"]),
-        }
+    report = _compare(bench["end_to_end"], runs)
     failures = {}
     for side, results in runs.items():
         failed = [r["failed"] for r in results]
@@ -134,6 +152,9 @@ def main(argv=None) -> int:
         "metrics": report,
         "failures": failures,
     }
+    if args.traced_pairs:
+        entry["traced_pairs"] = args.traced_pairs
+        entry["layers"] = _compare(bench["per_layer"], traced)
     out.update(
         sides,
         layer=args.layer,
