@@ -441,3 +441,29 @@ def test_json_report_is_sorted_and_stable(capsys):
     assert first == second
     keys = list(json.loads(first).keys())
     assert keys == sorted(keys)
+
+
+def test_encode_maps_each_report_type():
+    from fractions import Fraction
+
+    safe = 2**53
+    report = {
+        1: True,
+        "int": [safe - 1, -(safe - 1), safe, -safe],
+        "float": -0.0,
+        "complex": 1.5 - 2j,
+        "fraction": Fraction(-3, 4),
+        "tuple": ("a", (False, None is None)),
+    }
+    encoded = cli._encode(report)
+    assert encoded == {
+        "1": True,
+        "int": [safe - 1, -(safe - 1), str(safe), str(-safe)],
+        "float": -0.0,
+        "complex": [1.5, -2.0],
+        "fraction": "-3/4",
+        "tuple": ["a", [False, True]],
+    }
+    assert encoded["1"] is True and encoded["tuple"][1][0] is False
+    with pytest.raises(TypeError, match="cannot serialize NoneType"):
+        cli._encode([None])
