@@ -49,6 +49,7 @@ from .selftest import run_selftest
 from .wavelets import (
     OperatorSpec,
     apply_kernel,
+    check_ket_label,
     eigenvalue,
     ket,
     wavelet_eval,
@@ -228,6 +229,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
         raise _UsageError(f"--points must lie in 1..{_SAMPLE_MULTIPLIERS}")
     if args.max_ket < 0:
         raise _UsageError("--max-ket must be nonnegative")
+    check_ket_label(spec, args.max_ket)
     multipliers = (0, 1, p, p + 1, p * p)[: args.points]
 
     entries = []

@@ -25,6 +25,10 @@ class TableCapError(PadicLseriesError):
     """A coefficient table would exceed its documented length cap."""
 
 
+class KernelCapError(PadicLseriesError):
+    """A kernel check's truncation radius or ket label exceeds its documented cap."""
+
+
 class ModulusCapError(PadicLseriesError):
     """A character modulus exceeds its documented cap."""
 

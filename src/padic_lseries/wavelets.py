@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .characters import Twist
-from .errors import ConvergenceError, CosetCapError, PrimeMismatchError
+from .errors import ConvergenceError, CosetCapError, KernelCapError, PrimeMismatchError
 from .padic import (
     COSET_CAP,
     PadicNumber,
@@ -42,6 +42,14 @@ from .quadrature import GammaSpec, gamma_closed_form
 
 RAISE = "+"
 LOWER = "-"
+
+# The outer truncation exponent R of a kernel application; a larger R would
+# build and keep R - n outer-shell factors.
+RADIUS_CAP = 1000
+# The natural log of the largest magnitude a kernel check may reach: e^600 is
+# about 1e260, which leaves room below the float range (e^709.78) for the
+# coset sums and the division by Gamma(-alpha).
+LOG_MAGNITUDE_CAP = 600.0
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,27 @@ def eigenvalue(spec: OperatorSpec, ket_label: int) -> complex:
     return spec.twist.power(ket_label) * scale
 
 
+def check_ket_label(spec: OperatorSpec, label: int) -> None:
+    """Refuse a ket whose kernel check would leave the float range.
+
+    Each label multiplies the largest magnitude in a check (the eigenvalue,
+    the wavelet amplitude, the shell weights) by at most
+    p^max(Re alpha + 1, 1/2) max(|T|, 1), so labels up to ``label`` stay
+    below e^LOG_MAGNITUDE_CAP when ``label`` times the log of that factor
+    does.  Raises KernelCapError naming the largest label the operator allows.
+    """
+    p = spec.twist.prime
+    growth = max(complex(spec.alpha).real + 1, 0.5) * math.log(p) + math.log(
+        max(abs(spec.twist.value), 1.0)
+    )
+    if label * growth > LOG_MAGNITUDE_CAP:
+        raise KernelCapError(
+            f"ket {label} at p = {p} would reach magnitude e^{label * growth:.0f}, past "
+            f"the cap e^{LOG_MAGNITUDE_CAP:.0f}; this operator allows kets up to "
+            f"{int(LOG_MAGNITUDE_CAP // growth)}"
+        )
+
+
 def apply_kernel(
     spec: OperatorSpec,
     idx: WaveletIndex,
@@ -212,7 +241,8 @@ def apply_kernel(
 
     plus the measure of any support cosets falling outside the truncation
     ball.  A degenerate twist makes the operator the identity: the wavelet
-    value is returned with a zero bound.
+    value is returned with a zero bound.  R above RADIUS_CAP raises
+    KernelCapError before any shell is built.
 
     Returns (value, tail_bound).
     """
@@ -223,6 +253,8 @@ def apply_kernel(
         raise ConvergenceError(
             f"kernel application needs Re(alpha) > 0 for the outer shells; got {alpha}"
         )
+    if R > RADIUS_CAP:
+        raise KernelCapError(f"truncation exponent R = {R} exceeds the cap of {RADIUS_CAP}")
     center = _center_pair(idx)
     u, v = _point_pair(xi)
     psi_xi = _psi(idx, center, u, v)
@@ -253,9 +285,7 @@ def apply_kernel(
         amplitude = p ** (-n / 2)
         r0, m = _phase_residue(idx, u, v)
         m = max(m, p)
-        stride = idx.j * (m // p)
-        for d in range(1, p):
-            phase_d = residue_phase((r0 + d * stride) % m, m)
+        for phase_d in _shell_phases(r0, idx.j * (m // p), m, p):
             acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
         # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
         scaled = psi_xi * (1 - 1 / p)
@@ -308,6 +338,17 @@ def _operator_shells(twist: Twist, alpha: complex, n: int, R: int) -> _Shells:
         (cmath.exp(-alpha * t * log_p), twist.power(-t)) for t in range(n + 1, R + 1)
     )
     return _Shells(gamma_norm, support_weight, outer)
+
+
+@functools.lru_cache(maxsize=2)
+def _shell_phases(r0: int, stride: int, m: int, p: int) -> tuple[complex, ...]:
+    """residue_phase((r0 + d stride) mod m, m) for d = 1..p-1, in that order.
+
+    The phases of the support-shell cosets of apply_kernel.  An eigencheck's
+    in-support points have r0 = 0 or 1 with m = p, so its 20 kernel calls
+    share two tables; each holds p - 1 complex values.
+    """
+    return tuple(residue_phase((r0 + d * stride) % m, m) for d in range(1, p))
 
 
 def inner_product(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from padic_lseries import (
     delta_provider,
     local_factor_closed,
 )
-from padic_lseries import cli, modular
+from padic_lseries import cli, modular, wavelets
 from padic_lseries.cli import RunConfig, run
 
 
@@ -275,6 +276,40 @@ def test_eigencheck_negative_max_ket_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "--max-ket" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "3", "--alpha", "1", "--radius", "100000"],
+         "truncation exponent R = 100000 exceeds the cap of 1000"),
+        (["--p", "3", "--alpha", "1", "--max-ket", "1000"],
+         "ket 1000 at p = 3 would reach magnitude e^2197, past the cap e^600; "
+         "this operator allows kets up to 273"),
+    ],
+)
+def test_eigencheck_over_its_caps_fails_before_any_shell(argv, message, capsys):
+    wavelets._operator_shells.cache_clear()
+    code = run(["eigencheck", "--kind", "plain", *argv])
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "KernelCapError", "message": message}
+    assert wavelets._operator_shells.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "3", "--alpha", "1", "--radius", str(wavelets.RADIUS_CAP), "--max-ket", "0"],
+        ["--p", "3", "--alpha", "1", "--max-ket", "273"],
+    ],
+)
+def test_eigencheck_at_its_caps_runs(argv, capsys):
+    code = run(["eigencheck", "--kind", "plain", *argv, "--points", "1"])
+    out, _ = _capture(capsys)
+    assert code == 0
+    assert math.isfinite(json.loads(out)["worst_margin"])
 
 
 def test_factorize_composite_prime_exits_two(capsys):

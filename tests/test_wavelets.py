@@ -14,6 +14,7 @@ from padic_lseries import (
     RAISE,
     ConvergenceError,
     GammaSpec,
+    KernelCapError,
     OperatorSpec,
     PoleError,
     PrimeMismatchError,
@@ -421,6 +422,83 @@ def test_kernel_cache_hit_returns_the_same_tuple():
     second = apply_kernel(spec, idx, xi, 40)
     assert wavelets._operator_shells.cache_info().hits == hits + 1
     assert second == first == _fraction_route_kernel(spec, idx, xi, 40)
+
+
+def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
+    # in-support points of offset wavelets: phase moduli m = p .. p^4, so the
+    # table stride j m / p runs over multiples of p, with j = 1 and j = p - 1
+    cases = {}
+    for p in (5, 7):
+        spec = OperatorSpec(character_twist(enumerate_characters(12)[3], p), 0.5 + 2j)
+        cases[p] = []
+        for idx in _offset_indices(p):
+            for q in _nearby_points(idx):
+                xi = _point(p, q)
+                if wavelet_eval(idx, xi) != 0:
+                    R = max(idx.n, 0 if xi.is_zero else -xi.valuation) + 2
+                    want = _fraction_route_kernel(spec, idx, xi, R)
+                    cases[p].append((spec, idx, xi, R, want))
+    moduli = set()
+    for _, idx, xi, _, _ in cases[5] + cases[7]:
+        _, m = wavelets._phase_residue(idx, *wavelets._point_pair(xi))
+        moduli.add((idx.prime, max(m, idx.prime), idx.j))
+    for p in (5, 7):
+        assert {(p, p**2, p - 1), (p, p**2, 1), (p, p, p - 1), (p, p**4, 1)} <= moduli
+    # the two primes interleaved, so each prime's tables evict the other's
+    interleaved = [case for pair in zip(cases[5], cases[7]) for case in pair]
+    for spec, idx, xi, R, want in interleaved:
+        wavelets._shell_phases.cache_clear()
+        assert apply_kernel(spec, idx, xi, R) == want  # cold
+        assert apply_kernel(spec, idx, xi, R) == want  # warm
+    wavelets._shell_phases.cache_clear()
+    for _ in range(2):
+        for spec, idx, xi, R, want in interleaved:
+            assert apply_kernel(spec, idx, xi, R) == want
+    info = wavelets._shell_phases.cache_info()
+    assert info.hits > 0
+    assert info.misses > 2 * info.maxsize
+
+
+def test_one_eigencheck_builds_two_phase_tables(capsys):
+    # its 20 points have {p^(n-1) xi}_p = 0 or 1/p: r0 = 0 or 1 with m = p
+    wavelets._shell_phases.cache_clear()
+    assert cli.run(["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "1"]) == 0
+    capsys.readouterr()
+    info = wavelets._shell_phases.cache_info()
+    assert (info.misses, info.hits) == (2, 18)
+
+
+def _largest_ket(spec):
+    label = 0
+    while True:
+        try:
+            wavelets.check_ket_label(spec, label + 1)
+        except KernelCapError:
+            return label
+        label += 1
+
+
+def test_largest_allowed_ket_keeps_every_value_finite():
+    chi7 = enumerate_characters(7)[1]
+    root = factorize_local(delta_provider(8), 5).a2
+    operators = [
+        (OperatorSpec(Twist(2), 0.01), 40),
+        (OperatorSpec(Twist(97), 1.7), 40),
+        (OperatorSpec(character_twist(chi7, 13), 0.5 + 2j), 40),
+        (OperatorSpec(Twist(5, root=root), 1.7), 2),
+        (OperatorSpec(character_twist(chi7, 7), 0.5), 40),  # degenerate
+    ]
+    for spec, R in operators:
+        p = spec.twist.prime
+        label = _largest_ket(spec)
+        assert label >= 3  # the default --max-ket
+        idx = ket(p, label)
+        lam = eigenvalue(spec, label)
+        for mult in (0, 1, p, p + 1, p * p):
+            xi = _point(p, idx.center + mult * Fraction(p) ** (-idx.n))
+            value, tail = apply_kernel(spec, idx, xi, R)
+            residual = abs(value - lam * wavelet_eval(idx, xi))
+            assert all(map(math.isfinite, (value.real, value.imag, tail, residual)))
 
 
 def test_kernel_pole_is_raised_on_every_call():
