@@ -37,6 +37,10 @@ class LocalityError(PadicLseriesError):
     """An integrand failed its declared local-constancy spot check."""
 
 
+class FloatRangeError(PadicLseriesError):
+    """A power p^z is too large for a float."""
+
+
 class PoleError(PadicLseriesError):
     """A closed-form denominator is within epsilon of zero."""
 

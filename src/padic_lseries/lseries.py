@@ -23,7 +23,6 @@ long before the products stop being representable.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -35,7 +34,7 @@ from .characters import DirichletCharacter, character_angle, character_twist, ev
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
 from .padic import is_prime
-from .quadrature import POLE_EPSILON
+from .quadrature import POLE_EPSILON, _p_power
 from .wavelets import OperatorSpec, eigenvalue
 
 DEFAULT_TRUNCATION = 64
@@ -99,7 +98,7 @@ def _triangular_tail(ratio: float, M: int) -> float:
 
 def _modular_ratios(provider: CoefficientProvider, p: int, s: complex) -> tuple[complex, complex, float]:
     fac = factorize_local(provider, p)
-    scale = cmath.exp(-complex(s) * math.log(p))
+    scale = _p_power(p, -complex(s))
     q1, q2 = fac.a1 * scale, fac.a2 * scale
     ratio = max(abs(q1), abs(q2))
     if ratio >= 1.0:
@@ -136,7 +135,7 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_TRUNCATION) -> Serie
 
 def _closed_factor(p: int, s: complex, a: complex, c: complex | None = None) -> complex:
     """1/(1 - a p^(-s)), or 1/(1 - a p^(-s) + c p^(-2s)) given c; poles are refused."""
-    scale = cmath.exp(-s * math.log(p))
+    scale = _p_power(p, -s)
     denom = 1.0 - a * scale if c is None else 1.0 - a * scale + c * scale * scale
     if abs(denom) < POLE_EPSILON:
         raise PoleError(
@@ -195,9 +194,10 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
         for p in primes:
             value *= _closed_factor(p, s, *_hecke_coefficients(twist, p))
     else:
+        # |chi(p) p^(-s)| <= 2^(-sigma) < 1/2, so no factor is near a pole
         table, k = _character_table(twist), twist.modulus
         for p in primes:
-            value *= _closed_factor(p, s, table[p % k])
+            value *= 1.0 / (1.0 - table[p % k] * _p_power(p, -s))
 
     # |log factor| <= c p^(-sigma) per unimodular twist, twice that for the
     # two modular roots; then sum_{p > P} p^(-sigma) < P^(1-sigma)/(sigma-1)

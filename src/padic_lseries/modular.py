@@ -2,11 +2,14 @@
 
 delta_expansion computes tau(1..N) exactly.  Delta = q (eta^3 / q^(1/8))^8,
 and Jacobi's identity writes eta^3 / q^(1/8) as a series with about sqrt(2N)
-nonzero terms below q^N, so three truncated squarings give the table.  Each
-squaring is one multiplication of decimal numbers whose fixed-width digit
-blocks hold the coefficients (Kronecker substitution), done by libmpdec in
-an exact context that raises on any rounding.  The process keeps the
-tables it has built, by length, and serves a repeated length from them.
+nonzero terms below q^N, so three truncated squarings give the table.  The
+first is a sparse convolution in Python integers.  The other two are each
+one multiplication of decimal numbers whose fixed-width digit blocks hold
+the coefficients (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+2009), done by libmpdec in an exact context that raises on any rounding.
+The blocks pass from one multiplication to the next as a digit string;
+only the last becomes integers.  The process keeps the tables it has
+built, by length, and serves a repeated length from them.
 
 A CoefficientProvider wraps either that built-in table or a caller-supplied
 one together with its weight, level, and nebentypus.  factorize_local splits
@@ -19,6 +22,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import re
 from dataclasses import dataclass, field
 
 from .characters import DirichletCharacter, enumerate_characters, evaluate
@@ -28,9 +32,11 @@ from .padic import is_prime
 DELTA_WEIGHT = 12
 DEFAULT_DELTA_TERMS = 5000
 # delta_expansion refuses longer tables with TableCapError at once.  A build
-# at the cap takes 1.4-1.6 s of wall time and 92 MB of peak RSS in a fresh
-# process (Python 3.11.7, libmpdec 2.5.1, a 2-core x86-64 host); the memo
-# keeps tables of at most this many terms in all.
+# at the cap takes 1.3-2.0 s of wall time and 85.8 MB of peak RSS in a fresh
+# process, against 1.8-2.6 s and 91.8 MB when every squaring went through
+# per-coefficient integers (Python 3.11.7, libmpdec 2.5.1, a 2-core x86-64
+# host, alternating runs); the memo keeps tables of at most this many terms
+# in all.
 DELTA_TERMS_CAP = 200_000
 
 
@@ -46,48 +52,96 @@ _EXACT = decimal.Context(
 )
 
 
-def _square_truncated(a: list[int]) -> list[int]:
-    """Coefficients 0..len(a)-1 of the square of the integer polynomial a.
+def _eta_sixth(N: int) -> list[int]:
+    """Coefficients 0..N-1 of (eta^3 / q^(1/8))^2, by a sparse convolution.
 
-    Kronecker substitution in base B = 10^w: a is packed as X = P - M, the
-    decimal digit strings of its nonnegative and negative parts with one
-    w-digit limb per coefficient, and X * X is one libmpdec multiply (a
-    number-theoretic transform at these sizes).  Every coefficient of the
-    full square is a sum of at most len(a) products of size at most
-    max|a_i|^2, so it lies strictly inside (-B/2, B/2) once
-    B > 2 len(a) max|a_i|^2; adding B/2 to each of the low len(a) limbs then
-    makes them the plain digit blocks of the sum, with no carries between
-    them.
+    Jacobi's identity eta^3 / q^(1/8) = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
+    has about sqrt(2N) nonzero terms below q^N; the pairs of them that land
+    below q^N are about 0.8 N integer products, each cross term counted
+    twice.
     """
-    top = max(map(abs, a))
-    w = len(str(2 * len(a) * top * top))
-    fmt = f"0{w}d"
-    zero = "0" * w
-    pos = "".join(format(c, fmt) if c > 0 else zero for c in reversed(a))
-    neg = "".join(format(-c, fmt) if c < 0 else zero for c in reversed(a))
-    x = _EXACT.subtract(decimal.Decimal(pos), decimal.Decimal(neg))
+    terms = []
+    k = 0
+    while (t := k * (k + 1) // 2) < N:
+        terms.append((t, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
+    square = [0] * N
+    for i, (ti, ci) in enumerate(terms):
+        if 2 * ti >= N:
+            break
+        square[2 * ti] += ci * ci
+        twice = 2 * ci
+        for tj, cj in terms[i + 1 :]:
+            if ti + tj >= N:
+                break
+            square[ti + tj] += twice * cj
+    return square
+
+
+def _limb_width(N: int, top: int) -> int:
+    """Digits w with B = 10^w > 2 N top^2: every coefficient of the square of
+    an N-term polynomial with coefficients at most top in size lies strictly
+    inside (-B/2, B/2)."""
+    return len(str(2 * N * top * top))
+
+
+def _square_blocks(blocks: str, offset: int, w: int, N: int) -> str:
+    """The N low w-digit blocks of X^2 + (B/2)(1 + B + ... + B^(N-1)), B = 10^w.
+
+    blocks is N w-digit blocks c_i + offset, most significant first, so
+    X = sum c_i B^i is blocks minus N copies of offset: one libmpdec
+    subtract and one multiply (a number-theoretic transform at these sizes)
+    in the exact context.  Given w >= _limb_width(N, max|c_i|), each block
+    of the result is coefficient i of X^2 plus B/2, with no carries between
+    blocks, so it is again a block with offset B/2.
+    """
+    x = _EXACT.subtract(decimal.Decimal(blocks), decimal.Decimal(format(offset, f"0{w}d") * N))
     half = 5 * 10 ** (w - 1)
-    shifted = _EXACT.add(_EXACT.multiply(x, x), decimal.Decimal(format(half, fmt) * len(a)))
-    width = len(a) * w
-    digits = format(shifted, "f")[-width:].zfill(width)
-    return [int(digits[i - w : i]) - half for i in range(width, 0, -w)]
+    shifted = _EXACT.add(_EXACT.multiply(x, x), decimal.Decimal(format(half, f"0{w}d") * N))
+    width = N * w
+    return format(shifted, "f")[-width:].zfill(width)
+
+
+def _widen(blocks: str, w: int, wide: int) -> str:
+    """The same blocks, each left-padded with zeros from w to wide digits.
+
+    Digit j of every block is one strided slice, so the copy takes w slice
+    assignments and builds no string per block.
+    """
+    narrow = blocks.encode("ascii")
+    out = bytearray(b"0") * (len(narrow) // w * wide)
+    for j in range(w):
+        out[wide - w + j :: wide] = narrow[j::w]
+    return out.decode("ascii")
 
 
 def _tau_table(N: int) -> list[int]:
     """tau(1..N) from scratch: coefficients 0..N-1 of (eta^3 / q^(1/8))^8.
 
-    Jacobi's identity eta^3 / q^(1/8) = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
-    gives a series with about sqrt(2N) nonzero terms below q^N; three
-    truncated squarings raise it to the 8th power, and Delta = q (eta^3 / q^(1/8))^8.
+    Delta = q (eta^3 / q^(1/8))^8.  _eta_sixth squares the Jacobi series in
+    Python integers; its coefficients c_i plus B/2 are written once as
+    w-digit blocks, and two _square_blocks calls raise them to the 4th and
+    then the 8th power.  Between the two the blocks stay one digit string:
+    the largest |coefficient|, which sets the next width, comes from the
+    lexicographic max and min of the equal-length blocks, and each block
+    is padded with zeros to that width, keeping its offset.  Only the last
+    stage's blocks become integers.
     """
-    series = [0] * N
-    k = 0
-    while k * (k + 1) // 2 < N:
-        series[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
-        k += 1
-    for _ in range(3):
-        series = _square_truncated(series)
-    return series
+    sixth = _eta_sixth(N)
+    top = max(map(abs, sixth))
+    w = _limb_width(N, top)
+    half = 5 * 10 ** (w - 1)
+    blocks = (f"%0{w}d" * N) % tuple(map(half.__add__, reversed(sixth)))
+    # the last multiply sets the peak memory; nothing per coefficient outlives it
+    del sixth
+    blocks = _square_blocks(blocks, half, w, N)
+    limbs = re.findall(f".{{{w}}}", blocks)
+    top = max(int(max(limbs)) - half, half - int(min(limbs)))
+    del limbs
+    wide = max(w, _limb_width(N, top))
+    blocks = _square_blocks(_widen(blocks, w, wide), half, wide, N)
+    half = 5 * 10 ** (wide - 1)
+    return [int(blocks[i - wide : i]) - half for i in range(N * wide, 0, -wide)]
 
 
 # The tables built in this process, by length.  A request is cut only from

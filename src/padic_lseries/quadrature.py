@@ -24,12 +24,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .characters import Twist
-from .errors import ConvergenceError, LocalityError, PoleError
+from .errors import ConvergenceError, FloatRangeError, LocalityError, PoleError
 from .padic import (
     COSET_CAP,
     PadicNumber,
@@ -99,8 +100,13 @@ class GammaSpec:
 
 
 def _p_power(p: int, z: complex) -> complex:
-    """p^z on the principal branch."""
-    return cmath.exp(z * math.log(p))
+    """p^z on the principal branch; FloatRangeError where it passes the largest float."""
+    try:
+        return cmath.exp(z * math.log(p))
+    except OverflowError:
+        raise FloatRangeError(
+            f"p^z at p = {p}, z = {z} exceeds the largest float {sys.float_info.max:.6g}"
+        ) from None
 
 
 def gamma_closed_form(spec: GammaSpec) -> complex:

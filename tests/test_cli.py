@@ -165,6 +165,25 @@ def test_domain_error_exits_two_with_named_parameter(capsys):
     assert "s" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--p", "97", "--k", "1", "--chi", "0", "--s=-500"],
+        ["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "500", "--max-ket", "0"],
+        ["local-factor", "--kind", "zeta", "--p", "97", "--s=-800"],
+        ["local-factor", "--kind", "dirichlet", "--character", "4:1", "--p", "97", "--s=-800"],
+    ],
+)
+def test_power_past_the_float_range_exits_two_with_a_typed_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "FloatRangeError"
+    assert "p = 97" in error["message"]
+    assert "exceeds the largest float" in error["message"]
+
+
 def test_degenerate_twist_exits_two(capsys):
     assert run(["local-factor", "--kind", "dirichlet", "--p", "2", "--s", "2",
                 "--character", "4:1"]) == 2

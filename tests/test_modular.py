@@ -88,9 +88,75 @@ def _reference_tau(N):
     return power[24]
 
 
-@pytest.mark.parametrize("N", [1, 2, 7, 8, 97, 128, 1000, 20000])
+def _jacobi_series(N):
+    """eta^3 / q^(1/8) = sum_k (-1)^k (2k+1) q^(k(k+1)/2), below q^N."""
+    series = [0] * N
+    k = 0
+    while k * (k + 1) // 2 < N:
+        series[k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return series
+
+
+# The first dozen triangular numbers T_k = k(k+1)/2, where the Jacobi series
+# gains a term, and one past each; 127..129 straddle the shortest build.
+_JACOBI_EDGES = {k * (k + 1) // 2 + d for k in range(1, 13) for d in (0, 1)}
+
+
+@pytest.mark.parametrize("N", sorted({1, 2, 7, 8, 97, 127, 128, 129, 1000, 20000} | _JACOBI_EDGES))
 def test_engine_matches_the_reference_chain(N, no_memo):
-    assert delta_expansion(N) == _reference_tau(N)
+    expected = _reference_tau(N)
+    assert delta_expansion(N) == expected
+    assert modular._tau_table(N) == expected
+
+
+def test_engine_matches_the_reference_chain_property(no_memo):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(N=hypothesis.strategies.integers(1, 3000))
+    def check(N):
+        expected = _reference_tau(N)
+        assert modular._tau_table(N) == expected
+        assert delta_expansion(N) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 7, 11, 97, 128, 129, 1000, 5051])
+def test_sparse_eta_sixth_is_the_square_of_the_jacobi_series(N):
+    series = _jacobi_series(N)
+    assert modular._eta_sixth(N) == _polymul_trunc(series, series, N)
+
+
+def test_the_table_at_the_cap_obeys_congruence_bound_and_hecke_relations(no_memo):
+    """Every entry of the longest table allowed: at a prime p, Ramanujan's
+    congruence tau(p) = 1 + p^11 mod 691 and Deligne's bound
+    tau(p)^2 <= 4 p^11; at n = p^a m with p the smallest prime factor and m
+    > 1 coprime to p, tau(n) = tau(p^a) tau(m); at a prime power, the Hecke
+    recursion.  A limb too narrow for its coefficients moves an entry by a
+    power of ten, which none of these relations absorbs."""
+    N = DELTA_TERMS_CAP
+    tau = [0, *delta_expansion(N)]
+    smallest = list(range(N + 1))
+    for p in range(2, math.isqrt(N) + 1):
+        if smallest[p] == p:
+            for n in range(p * p, N + 1, p):
+                if smallest[n] == n:
+                    smallest[n] = p
+    for n in range(2, N + 1):
+        p = smallest[n]
+        if p == n:
+            assert (tau[p] - 1 - p**11) % 691 == 0, p
+            assert tau[p] ** 2 <= 4 * p**11, p
+            continue
+        power, m = p, n // p
+        while m % p == 0:
+            power, m = power * p, m // p
+        if m > 1:
+            assert tau[n] == tau[power] * tau[m], n
+        else:
+            assert tau[n] == tau[p] * tau[n // p] - p**11 * tau[n // p // p], n
 
 
 def test_returned_tables_do_not_alias_the_memo(no_memo):

@@ -12,6 +12,7 @@ import pytest
 from padic_lseries import (
     CircleIntegrand,
     ConvergenceError,
+    FloatRangeError,
     GammaSpec,
     LocalityError,
     PadicNumber,
@@ -31,6 +32,7 @@ from padic_lseries import (
     rational_fractional_part,
     unit_phase,
 )
+from padic_lseries.quadrature import _p_power
 
 S_GRID = (0.3, 0.9, 2.0, 0.5 + 14.1j)
 
@@ -41,6 +43,14 @@ def _character_specs(primes=(2, 3, 5, 7), moduli=(1, 3, 4, 5, 8)):
             continue
         for chi in enumerate_characters(k):
             yield p, chi
+
+
+def test_p_power_is_the_exp_log_float_or_a_typed_range_error():
+    for p, z in ((2, 0.5), (97, -3 + 2j), (97, 155 - 1j), (99991, -61.5 + 14.1j)):
+        assert _p_power(p, complex(z)) == cmath.exp(complex(z) * math.log(p))
+    assert _p_power(97, complex(-800)) == 0
+    with pytest.raises(FloatRangeError, match=r"p = 97, z = \(156\+0j\) exceeds the largest float"):
+        _p_power(97, complex(156))
 
 
 def test_standard_gamma_known_value():
