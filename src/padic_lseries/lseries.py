@@ -34,7 +34,7 @@ from .characters import DirichletCharacter, character_angle, character_twist, ev
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
 from .padic import is_prime
-from .quadrature import POLE_EPSILON, _p_power
+from .quadrature import POLE_EPSILON, _p_power, _real_power
 from .wavelets import OperatorSpec, eigenvalue
 
 DEFAULT_TRUNCATION = 64
@@ -68,7 +68,7 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> SeriesResult:
-    ratio = p ** (-s.real)
+    ratio = _real_power(p, -s.real)
     if ratio >= 1.0:
         raise ConvergenceError(
             f"trace at p = {p} needs Re(s) > 0 to converge; got s = {s}"

@@ -1,14 +1,16 @@
 """Finite-precision p-adic numbers and the Haar-measure geometry of Q_p.
 
-A p-adic number is stored as a prime, a valuation, and a finite digit
-expansion of its unit part: x = p^v * (d_0 + d_1 p + d_2 p^2 + ...), with
-d_0 != 0 for nonzero x.  Every stored value is therefore an exact rational,
-and norms, measures, and coset bookkeeping stay in exact rational
-arithmetic throughout; only transcendental quantities (roots of unity,
-complex powers of p) become floats.
+A p-adic number is stored as a prime, a valuation v, a precision w and
+one integer, its unit part u = d_0 + d_1 p + ... + d_(w-1) p^(w-1), known
+mod p^w: x = p^v * u, with d_0 != 0 for nonzero x.  Every stored value is
+therefore an exact rational, and norms, measures, and coset bookkeeping
+stay in exact rational arithmetic throughout; only transcendental
+quantities (roots of unity, complex powers of p) become floats.
 
 The geometry helpers describe circles C_n = {|xi|_p = p^(-n)}: their Haar
-measure and a coset decomposition into representatives at a chosen depth.
+measure, a coset decomposition into representatives at a chosen depth, and
+phase_table, the shared table of roots of unity that gamma's outer circle
+and the kernel's support shell sum over.
 
 The additive character exp(2 pi i {x}_p) is computed from exact integer
 residues: for v < 0, {x}_p = r / p^(-v) with r the unit part mod p^(-v), and
@@ -21,6 +23,7 @@ integer operations each.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,21 +54,26 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class PadicNumber:
-    """One element of Q_p, exact to its stored digit count.
+    """One element of Q_p, x = p^valuation * unit, exact to ``precision`` digits.
 
-    ``digits`` is little-endian in powers of p and its length is the
-    precision.  The zero element carries the flag, an empty digit tuple,
-    and a conventional valuation of 0.
+    ``unit`` is the integer d_0 + d_1 p + ... + d_(w-1) p^(w-1) of the w =
+    ``precision`` digits kept, with d_0 nonzero for a nonzero value.  Zero is
+    (p, 0, 0, 0).
     """
 
     prime: int
     valuation: int
-    digits: tuple[int, ...]
-    is_zero: bool = False
+    unit: int
+    precision: int
 
     @property
-    def precision(self) -> int:
-        return len(self.digits)
+    def is_zero(self) -> bool:
+        return self.unit == 0
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The ``precision`` base-p digits of ``unit``, little-endian."""
+        return tuple(self.unit // self.prime**i % self.prime for i in range(self.precision))
 
     @property
     def norm(self) -> Fraction:
@@ -77,14 +85,7 @@ class PadicNumber:
         """The exact rational this expansion denotes."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.prime) ** self.valuation * self.unit_part()
-
-    def unit_part(self) -> int:
-        """The integer d_0 + d_1 p + ... (0 for zero)."""
-        unit = 0
-        for d in reversed(self.digits):
-            unit = unit * self.prime + d
-        return unit
+        return Fraction(self.prime) ** self.valuation * self.unit
 
 
 def make_padic(p: int, valuation: int, digits) -> PadicNumber:
@@ -93,19 +94,20 @@ def make_padic(p: int, valuation: int, digits) -> PadicNumber:
         raise ValueError(f"p = {p} is not prime")
     digits = tuple(int(d) for d in digits)
     if not digits:
-        return PadicNumber(p, 0, (), is_zero=True)
+        return PadicNumber(p, 0, 0, 0)
     for d in digits:
         if not 0 <= d < p:
             raise ValueError(f"digit {d} outside [0, {p - 1}]")
     if digits[0] == 0:
         raise ValueError("leading digit must be nonzero for a nonzero value")
-    return PadicNumber(p, int(valuation), digits)
+    unit = sum(d * p**i for i, d in enumerate(digits))
+    return PadicNumber(p, int(valuation), unit, len(digits))
 
 
 def padic_zero(p: int) -> PadicNumber:
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return PadicNumber(p, 0, (), is_zero=True)
+    return PadicNumber(p, 0, 0, 0)
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -123,15 +125,6 @@ def rational_valuation(q: Fraction, p: int) -> int:
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
-def _digits_of(u: int, p: int, length: int) -> tuple[int, ...]:
-    # u must be a positive unit mod p; pad with trailing zeros to length
-    out = []
-    for _ in range(length):
-        out.append(u % p)
-        u //= p
-    return tuple(out)
-
-
 def padic_from_fraction(p: int, q: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
     """Encode an exact rational to ``precision`` digits of its unit part."""
     if not is_prime(p):
@@ -143,7 +136,7 @@ def padic_from_fraction(p: int, q: Fraction, precision: int = DEFAULT_PRECISION)
     unit = q / Fraction(p) ** v
     a, b = unit.numerator, unit.denominator  # both prime to p
     u = (a * pow(b, -1, p**precision)) % p**precision
-    return PadicNumber(p, v, _digits_of(u, p, precision))
+    return PadicNumber(p, v, u, precision)
 
 
 def _require_same_prime(x: PadicNumber, y: PadicNumber) -> None:
@@ -155,28 +148,23 @@ def _negate(y: PadicNumber) -> PadicNumber:
     if y.is_zero:
         return y
     p, w = y.prime, y.precision
-    s = (-y.unit_part()) % p**w
-    return PadicNumber(p, y.valuation, _digits_of(s, p, w))
+    return PadicNumber(p, y.valuation, (-y.unit) % p**w, w)
 
 
 def _add_sub(x: PadicNumber, y: PadicNumber, sign: int) -> PadicNumber:
     p = x.prime
-    if x.is_zero and y.is_zero:
-        return x
     if y.is_zero:
         return x
     if x.is_zero:
         return y if sign > 0 else _negate(y)
     w = min(x.precision, y.precision)
     vmin = min(x.valuation, y.valuation)
-    total = x.unit_part() * p ** (x.valuation - vmin) + sign * y.unit_part() * p ** (
-        y.valuation - vmin
-    )
+    total = x.unit * p ** (x.valuation - vmin) + sign * y.unit * p ** (y.valuation - vmin)
     if total == 0:
         return padic_zero(p)
     t = _int_valuation(total, p)
     s = (total // p**t) % p**w  # unit part, truncated to the min precision
-    return PadicNumber(p, vmin + t, _digits_of(s, p, w))
+    return PadicNumber(p, vmin + t, s, w)
 
 
 def _mul(x: PadicNumber, y: PadicNumber) -> PadicNumber:
@@ -184,8 +172,7 @@ def _mul(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     if x.is_zero or y.is_zero:
         return padic_zero(p)
     w = min(x.precision, y.precision)
-    s = (x.unit_part() * y.unit_part()) % p**w
-    return PadicNumber(p, x.valuation + y.valuation, _digits_of(s, p, w))
+    return PadicNumber(p, x.valuation + y.valuation, (x.unit * y.unit) % p**w, w)
 
 
 def arithmetic(x: PadicNumber, y: PadicNumber, op: str) -> PadicNumber:
@@ -224,7 +211,7 @@ def _fractional_residue(x: PadicNumber) -> tuple[int, int]:
     if x.is_zero or x.valuation >= 0:
         return 0, 1
     m = x.prime ** -x.valuation
-    return x.unit_part() % m, m
+    return x.unit % m, m
 
 
 def fractional_part(x: PadicNumber) -> Fraction:
@@ -261,8 +248,8 @@ def circle_measure(p: int, n: int) -> Fraction:
 def circle_representatives(p: int, n: int, depth: int, cap: int = COSET_CAP) -> list[PadicNumber]:
     """One representative per coset of p^(n+depth) Z_p inside {|xi|_p = p^(-n)}.
 
-    Returns (p-1) p^(depth-1) numbers with valuation n and digit prefixes
-    (xi_0, ..., xi_{depth-1}), xi_0 nonzero; each coset has measure
+    Returns (p-1) p^(depth-1) numbers with valuation n, precision depth and
+    digits (xi_0, ..., xi_{depth-1}), xi_0 nonzero; each coset has measure
     p^(-n-depth).  The list is in index order: entry
     (xi_0 - 1) + (p-1) (xi_1 + p xi_2 + ... + p^(depth-2) xi_{depth-1}),
     so xi_0 runs fastest.
@@ -274,12 +261,21 @@ def circle_representatives(p: int, n: int, depth: int, cap: int = COSET_CAP) -> 
         raise CosetCapError(
             f"{count} representatives at depth {depth} exceed the cap of {cap}"
         )
-    # each new digit is the outer loop over the prefixes built so far, which
-    # keeps index order; the last digit goes straight into the PadicNumber so
-    # no second list of full size is held
-    prefixes = [(d,) for d in range(1, p)]
-    if depth == 1:
-        return [PadicNumber(p, n, digits) for digits in prefixes]
-    for _ in range(depth - 2):
-        prefixes = [prefix + (d,) for d in range(p) for prefix in prefixes]
-    return [PadicNumber(p, n, prefix + (d,)) for d in range(p) for prefix in prefixes]
+    # the unit is xi_0 + p rest, with rest = xi_1 + p xi_2 + ...
+    return [
+        PadicNumber(p, n, d + p * rest, depth)
+        for rest in range(p ** (depth - 1))
+        for d in range(1, p)
+    ]
+
+
+@functools.lru_cache(maxsize=2)
+def phase_table(r0: int, stride: int, m: int, p: int) -> tuple[complex, ...]:
+    """residue_phase((r0 + d stride) mod m, m) for d = 1..p-1, in that order.
+
+    The phases of p - 1 cosets on one circle.  Gamma's circle |xi| = p reads
+    (0, 1, p, p), the characters of d/p; apply_kernel's support shell reads
+    (r0, j m / p, m, p), and an eigencheck's 20 kernel calls share the two
+    tables r0 = 0 and 1 with m = p.  Each table holds p - 1 complex values.
+    """
+    return tuple(residue_phase((r0 + d * stride) % m, m) for d in range(1, p))

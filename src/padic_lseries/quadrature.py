@@ -12,11 +12,12 @@ The gamma functions come in two routes that the test suite plays against
 each other: a closed form, and a three-region quadrature of the defining
 integral of e^(2 pi i xi) |xi|^(s-1) twist(|xi|^(-1)) over Q_p (inner
 circles summed as a geometric series term by term, the unit circle exactly,
-the outer region by the coset sum above).  Of the outer circles only
-|xi| = p is summed: on |xi| = p^d with d >= 2 the additive character sums to
-the Ramanujan sum c_{p^d}(1), which is exactly 0.  The test suite keeps that
+the outer region as a coset sum).  Of the outer circles only |xi| = p is
+summed: on |xi| = p^d with d >= 2 the additive character sums to the
+Ramanujan sum c_{p^d}(1), which is exactly 0.  The test suite keeps that
 fact checked (``test_zero_circles_integrate_to_zero`` in
-tests/test_quadrature.py) instead of every call recomputing it.
+tests/test_quadrature.py) instead of every call recomputing it.  Gamma sums
+|xi| = p over padic.phase_table, the roots of unity the kernel reads too.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .characters import Twist
-from .errors import ConvergenceError, FloatRangeError, LocalityError, PoleError
+from .errors import ConvergenceError, CosetCapError, FloatRangeError, LocalityError, PoleError
 from .padic import (
     COSET_CAP,
     PadicNumber,
-    additive_character,
     circle_representatives,
     padic_from_fraction,
+    phase_table,
 )
 
 POLE_EPSILON = 1e-12
@@ -109,6 +110,14 @@ def _p_power(p: int, z: complex) -> complex:
         ) from None
 
 
+def _real_power(p: int, x: float) -> float:
+    """p^x for real x; inf past the largest float, for a convergence check to refuse."""
+    try:
+        return p**x
+    except OverflowError:
+        return math.inf
+
+
 def gamma_closed_form(spec: GammaSpec) -> complex:
     """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0."""
     T = spec.twist.value
@@ -136,17 +145,18 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
 
     Returns (inner, unit, outer): inner circles |xi| = p^(-n) for n = 1..N,
     the unit circle, and the outer region, which is the one circle n = -1
-    (p - 1 cosets at depth 1).  The circles n <= -2 are exactly 0: there the
-    additive character sums to the Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2,
-    so they are not summed; ``test_zero_circles_integrate_to_zero`` checks
-    that integrate_circle gives 0 on them.
+    (p - 1 cosets at depth 1, refused with CosetCapError past ``cap``).  The
+    circles n <= -2 are exactly 0: there the additive character sums to the
+    Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2, so they are not summed;
+    ``test_zero_circles_integrate_to_zero`` checks that integrate_circle
+    gives 0 on them.
     """
     twist = spec.twist
     T = twist.value
     p, s = twist.prime, complex(spec.s)
     if T == 0:
         return (complex(0.0), complex(0.0), complex(0.0))
-    ratio = abs(T) * p ** (-s.real)
+    ratio = abs(T) * _real_power(p, -s.real)
     if s.real <= 0 or ratio >= 1.0:
         raise ConvergenceError(
             f"inner circles need |T| p^(-Re s) < 1; got {ratio:.6g} at s = {s}"
@@ -164,14 +174,18 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
 
     unit = complex((p - 1) / p, 0.0)
 
+    # the circle |xi| = p: cosets d/p + Z_p of measure 1, d = 1..p-1, where
+    # the additive character is the phase e^(2 pi i d / p) of phase_table
     radius_factor = _p_power(p, s - 1)
     twist_factor = twist.power(-1)
-
-    def integrand(xi: PadicNumber) -> complex:
-        return additive_character(xi) * radius_factor * twist_factor
-
-    outer = integrate_circle(CircleIntegrand(integrand, 0), p, -1, cap=cap)
-    return inner, unit, outer
+    if p - 1 > cap:
+        raise CosetCapError(f"{p - 1} representatives at depth 1 exceed the cap of {cap}")
+    outer = complex(0.0, 0.0)
+    for phase in phase_table(0, 1, p, p):
+        outer += phase * radius_factor * twist_factor
+    # the coset measure 1.0 multiplies as a complex number, so a sum that
+    # overflowed reads NaN, not a signed infinity
+    return inner, unit, outer * 1.0
 
 
 _U = 2.0**-53  # unit roundoff of a double

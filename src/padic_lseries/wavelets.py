@@ -22,7 +22,6 @@ radius p^R, whose discarded tail is returned as a certified bound.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -36,9 +35,10 @@ from .padic import (
     PadicNumber,
     _int_valuation,
     is_prime,
+    phase_table,
     residue_phase,
 )
-from .quadrature import GammaSpec, gamma_closed_form
+from .quadrature import GammaSpec, _p_power, gamma_closed_form
 
 RAISE = "+"
 LOWER = "-"
@@ -96,22 +96,15 @@ def ket(p: int, label: int) -> WaveletIndex:
 
 
 # The kernel works on exact integer pairs: a point xi = u p^v with u a unit
-# (u = 0 for zero; PadicNumber keeps its first digit nonzero), and a centre
-# m p^(-n) = a p^e with a prime to p.  The phases are residue_phase of
-# reduced residues, which is bit-for-bit unit_phase of the same Fraction.
+# (xi.unit and xi.valuation; u = 0 for zero), and a centre m p^(-n) = a p^e
+# with a prime to p.  The phases are residue_phase of reduced residues,
+# which is bit-for-bit unit_phase of the same Fraction.
 
 
 def _center_pair(idx: WaveletIndex) -> tuple[int, int]:
     """(a, e) with centre m p^(-n) = a p^e; a = 0 when m = 0."""
     m = idx.m
     return m.numerator, -idx.n - _int_valuation(m.denominator, idx.prime)
-
-
-def _point_pair(xi: PadicNumber) -> tuple[int, int]:
-    """(u, v) with xi = u p^v; (0, 0) for zero."""
-    if xi.is_zero:
-        return 0, 0
-    return xi.unit_part(), xi.valuation
 
 
 def _sum_pair(p: int, u: int, v: int, w: int, e: int) -> tuple[int, int]:
@@ -157,7 +150,7 @@ def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
         raise PrimeMismatchError(
             f"wavelet over Q_{idx.prime} evaluated at a Q_{xi.prime} point"
         )
-    return _psi(idx, _center_pair(idx), *_point_pair(xi))
+    return _psi(idx, _center_pair(idx), xi.unit, xi.valuation)
 
 
 def raise_lower(idx: WaveletIndex, direction: str) -> WaveletIndex | None:
@@ -195,7 +188,7 @@ def eigenvalue(spec: OperatorSpec, ket_label: int) -> complex:
     """(T p^alpha)^label; 1 for every label when the twist degenerates."""
     if spec.twist.value == 0:
         return complex(1.0, 0.0)
-    scale = cmath.exp(complex(spec.alpha) * ket_label * math.log(spec.twist.prime))
+    scale = _p_power(spec.twist.prime, complex(spec.alpha) * ket_label)
     return spec.twist.power(ket_label) * scale
 
 
@@ -256,7 +249,7 @@ def apply_kernel(
     if R > RADIUS_CAP:
         raise KernelCapError(f"truncation exponent R = {R} exceeds the cap of {RADIUS_CAP}")
     center = _center_pair(idx)
-    u, v = _point_pair(xi)
+    u, v = xi.unit, xi.valuation
     psi_xi = _psi(idx, center, u, v)
     twist = spec.twist
     if twist.value == 0:
@@ -285,7 +278,7 @@ def apply_kernel(
         amplitude = p ** (-n / 2)
         r0, m = _phase_residue(idx, u, v)
         m = max(m, p)
-        for phase_d in _shell_phases(r0, idx.j * (m // p), m, p):
+        for phase_d in phase_table(r0, idx.j * (m // p), m, p):
             acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
         # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
         scaled = psi_xi * (1 - 1 / p)
@@ -296,7 +289,7 @@ def apply_kernel(
         a, e = center
         c, low = _sum_pair(p, u, v, -a, e)
         t0 = -low - _int_valuation(c, p)
-        weight = cmath.exp(-(alpha + 1) * t0 * math.log(p)) * twist.power(-t0)
+        weight = _p_power(p, -(alpha + 1) * t0) * twist.power(-t0)
         for d in range(p):
             ru, rv = _sum_pair(p, a, e, d, -n)  # the coset centre + d p^(-n)
             if ru == 0 or -rv <= R:
@@ -331,24 +324,10 @@ def _operator_shells(twist: Twist, alpha: complex, n: int, R: int) -> _Shells:
     kernel value.  A PoleError is not cached: it is raised on every call.
     """
     p = twist.prime
-    log_p = math.log(p)
     gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
-    support_weight = cmath.exp(-(alpha + 1) * n * log_p) * twist.power(-n)
-    outer = tuple(
-        (cmath.exp(-alpha * t * log_p), twist.power(-t)) for t in range(n + 1, R + 1)
-    )
+    support_weight = _p_power(p, -(alpha + 1) * n) * twist.power(-n)
+    outer = tuple((_p_power(p, -alpha * t), twist.power(-t)) for t in range(n + 1, R + 1))
     return _Shells(gamma_norm, support_weight, outer)
-
-
-@functools.lru_cache(maxsize=2)
-def _shell_phases(r0: int, stride: int, m: int, p: int) -> tuple[complex, ...]:
-    """residue_phase((r0 + d stride) mod m, m) for d = 1..p-1, in that order.
-
-    The phases of the support-shell cosets of apply_kernel.  An eigencheck's
-    in-support points have r0 = 0 or 1 with m = p, so its 20 kernel calls
-    share two tables; each holds p - 1 complex values.
-    """
-    return tuple(residue_phase((r0 + d * stride) % m, m) for d in range(1, p))
 
 
 def inner_product(

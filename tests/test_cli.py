@@ -19,7 +19,7 @@ from padic_lseries import (
     delta_provider,
     local_factor_closed,
 )
-from padic_lseries import cli, modular, wavelets
+from padic_lseries import cli, modular, padic, wavelets
 from padic_lseries.cli import RunConfig, run
 
 
@@ -182,6 +182,37 @@ def test_power_past_the_float_range_exits_two_with_a_typed_error(argv, capsys):
     assert error["type"] == "FloatRangeError"
     assert "p = 97" in error["message"]
     assert "exceeds the largest float" in error["message"]
+
+
+_GAMMA_101 = ["gamma", "--p", "101", "--k", "1", "--chi", "0", "--coset-cap", "50"]
+
+
+@pytest.mark.parametrize(
+    "s, error",
+    [
+        ("2", {"type": "CosetCapError",
+               "message": "100 representatives at depth 1 exceed the cap of 50"}),
+        # the convergence check comes before the cap
+        ("-1", {"type": "ConvergenceError",
+                "message": "inner circles need |T| p^(-Re s) < 1; got 101 at s = (-1+0j)"}),
+    ],
+)
+def test_gamma_coset_cap_exits_two(s, error, capsys):
+    assert run(_GAMMA_101 + [f"--s={s}"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_gamma_reads_the_phase_table_of_an_eigencheck(capsys):
+    # gamma's outer circle at p = 97 is the eigencheck's r0 = 0 table
+    padic.phase_table.cache_clear()
+    assert run(["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "1"]) == 0
+    before = padic.phase_table.cache_info()
+    assert run(["gamma", "--p", "97", "--k", "1", "--chi", "0", "--s", "2"]) == 0
+    _capture(capsys)
+    after = padic.phase_table.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1) == (2, 19)
 
 
 def test_degenerate_twist_exits_two(capsys):

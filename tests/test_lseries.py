@@ -102,6 +102,13 @@ def test_zeta_trace_diverges_at_zero():
         local_trace(ZETA, 3, 0.0, 64)
 
 
+def test_divergent_trace_past_the_float_range_is_a_convergence_error():
+    # p^(-Re s) = 97^800 passes the largest float before any check
+    with pytest.raises(ConvergenceError) as caught:
+        local_trace(enumerate_characters(1)[0], 97, -800)
+    assert str(caught.value) == "trace at p = 97 needs Re(s) > 0 to converge; got s = (-800+0j)"
+
+
 def test_pole_detection_in_closed_factor():
     with pytest.raises(PoleError):
         local_factor_closed(ZETA, 2, 0.0)

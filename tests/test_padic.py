@@ -24,7 +24,7 @@ from padic_lseries import (
     rational_fractional_part,
     unit_phase,
 )
-from padic_lseries.padic import residue_phase
+from padic_lseries.padic import DEFAULT_PRECISION, residue_phase
 
 PRIMES = (2, 3, 5, 7)
 
@@ -171,6 +171,12 @@ def test_residue_phase_is_the_fraction_formula_in_and_out_of_lowest_terms():
                 assert unit_phase(Fraction(r, m)) == got
 
 
+def _unchecked(p, v, digits):
+    # the number a digit list spells, leading or all-zero digits included,
+    # which make_padic would refuse
+    return PadicNumber(p, v, sum(d * p**i for i, d in enumerate(digits)), len(digits))
+
+
 def _assert_fraction_route(x):
     # the phase must be bit-for-bit the one built through an exact Fraction
     expected = rational_fractional_part(x.as_fraction(), x.prime)
@@ -184,7 +190,7 @@ def test_additive_character_equals_the_fraction_route_exactly():
         _assert_fraction_route(padic_zero(p))
         for v in range(-4, 3):
             # leading zero digits make the unit part a multiple of p^(-v): r = 0
-            _assert_fraction_route(PadicNumber(p, v, (0,) * max(0, -v) + (1,)))
+            _assert_fraction_route(_unchecked(p, v, (0,) * max(0, -v) + (1,)))
             for precision in range(1, 33):
                 _assert_fraction_route(make_padic(p, v, (p - 1,) * precision))
                 digits = [rng.randrange(p) for _ in range(precision)]
@@ -204,7 +210,7 @@ def test_additive_character_equals_the_fraction_route_property():
         raw=st.lists(st.integers(0, 2**20), min_size=1, max_size=40),
     )
     def check(p, v, raw):
-        _assert_fraction_route(PadicNumber(p, v, tuple(d % p for d in raw)))
+        _assert_fraction_route(_unchecked(p, v, tuple(d % p for d in raw)))
 
     check()
 
@@ -275,3 +281,88 @@ def test_padic_from_fraction_round_trip():
             assert _p_valuation(q, p) == x.valuation
             # agreement to the full retained precision
             assert _p_valuation(x.as_fraction() - q, p) >= x.valuation + 24
+
+
+# Properties of the (prime, valuation, unit, precision) form, drawn by
+# hypothesis: a nonzero number is a valuation and a digit list whose leading
+# digit is nonzero.
+
+_PROPERTY_PRIMES = (2, 3, 5, 7, 97)
+
+
+def _digit_lists(st, p):
+    return st.lists(st.integers(0, p - 1), min_size=1, max_size=12).map(
+        lambda digits: [digits[0] or 1] + digits[1:]
+    )
+
+
+def test_arithmetic_agrees_with_fractions_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def operands(draw):
+        p = draw(st.sampled_from(_PROPERTY_PRIMES))
+        x, y = (
+            make_padic(p, draw(st.integers(-6, 6)), draw(_digit_lists(st, p))) for _ in range(2)
+        )
+        return x, y
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pair=operands(), op=st.sampled_from(("add", "sub", "mul")))
+    def check(pair, op):
+        x, y = pair
+        a, b = x.as_fraction(), y.as_fraction()
+        exact = {"add": a + b, "sub": a - b, "mul": a * b}[op]
+        result = arithmetic(x, y, op)
+        if result.is_zero:
+            assert exact == 0
+            return
+        assert result.precision == min(x.precision, y.precision)
+        assert 0 < result.unit < x.prime**result.precision and result.unit % x.prime
+        # the valuation is exact and the unit agrees mod p^precision
+        assert result.valuation == _p_valuation(exact, x.prime)
+        assert _p_valuation(result.as_fraction() - exact, x.prime) >= (
+            result.valuation + result.precision
+        )
+
+    check()
+
+
+def test_make_padic_keeps_its_digits_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def numbers(draw):
+        p = draw(st.sampled_from(_PROPERTY_PRIMES))
+        return p, draw(st.integers(-6, 6)), draw(_digit_lists(st, p))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(number=numbers())
+    def check(number):
+        p, v, digits = number
+        x = make_padic(p, v, digits)
+        assert x.digits == tuple(digits)
+        assert x.precision == len(digits)
+        assert x.unit % p == digits[0]
+
+    check()
+
+
+def test_padic_from_fraction_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from(_PROPERTY_PRIMES),
+        q=st.fractions(max_denominator=10**12).filter(lambda q: q != 0),
+    )
+    def check(p, q):
+        x = padic_from_fraction(p, q)
+        assert x.precision == DEFAULT_PRECISION
+        assert x.valuation == _p_valuation(q, p)
+        assert _p_valuation(x.as_fraction() - q, p) >= x.valuation + x.precision
+
+    check()

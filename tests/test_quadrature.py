@@ -15,7 +15,6 @@ from padic_lseries import (
     FloatRangeError,
     GammaSpec,
     LocalityError,
-    PadicNumber,
     PoleError,
     Twist,
     additive_character,
@@ -29,6 +28,7 @@ from padic_lseries import (
     gamma_closed_form,
     gamma_regions,
     integrate_circle,
+    make_padic,
     rational_fractional_part,
     unit_phase,
 )
@@ -168,6 +168,12 @@ def test_quadrature_requires_convergent_s():
         gamma_by_quadrature(GammaSpec(Twist(2), -1.0), 16)
 
 
+def test_divergent_s_past_the_float_range_is_a_convergence_error():
+    # |T| p^(-Re s) = 97^500 passes the largest float before any check
+    with pytest.raises(ConvergenceError, match=r"got inf at s = \(-500\+0j\)"):
+        gamma_by_quadrature(GammaSpec(Twist(97), -500))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="prime must be prime"):
         GammaSpec(Twist(4), 1.0)  # not prime
@@ -247,7 +253,7 @@ def _index_loop_representatives(p, n, depth):
         for i in range(1, depth):
             digits[i] = rem % p
             rem //= p
-        reps.append(PadicNumber(p, n, tuple(digits)))
+        reps.append(make_padic(p, n, digits))
     return reps
 
 

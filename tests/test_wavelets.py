@@ -13,6 +13,7 @@ from padic_lseries import (
     LOWER,
     RAISE,
     ConvergenceError,
+    FloatRangeError,
     GammaSpec,
     KernelCapError,
     OperatorSpec,
@@ -34,7 +35,7 @@ from padic_lseries import (
     wavelet_eval,
     wavelet_index,
 )
-from padic_lseries import cli, wavelets
+from padic_lseries import cli, padic, wavelets
 from padic_lseries.padic import rational_valuation
 
 
@@ -124,6 +125,12 @@ def test_eigenvalue_ladder_relation():
             lam = eigenvalue(spec, label)
             lam_down = eigenvalue(spec, label - 1)
             assert abs(lam_down - lam / (t * 3**alpha)) < 1e-12
+
+
+def test_eigenvalue_past_the_float_range_is_a_typed_error():
+    # 97^1000 passes the largest float
+    with pytest.raises(FloatRangeError, match="p = 97"):
+        eigenvalue(OperatorSpec(Twist(97), 500), 2)
 
 
 def test_spectral_values_multiply_exactly():
@@ -440,31 +447,31 @@ def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
                     cases[p].append((spec, idx, xi, R, want))
     moduli = set()
     for _, idx, xi, _, _ in cases[5] + cases[7]:
-        _, m = wavelets._phase_residue(idx, *wavelets._point_pair(xi))
+        _, m = wavelets._phase_residue(idx, xi.unit, xi.valuation)
         moduli.add((idx.prime, max(m, idx.prime), idx.j))
     for p in (5, 7):
         assert {(p, p**2, p - 1), (p, p**2, 1), (p, p, p - 1), (p, p**4, 1)} <= moduli
     # the two primes interleaved, so each prime's tables evict the other's
     interleaved = [case for pair in zip(cases[5], cases[7]) for case in pair]
     for spec, idx, xi, R, want in interleaved:
-        wavelets._shell_phases.cache_clear()
+        padic.phase_table.cache_clear()
         assert apply_kernel(spec, idx, xi, R) == want  # cold
         assert apply_kernel(spec, idx, xi, R) == want  # warm
-    wavelets._shell_phases.cache_clear()
+    padic.phase_table.cache_clear()
     for _ in range(2):
         for spec, idx, xi, R, want in interleaved:
             assert apply_kernel(spec, idx, xi, R) == want
-    info = wavelets._shell_phases.cache_info()
+    info = padic.phase_table.cache_info()
     assert info.hits > 0
     assert info.misses > 2 * info.maxsize
 
 
 def test_one_eigencheck_builds_two_phase_tables(capsys):
     # its 20 points have {p^(n-1) xi}_p = 0 or 1/p: r0 = 0 or 1 with m = p
-    wavelets._shell_phases.cache_clear()
+    padic.phase_table.cache_clear()
     assert cli.run(["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "1"]) == 0
     capsys.readouterr()
-    info = wavelets._shell_phases.cache_info()
+    info = padic.phase_table.cache_info()
     assert (info.misses, info.hits) == (2, 18)
 
 

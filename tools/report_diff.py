@@ -4,8 +4,10 @@
 
 Replays the same requests on both sides through ``padic_lseries.cli.run``:
 every request of ``perfbench/workloads.generate(w, s)`` for the three
-workloads and seeds 1 and 2, then ``selftest`` and the ``padic-lseries``
-examples in README.md.  Each side runs in one fresh process with its own
+workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
+examples in README.md, and the heavy requests of ``HEAVY``: large-p gamma
+and kernel checks, which the workloads never draw, the slow baseline
+invocations of ROADMAP.md, and both sides of gamma's coset cap.  Each side runs in one fresh process with its own
 ``src/``.  The parent is the committed tree of REV, exported with
 ``git archive`` as ``tools/bench_pair.py`` does; the change is this
 repository's working tree.  The request lists are built once, from the
@@ -33,6 +35,20 @@ import tempfile
 from bench_pair import ROOT, _export
 
 SEEDS = (1, 2)
+
+HEAVY = (
+    "gamma --p 99991 --k 1 --chi 0 --s 2",
+    "lseries --kind modular --s 8 --prime-bound 100000",
+    "lseries --kind zeta --s 2 --prime-bound 10000000",
+    "lseries --kind dirichlet --character 4:1 --s 1 --method series",
+    "gamma --p 9973 --k 5 --chi 1 --s 2+1i",
+    "eigencheck --kind plain --p 307 --alpha 1",
+    # p - 1 = 100 cosets: at the cap, one past it, and a divergent s that
+    # fails its convergence check before the cap is reached
+    "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 100",
+    "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 99",
+    "gamma --p 101 --k 1 --chi 0 --s=-1 --coset-cap 50",
+)
 
 # Run in each side's process: argv lists arrive as JSON on stdin, one
 # [exit code, stdout, stderr] triple per request leaves on stdout.  A
@@ -69,6 +85,7 @@ def _requests() -> list[list[str]]:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     requests += [line.split()[1:] for line in re.findall(r"^padic-lseries .*$", readme, re.M)]
+    requests += [line.split() for line in HEAVY]
     return requests
 
 
