@@ -2,8 +2,13 @@
 
 Every subcommand builds one report dictionary and serializes it with sorted
 keys, so a fixed invocation and config produce byte-identical output.
-Complex numbers render as [re, im] pairs, exact rationals as "num/den"
-strings, and integers beyond double precision as decimal strings.
+Complex numbers render as [re, im] pairs, eigencheck's sample points as
+"num/den" strings, and integers beyond double precision as decimal strings.
+One recursive writer renders the report as built.  Its JSON bytes are
+those of json.dumps(sort_keys=True, indent=2) applied to the report with
+each complex number as a [re, im] list, each integer past 2^53 as a string
+and each key as str(key); --format tsv writes one path<TAB>value line per
+scalar, the value in the same JSON text.
 
 Configuration comes from defaults, then an optional key=value file given
 with --config, then per-flag overrides; the effective configuration is
@@ -20,10 +25,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
-from fractions import Fraction
+from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _quote
 
 from .characters import DirichletCharacter, Twist, character_twist, enumerate_characters
 from .errors import PadicLseriesError, TableCapError
@@ -43,7 +49,7 @@ from .modular import (
     factorize_local,
     quadratic_constant,
 )
-from .padic import is_prime, padic_from_fraction
+from .padic import DEFAULT_PRECISION, PadicNumber, _int_valuation, is_prime
 from .quadrature import GammaSpec, gamma_by_quadrature, gamma_closed_form
 from .selftest import run_selftest
 from .wavelets import (
@@ -151,41 +157,81 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"prime must be prime, got {p}")
 
 
-def _encode(value):
-    # Fraction last: its isinstance check goes through ABCMeta.__instancecheck__
-    # (about 0.2 us a value), and reports are mostly str, float and int
-    if isinstance(value, (str, float, bool)):
-        return value
+_SCALARS = (str, float, int)  # bool is an int
+
+
+def _scalar(value) -> str:
+    """The JSON text of one scalar, as json.dumps writes it; TypeError for a non-scalar.
+
+    Integers outside +-2^53 are quoted, since a double cannot hold them.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
-        return value if abs(value) < _JSON_SAFE_INT else str(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        text = int.__repr__(value)
+        return text if -_JSON_SAFE_INT < value < _JSON_SAFE_INT else f'"{text}"'
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _flatten(value, prefix: str, lines: list) -> None:
+def _children(value):
+    """A dict's (str(key), item) pairs sorted by key, the items of a list or
+    tuple, a complex number's (re, im); None for a scalar."""
     if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(value[key], f"{prefix}.{key}" if prefix else key, lines)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten(item, f"{prefix}[{i}]", lines)
+        if not all(type(key) is str for key in value):
+            value = {str(key): item for key, item in value.items()}
+        return sorted(value.items())
+    if isinstance(value, (list, tuple)):
+        return value
+    if isinstance(value, complex):
+        return (value.real, value.imag)
+    return None
+
+
+def _json(value, newline: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) nested at ``newline``: "\n" and the indent."""
+    if isinstance(value, _SCALARS):
+        return _scalar(value)
+    children = _children(value)
+    if children is None:
+        return _scalar(value)
+    if not children:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        body = [f"{_quote(key)}: {_json(item, inner)}" for key, item in children]
+        return f"{{{inner}{(',' + inner).join(body)}{newline}}}"
+    body = [_json(item, inner) for item in children]
+    return f"[{inner}{(',' + inner).join(body)}{newline}]"
+
+
+def _tsv(value, prefix: str, lines: list) -> None:
+    """One "path<TAB>scalar" line per scalar under ``prefix``, dict keys sorted."""
+    children = _children(value)
+    if children is None:
+        lines.append(f"{prefix}\t{_scalar(value)}")
+    elif isinstance(value, dict):
+        for key, item in children:
+            _tsv(item, f"{prefix}.{key}" if prefix else key, lines)
     else:
-        lines.append(f"{prefix}\t{json.dumps(value)}")
+        for i, item in enumerate(children):
+            _tsv(item, f"{prefix}[{i}]", lines)
 
 
 def _render(report: dict, output_format: str) -> str:
-    encoded = _encode(report)
     if output_format == "json":
-        return json.dumps(encoded, sort_keys=True, indent=2) + "\n"
+        return _json(report, "\n") + "\n"
     lines: list = []
-    _flatten(encoded, "", lines)
+    _tsv(report, "", lines)
     return "\n".join(lines) + "\n"
 
 
@@ -205,6 +251,21 @@ def _cmd_gamma(args, config: RunConfig) -> dict:
 
 
 _SAMPLE_MULTIPLIERS = 5
+
+
+def _sample_point(p: int, mult: int, n: int) -> tuple[PadicNumber, str]:
+    """mult p^(-n) as padic_from_fraction encodes it, and as "num/den" in lowest terms.
+
+    mult <= p^2, so its unit part is below p^DEFAULT_PRECISION and needs no reduction.
+    """
+    if mult == 0:
+        return PadicNumber(p, 0, 0, 0), "0/1"
+    v = _int_valuation(mult, p)
+    unit, valuation = mult // p**v, v - n
+    point = PadicNumber(p, valuation, unit, DEFAULT_PRECISION)
+    if valuation >= 0:
+        return point, f"{unit * p**valuation}/1"
+    return point, f"{unit}/{p**-valuation}"
 
 
 def _cmd_eigencheck(args, config: RunConfig) -> dict:
@@ -238,8 +299,8 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
         idx = ket(p, label)
         lam = eigenvalue(spec, label)
         for mult in multipliers:
-            point_fraction = idx.center + mult * Fraction(p) ** (-idx.n)
-            point = padic_from_fraction(p, point_fraction)
+            # a ket is centred at 0, so its sample points are mult p^(-n)
+            point, point_text = _sample_point(p, mult, idx.n)
             value, tail = apply_kernel(spec, idx, point, radius, cap=config.coset_cap)
             residual = abs(value - lam * wavelet_eval(idx, point))
             margin = residual - tail
@@ -247,7 +308,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
             entries.append(
                 {
                     "ket": label,
-                    "point": point_fraction,
+                    "point": point_text,
                     "residual": residual,
                     "tail_bound": tail,
                     "passed": margin <= config.tolerance,
@@ -466,7 +527,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         config = _effective_config(args)
         report = {"command": args.command, **args.handler(args, config)}
-        report["config"] = asdict(config)
+        report["config"] = {f.name: getattr(config, f.name) for f in fields(config)}
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

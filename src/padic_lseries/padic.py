@@ -126,9 +126,11 @@ def rational_valuation(q: Fraction, p: int) -> int:
 
 
 def padic_from_fraction(p: int, q: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
-    """Encode an exact rational to ``precision`` digits of its unit part."""
+    """Encode an exact rational to ``precision`` >= 1 digits of its unit part."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
     q = Fraction(q)
     if q == 0:
         return padic_zero(p)

@@ -235,9 +235,17 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
     The only truncation is the inner-circle count N; the discarded circles
     form a geometric series with ratio |T| p^(-Re s), bounded in closed form.
     The bound adds an a priori radius for the float rounding (_remainder_bound).
+    A sum that passes the largest float, which only the outer circle's p - 1
+    terms of size |p^(s-1)| can do, raises FloatRangeError.
     """
     if spec.twist.value == 0:
         return QuadratureResult(complex(0.0, 0.0), 0.0, 0)
     inner, unit, outer = gamma_regions(spec, N, cap=cap)
+    value = inner + unit + outer
+    if not cmath.isfinite(value):
+        raise FloatRangeError(
+            f"gamma quadrature at p = {spec.twist.prime}, s = {complex(spec.s)} is not finite: "
+            f"its outer circle passes the largest float {sys.float_info.max:.6g}"
+        )
     bound = _remainder_bound(spec, N, inner, unit, outer)
-    return QuadratureResult(inner + unit + outer, bound, N)
+    return QuadratureResult(value, bound, N)

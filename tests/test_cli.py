@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +183,18 @@ def test_power_past_the_float_range_exits_two_with_a_typed_error(argv, capsys):
     assert error["type"] == "FloatRangeError"
     assert "p = 97" in error["message"]
     assert "exceeds the largest float" in error["message"]
+
+
+def test_gamma_outer_circle_past_the_float_range_exits_two(capsys):
+    # p^(s-1) = 97^155 is finite, the sum of its p - 1 phase terms is not
+    assert run(["gamma", "--p", "97", "--k", "1", "--chi", "0", "--s", "156"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "FloatRangeError",
+        "message": "gamma quadrature at p = 97, s = (156+0j) is not finite: "
+        "its outer circle passes the largest float 1.79769e+308",
+    }
 
 
 _GAMMA_101 = ["gamma", "--p", "101", "--k", "1", "--chi", "0", "--coset-cap", "50"]
@@ -529,26 +542,128 @@ def test_json_report_is_sorted_and_stable(capsys):
 
 
 def test_encode_maps_each_report_type():
-    from fractions import Fraction
-
     safe = 2**53
     report = {
         1: True,
         "int": [safe - 1, -(safe - 1), safe, -safe],
         "float": -0.0,
         "complex": 1.5 - 2j,
-        "fraction": Fraction(-3, 4),
         "tuple": ("a", (False, None is None)),
+        "empty": [{}, ()],
     }
-    encoded = cli._encode(report)
-    assert encoded == {
+    text = cli._render(report, "json")
+    assert text.startswith('{\n  "1": true,\n  "complex": [\n    1.5,\n    -2.0\n  ],\n')
+    assert json.loads(text) == {
         "1": True,
         "int": [safe - 1, -(safe - 1), str(safe), str(-safe)],
         "float": -0.0,
         "complex": [1.5, -2.0],
-        "fraction": "-3/4",
         "tuple": ["a", [False, True]],
+        "empty": [{}, []],
     }
-    assert encoded["1"] is True and encoded["tuple"][1][0] is False
-    with pytest.raises(TypeError, match="cannot serialize NoneType"):
-        cli._encode([None])
+    assert cli._render(report, "tsv").splitlines() == [
+        "1\ttrue",
+        "complex[0]\t1.5",
+        "complex[1]\t-2.0",
+        "float\t-0.0",
+        f"int[0]\t{safe - 1}",
+        f"int[1]\t{-(safe - 1)}",
+        f'int[2]\t"{safe}"',
+        f'int[3]\t"{-safe}"',
+        'tuple[0]\t"a"',
+        "tuple[1][0]\tfalse",
+        "tuple[1][1]\ttrue",
+    ]
+    # reports hold no Fraction (sample points are "num/den" strings already)
+    for bad, name in ((Fraction(-3, 4), "Fraction"), (None, "NoneType")):
+        for output_format in ("json", "tsv"):
+            with pytest.raises(TypeError, match=f"cannot serialize {name}"):
+                cli._render({"x": [bad]}, output_format)
+
+
+# The route the writer replaced: encode the report into a JSON-ready tree,
+# then json.dumps it (JSON) or flatten it with json.dumps per scalar (TSV).
+# Kept here only as the reference of the writer's bytes.
+
+
+def _reference_encode(value):
+    if isinstance(value, (str, float, bool)):
+        return value
+    if isinstance(value, int):
+        return value if abs(value) < 2**53 else str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {str(k): _reference_encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_encode(v) for v in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_flatten(value, prefix, lines):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _reference_flatten(value[key], f"{prefix}.{key}" if prefix else key, lines)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reference_flatten(item, f"{prefix}[{i}]", lines)
+    else:
+        lines.append(f"{prefix}\t{json.dumps(value)}")
+
+
+def _reference_render(report, output_format):
+    encoded = _reference_encode(report)
+    if output_format == "json":
+        return json.dumps(encoded, sort_keys=True, indent=2) + "\n"
+    lines = []
+    _reference_flatten(encoded, "", lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_the_encode_then_dumps_route_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    safe = 2**53
+    text = st.text(
+        alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'))
+    )
+    scalars = st.one_of(
+        text,
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+        st.integers(),
+        st.sampled_from([s + d for s in (safe, -safe) for d in (-1, 0, 1)]),
+        st.booleans(),
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+    )
+    values = st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(text, st.integers(-3, 3)), children, max_size=4),
+        ),
+        max_leaves=15,
+    )
+    reports = st.dictionaries(st.one_of(text, st.integers(-3, 3)), values, max_size=6)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(report=reports)
+    def check(report):
+        for output_format in ("json", "tsv"):
+            assert cli._render(report, output_format) == _reference_render(report, output_format)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 17, 307])
+def test_sample_points_are_the_fraction_route(p):
+    for label in range(6):
+        n = wavelets.ket(p, label).n
+        for mult in (0, 1, p, p + 1, p * p):
+            q = Fraction(mult) * Fraction(p) ** -n
+            point, text = cli._sample_point(p, mult, n)
+            assert point == padic.padic_from_fraction(p, q)
+            assert text == f"{q.numerator}/{q.denominator}"

@@ -283,6 +283,12 @@ def test_padic_from_fraction_round_trip():
             assert _p_valuation(x.as_fraction() - q, p) >= x.valuation + 24
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_padic_from_fraction_refuses_a_precision_below_one(precision):
+    with pytest.raises(ValueError, match=f"precision must be at least 1, got {precision}"):
+        padic_from_fraction(5, Fraction(25, 3), precision=precision)
+
+
 # Properties of the (prime, valuation, unit, precision) form, drawn by
 # hypothesis: a nonzero number is a valuation and a digit list whose leading
 # digit is nonzero.

@@ -9,7 +9,10 @@ benchmark's own ``run_seconds``, alternating which side goes first: pair 0
 runs the parent first, pair 1 the change, and so on.  The parent is the
 committed tree of REV, exported with ``git archive`` into a temporary
 directory; the change is this repository's working tree.  Both sides run
-their own copy of ``perfbench/``, unchanged.
+their own copy of ``perfbench/``, unchanged.  Each side records the git tree
+hash of the ``src/`` it ran: ``REV:src`` for the parent, and for the change
+the working tree's ``src/`` staged into a temporary index, so uncommitted
+edits get their own hash.
 
 The result is merged into the --out file under the key "WORKLOAD/seed", so
 one file collects every workload and seed.  Per metric and side it records
@@ -42,10 +45,21 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True, env=env
     ).stdout.strip()
+
+
+def _worktree_tree(path: str) -> str:
+    """The tree hash of the working tree's ``path`` as ``git add -A`` would stage it.
+
+    Staged into a temporary index, so the repository's own index is untouched.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        _git("add", "-A", "--", path, env=env)
+        return _git("write-tree", f"--prefix={path}/", env=env)
 
 
 def _export(rev: str, checkout: str) -> None:
@@ -113,7 +127,7 @@ def main(argv=None) -> int:
         "parent": {"commit": parent_commit, "src_tree": _git("rev-parse", f"{parent_commit}:src")},
         "change": {
             "commit": _git("rev-parse", "HEAD"),
-            "src_tree": _git("rev-parse", "HEAD:src"),
+            "src_tree": _worktree_tree("src"),
             "src_uncommitted_changes": bool(_git("status", "--porcelain", "--", "src")),
         },
     }

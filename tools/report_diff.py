@@ -5,13 +5,15 @@
 Replays the same requests on both sides through ``padic_lseries.cli.run``:
 every request of ``perfbench/workloads.generate(w, s)`` for the three
 workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
-examples in README.md, and the heavy requests of ``HEAVY``: large-p gamma
+examples in README.md, the heavy requests of ``HEAVY``: large-p gamma
 and kernel checks, which the workloads never draw, the slow baseline
-invocations of ROADMAP.md, and both sides of gamma's coset cap.  Each side runs in one fresh process with its own
-``src/``.  The parent is the committed tree of REV, exported with
-``git archive`` as ``tools/bench_pair.py`` does; the change is this
-repository's working tree.  The request lists are built once, from the
-working tree's ``perfbench/workloads.py`` and README.md.
+invocations of ROADMAP.md, and both sides of gamma's coset cap, and the
+``--format tsv`` requests of ``TSV``, which the workloads never ask for.
+Each side runs in one fresh process with its own ``src/``.  The parent is
+the committed tree of REV, exported with ``git archive`` as
+``tools/bench_pair.py`` does; the change is this repository's working tree.
+The request lists are built once, from the working tree's
+``perfbench/workloads.py`` and README.md.
 
 For each request stdout, stderr and the exit code are compared.  The argv
 of every request that differs is printed; where stdout differs and parses
@@ -50,6 +52,15 @@ HEAVY = (
     "gamma --p 101 --k 1 --chi 0 --s=-1 --coset-cap 50",
 )
 
+# one report of each shape: sample-point strings, complex pairs, a quoted
+# integer past 2^53 (tau(997)), nested check lists
+TSV = (
+    "eigencheck --kind plain --p 17 --alpha 1 --format tsv",
+    "gamma --p 7 --k 5 --chi 1 --s 2+1i --format tsv",
+    "factorize --p 997 --format tsv",
+    "selftest --format tsv",
+)
+
 # Run in each side's process: argv lists arrive as JSON on stdin, one
 # [exit code, stdout, stderr] triple per request leaves on stdout.  A
 # request that raises out of run() records the exception's repr as its
@@ -85,7 +96,7 @@ def _requests() -> list[list[str]]:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     requests += [line.split()[1:] for line in re.findall(r"^padic-lseries .*$", readme, re.M)]
-    requests += [line.split() for line in HEAVY]
+    requests += [line.split() for line in HEAVY + TSV]
     return requests
 
 
