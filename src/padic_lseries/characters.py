@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ModulusCapError
-from .padic import is_prime, residue_phase, unit_phase
+from .padic import _int_valuation, _require_prime, residue_phase, unit_phase
 
 # unit_group refuses larger moduli with ModulusCapError before building any
 # table: the discrete-log table has phi(k) entries, and all characters mod
@@ -35,10 +35,8 @@ def _factorize(k: int) -> list[tuple[int, int]]:
     d = 2
     while d * d <= k:
         if k % d == 0:
-            e = 0
-            while k % d == 0:
-                k //= d
-                e += 1
+            e = _int_valuation(k, d)
+            k //= d**e
             out.append((d, e))
         d += 1
     if k > 1:
@@ -209,8 +207,7 @@ class Twist:
     root: complex | None = None
 
     def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"prime must be prime, got {self.prime}")
+        _require_prime(self.prime)
 
     @property
     def value(self) -> complex:

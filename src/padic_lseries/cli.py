@@ -49,8 +49,8 @@ from .modular import (
     factorize_local,
     quadratic_constant,
 )
-from .padic import DEFAULT_PRECISION, PadicNumber, _int_valuation, is_prime
-from .quadrature import GammaSpec, gamma_by_quadrature, gamma_closed_form
+from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _from_int, _require_prime
+from .quadrature import DEFAULT_INNER_CIRCLES, GammaSpec, gamma_by_quadrature, gamma_closed_form
 from .selftest import run_selftest
 from .wavelets import (
     OperatorSpec,
@@ -70,11 +70,11 @@ _JSON_SAFE_INT = 2**53
 class RunConfig:
     """Knobs every subcommand shares; all overridable by file then flags."""
 
-    truncation: int = 64
+    truncation: int = DEFAULT_INNER_CIRCLES
     prime_bound: int = 100_000
     series_length: int = 1_000_000
     tolerance: float = 1e-9
-    coset_cap: int = 1_000_000
+    coset_cap: int = COSET_CAP
     output_format: str = "json"
 
     def __post_init__(self) -> None:
@@ -149,12 +149,6 @@ def _character(k: int, index: int) -> DirichletCharacter:
             f"character index {index} outside 0..{len(chars) - 1} for modulus {k}"
         )
     return chars[index]
-
-
-def _require_prime(p: int) -> None:
-    """The library's own prime check, made before a tau table is sized by p."""
-    if not is_prime(p):
-        raise ValueError(f"prime must be prime, got {p}")
 
 
 _SCALARS = (str, float, int)  # bool is an int
@@ -237,7 +231,7 @@ def _render(report: dict, output_format: str) -> str:
 
 def _cmd_gamma(args, config: RunConfig) -> dict:
     chi = _character(args.k, args.chi)
-    s = _parse_complex(args.s)  # a bad --s is a usage error even when --p is not prime
+    s = _parse_complex(args.s)  # a bad --s is a usage error even for a non-prime --p
     spec = GammaSpec(character_twist(chi, args.p), s)
     closed = gamma_closed_form(spec)
     quadrature = gamma_by_quadrature(spec, config.truncation, cap=config.coset_cap)
@@ -254,15 +248,9 @@ _SAMPLE_MULTIPLIERS = 5
 
 
 def _sample_point(p: int, mult: int, n: int) -> tuple[PadicNumber, str]:
-    """mult p^(-n) as padic_from_fraction encodes it, and as "num/den" in lowest terms.
-
-    mult <= p^2, so its unit part is below p^DEFAULT_PRECISION and needs no reduction.
-    """
-    if mult == 0:
-        return PadicNumber(p, 0, 0, 0), "0/1"
-    v = _int_valuation(mult, p)
-    unit, valuation = mult // p**v, v - n
-    point = PadicNumber(p, valuation, unit, DEFAULT_PRECISION)
+    """mult p^(-n) as padic_from_fraction encodes it, and as "num/den" in lowest terms."""
+    point = _from_int(p, mult, -n, DEFAULT_PRECISION)
+    unit, valuation = point.unit, point.valuation
     if valuation >= 0:
         return point, f"{unit * p**valuation}/1"
     return point, f"{unit}/{p**-valuation}"
@@ -362,7 +350,7 @@ def _cmd_lseries(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
     if args.method == "euler":
         # modular euler needs coefficients at every sieved prime
-        twist = _twist(args, args.table_size or max(8, config.prime_bound))
+        twist = _twist(args, max(8, config.prime_bound))
         result = euler_product(twist, s, config.prime_bound)
         scope = {"prime_bound": config.prime_bound}
     else:
@@ -372,7 +360,7 @@ def _cmd_lseries(args, config: RunConfig) -> dict:
             # the length comes from the flags or the library default, never
             # from the config's series_length (1e6 by default, meant for
             # Dirichlet kinds)
-            series_length = args.series_length or args.table_size or DEFAULT_DELTA_TERMS
+            series_length = args.series_length or DEFAULT_DELTA_TERMS
         twist = _twist(args, series_length)
         result = dirichlet_series(twist, s, series_length)
         scope = {"series_length": series_length}
@@ -490,7 +478,6 @@ def _build_parser() -> _Parser:
     ls.add_argument("--s", required=True)
     ls.add_argument("--method", choices=("euler", "series"), default="euler")
     ls.add_argument("--character", help="k:index for dirichlet")
-    ls.add_argument("--table-size", type=int, help="coefficient table length for modular")
     ls.set_defaults(handler=_cmd_lseries)
 
     t = sub.add_parser("tau", parents=[common], help="exact discriminant coefficients")

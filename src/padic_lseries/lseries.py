@@ -33,11 +33,10 @@ from fractions import Fraction
 from .characters import DirichletCharacter, character_angle, character_twist, evaluate
 from .errors import ConvergenceError, DegenerateTwistError, PoleError
 from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
-from .padic import is_prime
-from .quadrature import POLE_EPSILON, _p_power, _real_power
+from .padic import _require_prime
+from .quadrature import DEFAULT_INNER_CIRCLES, POLE_EPSILON, _p_power, _real_power
 from .wavelets import OperatorSpec, eigenvalue
 
-DEFAULT_TRUNCATION = 64
 PRIME_BOUND_CAP = 10**7
 FSUM_CHUNK = 4096
 _REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
@@ -108,14 +107,13 @@ def _modular_ratios(provider: CoefficientProvider, p: int, s: complex) -> tuple[
     return q1, q2, ratio
 
 
-def local_trace(twist, p: int, s: complex, M: int = DEFAULT_TRUNCATION) -> SeriesResult:
+def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> SeriesResult:
     """The truncated trace realizing one local L-factor, with its tail bound.
 
     ``twist`` is a DirichletCharacter or a CoefficientProvider, as for
     euler_product; zeta is the principal character mod 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime must be prime, got {p}")
+    _require_prime(p)
     if M < 1:
         raise ValueError("truncation must be positive")
     s = complex(s)
@@ -152,8 +150,7 @@ def _hecke_coefficients(provider: CoefficientProvider, p: int) -> tuple[complex,
 
 def local_factor_closed(twist, p: int, s: complex) -> complex:
     """The closed local factor the trace converges to; ``twist`` as for local_trace."""
-    if not is_prime(p):
-        raise ValueError(f"prime must be prime, got {p}")
+    _require_prime(p)
     s = complex(s)
     if isinstance(twist, CoefficientProvider):
         return _closed_factor(p, s, *_hecke_coefficients(twist, p))
@@ -287,7 +284,7 @@ def hecke_conjugated_trace(
     p: int,
     s: complex,
     shift: int,
-    M: int = DEFAULT_TRUNCATION,
+    M: int = DEFAULT_INNER_CIRCLES,
 ) -> SeriesResult:
     """Trace of the modular operator conjugated by the l-th ladder shift.
 

@@ -25,9 +25,9 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .characters import DirichletCharacter, enumerate_characters, evaluate
+from .characters import DirichletCharacter, character_angle, enumerate_characters
 from .errors import TableCapError
-from .padic import is_prime
+from .padic import _require_prime, unit_phase
 
 DELTA_WEIGHT = 12
 DEFAULT_DELTA_TERMS = 5000
@@ -174,8 +174,8 @@ def delta_expansion(N: int) -> list[int]:
     return table[:N]
 
 
-def _trivial_character() -> DirichletCharacter:
-    return enumerate_characters(1)[0]
+def _principal_character(level: int) -> DirichletCharacter:
+    return enumerate_characters(level)[0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class CoefficientProvider:
 
 def delta_provider(max_n: int = DEFAULT_DELTA_TERMS) -> CoefficientProvider:
     """The discriminant form: weight 12, level 1, trivial nebentypus."""
-    return CoefficientProvider(DELTA_WEIGHT, 1, _trivial_character(), tuple(delta_expansion(max_n)))
+    return CoefficientProvider(DELTA_WEIGHT, 1, _principal_character(1), tuple(delta_expansion(max_n)))
 
 
 def table_provider(
@@ -203,12 +203,20 @@ def table_provider(
     level: int,
     character: DirichletCharacter | None = None,
 ) -> CoefficientProvider:
-    """Wrap a caller-supplied 1-indexed coefficient sequence."""
+    """Wrap a caller-supplied 1-indexed coefficient sequence of a form of this level.
+
+    The nebentypus is a character mod ``level``, by default the principal
+    one, so chi(p) = 0 at every p dividing the level.
+    """
     values = tuple(values)
     if not values or values[0] != 1:
         raise ValueError("coefficient tables are normalized with a(1) = 1")
     if character is None:
-        character = _trivial_character()
+        character = _principal_character(level)
+    elif character.modulus != level:
+        raise ValueError(
+            f"the nebentypus must be a character mod the level {level}, got one mod {character.modulus}"
+        )
     return CoefficientProvider(weight, level, character, values)
 
 
@@ -222,13 +230,14 @@ def coefficient(provider: CoefficientProvider, n: int):
 
 
 def quadratic_constant(provider: CoefficientProvider, p: int):
-    """chi(p) p^(k-1), kept exact when the nebentypus value is 0 or 1."""
-    if provider.character.modulus == 1:
-        return p ** (provider.weight - 1)
-    chi_p = evaluate(provider.character, p)
-    if chi_p == 0:
+    """chi(p) p^(k-1); the exact integer 0 or p^(k-1) when chi(p) is 0 or 1."""
+    power = p ** (provider.weight - 1)
+    if provider.character.modulus == 1:  # chi is 1 everywhere
+        return power
+    angle = character_angle(provider.character, p)
+    if angle is None:
         return 0
-    return chi_p * p ** (provider.weight - 1)
+    return power if angle == 0 else unit_phase(angle) * power
 
 
 def verify_recursion(provider: CoefficientProvider, p: int, m: int) -> float:
@@ -264,8 +273,7 @@ def factorize_local(provider: CoefficientProvider, p: int) -> LocalFactorization
     The root with nonnegative imaginary part comes first; a real pair is
     ordered by descending real part.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime must be prime, got {p}")
+    _require_prime(p)
     a_p = complex(coefficient(provider, p))
     chi_pk = complex(quadratic_constant(provider, p))
     square_root = cmath.sqrt(a_p * a_p - 4.0 * chi_pk)

@@ -18,6 +18,13 @@ residue_phase uses the correctly rounded quotient r / p^(-v), which equals
 float() of that fraction.  No Fraction is built per coset, so the coset sums
 stay bit-for-bit those of the exact rational route while costing a few
 integer operations each.
+
+This module is the one home of the rules of Q_p that the other modules
+use: the prime check (_require_prime, one message), the valuation of an
+integer (_int_valuation, the only valuation loop), the normal form of
+n p^shift (_from_int) and the sum of two such pairs (_sum_pair), the
+fractional part as an integer residue (_fractional_residue), and a Haar
+measure p^k as a float (_float_power).
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _require_prime(p: int) -> None:
+    """The one prime check: ValueError("prime must be prime, got p") unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"prime must be prime, got {p}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +103,7 @@ class PadicNumber:
 
 def make_padic(p: int, valuation: int, digits) -> PadicNumber:
     """Validate and build a p-adic number; an empty digit list builds zero."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _require_prime(p)
     digits = tuple(int(d) for d in digits)
     if not digits:
         return PadicNumber(p, 0, 0, 0)
@@ -105,8 +117,7 @@ def make_padic(p: int, valuation: int, digits) -> PadicNumber:
 
 
 def padic_zero(p: int) -> PadicNumber:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _require_prime(p)
     return PadicNumber(p, 0, 0, 0)
 
 
@@ -120,6 +131,23 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
+def _from_int(p: int, n: int, shift: int, precision: int) -> PadicNumber:
+    """n p^shift in normal form, its unit part reduced mod p^precision; zero for n = 0."""
+    if n == 0:
+        return PadicNumber(p, 0, 0, 0)
+    t = _int_valuation(n, p)
+    unit = n // p**t
+    if unit >> precision:  # 0 <= unit < 2^precision <= p^precision is already reduced
+        unit %= p**precision
+    return PadicNumber(p, shift + t, unit, precision)
+
+
+def _sum_pair(p: int, u: int, v: int, w: int, e: int) -> tuple[int, int]:
+    """(c, low) with u p^v + w p^e = c p^low, low = min(v, e)."""
+    low = min(v, e)
+    return u * p ** (v - low) + w * p ** (e - low), low
+
+
 def rational_valuation(q: Fraction, p: int) -> int:
     """v_p of a nonzero rational."""
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
@@ -127,13 +155,12 @@ def rational_valuation(q: Fraction, p: int) -> int:
 
 def padic_from_fraction(p: int, q: Fraction, precision: int = DEFAULT_PRECISION) -> PadicNumber:
     """Encode an exact rational to ``precision`` >= 1 digits of its unit part."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _require_prime(p)
     if precision < 1:
         raise ValueError(f"precision must be at least 1, got {precision}")
     q = Fraction(q)
     if q == 0:
-        return padic_zero(p)
+        return PadicNumber(p, 0, 0, 0)
     v = rational_valuation(q, p)
     unit = q / Fraction(p) ** v
     a, b = unit.numerator, unit.denominator  # both prime to p
@@ -154,25 +181,20 @@ def _negate(y: PadicNumber) -> PadicNumber:
 
 
 def _add_sub(x: PadicNumber, y: PadicNumber, sign: int) -> PadicNumber:
-    p = x.prime
     if y.is_zero:
         return x
     if x.is_zero:
         return y if sign > 0 else _negate(y)
-    w = min(x.precision, y.precision)
-    vmin = min(x.valuation, y.valuation)
-    total = x.unit * p ** (x.valuation - vmin) + sign * y.unit * p ** (y.valuation - vmin)
-    if total == 0:
-        return padic_zero(p)
-    t = _int_valuation(total, p)
-    s = (total // p**t) % p**w  # unit part, truncated to the min precision
-    return PadicNumber(p, vmin + t, s, w)
+    p = x.prime
+    total, low = _sum_pair(p, x.unit, x.valuation, sign * y.unit, y.valuation)
+    # unit part truncated to the lesser precision
+    return _from_int(p, total, low, min(x.precision, y.precision))
 
 
 def _mul(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     p = x.prime
     if x.is_zero or y.is_zero:
-        return padic_zero(p)
+        return PadicNumber(p, 0, 0, 0)
     w = min(x.precision, y.precision)
     return PadicNumber(p, x.valuation + y.valuation, (x.unit * y.unit) % p**w, w)
 
@@ -196,30 +218,25 @@ def rational_fractional_part(q: Fraction, p: int) -> Fraction:
     gcd(m, p) = 1, the result is (a * m^(-1) mod p^t) / p^t.
     """
     q = Fraction(q)
-    den = q.denominator
-    t = 0
-    while den % p == 0:
-        den //= p
-        t += 1
-    if t == 0:
-        return Fraction(0)
+    t = _int_valuation(q.denominator, p)
     pt = p**t
-    r = (q.numerator * pow(den, -1, pt)) % pt
-    return Fraction(r, pt)
+    return Fraction(*_fractional_residue(p, q.numerator * pow(q.denominator // pt, -1, pt), -t))
 
 
-def _fractional_residue(x: PadicNumber) -> tuple[int, int]:
-    """(r, m) with {x}_p = r / m: m = p^(-v) and r the unit part mod m."""
-    if x.is_zero or x.valuation >= 0:
+def _fractional_residue(p: int, unit: int, valuation: int) -> tuple[int, int]:
+    """(r, m) with {unit p^valuation}_p = r / m: m = p^(-valuation) and r = unit mod m.
+
+    (0, 1) on Z_p.  ``unit`` may be any integer, a multiple of p included.
+    """
+    if unit == 0 or valuation >= 0:
         return 0, 1
-    m = x.prime ** -x.valuation
-    return x.unit % m, m
+    m = p**-valuation
+    return unit % m, m
 
 
 def fractional_part(x: PadicNumber) -> Fraction:
     """Sum of the negative-power digit terms of x, reduced mod 1."""
-    r, m = _fractional_residue(x)
-    return Fraction(r, m)
+    return Fraction(*_fractional_residue(x.prime, x.unit, x.valuation))
 
 
 def residue_phase(r: int, m: int) -> complex:
@@ -239,7 +256,12 @@ def additive_character(x: PadicNumber) -> complex:
 
     Bit-for-bit unit_phase(fractional_part(x)), with no Fraction built.
     """
-    return residue_phase(*_fractional_residue(x))
+    return residue_phase(*_fractional_residue(x.prime, x.unit, x.valuation))
+
+
+def _float_power(p: int, k: int) -> float:
+    """p^k as a float, correctly rounded: float(Fraction(p) ** k) with no Fraction built."""
+    return float(p**k) if k >= 0 else 1 / p**-k
 
 
 def circle_measure(p: int, n: int) -> Fraction:

@@ -35,12 +35,15 @@ from .errors import ConvergenceError, CosetCapError, FloatRangeError, LocalityEr
 from .padic import (
     COSET_CAP,
     PadicNumber,
+    _float_power,
     circle_representatives,
     padic_from_fraction,
     phase_table,
 )
 
 POLE_EPSILON = 1e-12
+# the default inner-circle count N of gamma quadrature, and of the trace
+# truncation M in lseries
 DEFAULT_INNER_CIRCLES = 64
 
 
@@ -61,7 +64,7 @@ def integrate_circle(f: CircleIntegrand, p: int, n: int, cap: int = COSET_CAP) -
     depth = max(1, f.locality - n)
     reps = circle_representatives(p, n, depth, cap=cap)
     _check_locality(f, p, n, reps)
-    coset_measure = float(Fraction(p) ** (-(n + depth)))
+    coset_measure = _float_power(p, -(n + depth))
     total = complex(0.0, 0.0)
     for rep in reps:
         total += f.func(rep)

@@ -33,8 +33,11 @@ from .errors import ConvergenceError, CosetCapError, KernelCapError, PrimeMismat
 from .padic import (
     COSET_CAP,
     PadicNumber,
+    _float_power,
+    _fractional_residue,
     _int_valuation,
-    is_prime,
+    _require_prime,
+    _sum_pair,
     phase_table,
     residue_phase,
 )
@@ -72,19 +75,14 @@ class WaveletIndex:
 
 def wavelet_index(p: int, n: int, m=0, j: int = 1) -> WaveletIndex:
     """Validate and build an index; m is canonicalized as a/p^t in [0, 1)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _require_prime(p)
     if not 1 <= j <= p - 1:
         raise ValueError(f"j = {j} outside [1, {p - 1}]")
     m = Fraction(m)
     if not 0 <= m < 1:
         raise ValueError(f"m = {m} is not a canonical representative in [0, 1)")
-    if m != 0:
-        den = m.denominator
-        while den % p == 0:
-            den //= p
-        if den != 1:
-            raise ValueError(f"m = {m} must have a pure power of {p} as denominator")
+    if m.denominator != p ** _int_valuation(m.denominator, p):
+        raise ValueError(f"m = {m} must have a pure power of {p} as denominator")
     return WaveletIndex(p, int(n), m, j)
 
 
@@ -97,20 +95,15 @@ def ket(p: int, label: int) -> WaveletIndex:
 
 # The kernel works on exact integer pairs: a point xi = u p^v with u a unit
 # (xi.unit and xi.valuation; u = 0 for zero), and a centre m p^(-n) = a p^e
-# with a prime to p.  The phases are residue_phase of reduced residues,
-# which is bit-for-bit unit_phase of the same Fraction.
+# with a prime to p.  The phase of psi at u p^v is that of
+# {j p^(n-1) u p^v}_p = _fractional_residue(p, j u, v + n - 1), and
+# residue_phase of it is bit-for-bit unit_phase of the same Fraction.
 
 
 def _center_pair(idx: WaveletIndex) -> tuple[int, int]:
     """(a, e) with centre m p^(-n) = a p^e; a = 0 when m = 0."""
     m = idx.m
     return m.numerator, -idx.n - _int_valuation(m.denominator, idx.prime)
-
-
-def _sum_pair(p: int, u: int, v: int, w: int, e: int) -> tuple[int, int]:
-    """(c, low) with u p^v + w p^e = c p^low, low = min(v, e)."""
-    low = min(v, e)
-    return u * p ** (v - low) + w * p ** (e - low), low
 
 
 def _in_support(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> bool:
@@ -121,27 +114,11 @@ def _in_support(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> b
     return low >= -n or c % p ** (-n - low) == 0
 
 
-def _phase_residue(idx: WaveletIndex, u: int, v: int) -> tuple[int, int]:
-    """(r, q) with {j p^(n-1) u p^v}_p = r / q in lowest terms; (0, 1) when it is 0.
-
-    j u is prime to p, so r is too and q is the full power of p.
-    """
-    k = 1 - idx.n - v
-    if u == 0 or k <= 0:
-        return 0, 1
-    q = idx.prime**k
-    return idx.j * u % q, q
-
-
 def _psi(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> complex:
     if not _in_support(idx, center, u, v):
         return complex(0.0, 0.0)
-    return idx.prime ** (-idx.n / 2) * residue_phase(*_phase_residue(idx, u, v))
-
-
-def _coset_measure(p: int, n: int) -> float:
-    """Haar measure p^(n-1) of a coset of p^(1-n) Z_p, as float(Fraction(p) ** (n - 1))."""
-    return float(p ** (n - 1)) if n >= 1 else 1 / p ** (1 - n)
+    p, n = idx.prime, idx.n
+    return p ** (-n / 2) * residue_phase(*_fractional_residue(p, idx.j * u, v + n - 1))
 
 
 def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
@@ -266,7 +243,7 @@ def apply_kernel(
         raise ValueError("evaluation point lies outside the truncation ball")
 
     shells = _operator_shells(twist, alpha, n, R)
-    coset_measure = _coset_measure(p, n)
+    coset_measure = _float_power(p, n - 1)  # a coset of p^(1-n) Z_p
 
     acc = complex(0.0, 0.0)
     missed = 0.0
@@ -276,7 +253,7 @@ def apply_kernel(
         # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
         shell_weight = shells.support_weight
         amplitude = p ** (-n / 2)
-        r0, m = _phase_residue(idx, u, v)
+        r0, m = _fractional_residue(p, idx.j * u, v + n - 1)
         m = max(m, p)
         for phase_d in phase_table(r0, idx.j * (m // p), m, p):
             acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
@@ -355,7 +332,7 @@ def inner_product(
     # both wavelets are constant on cosets of p^(1-n) Z_p, n the smaller scale
     if p > cap:
         raise CosetCapError(f"{p} coset representatives exceed the cap of {cap}")
-    coset_measure = _coset_measure(p, small.n)
+    coset_measure = _float_power(p, small.n - 1)
     total = complex(0.0, 0.0)
     for d in range(p):
         u, v = _sum_pair(p, *centers[small], d, -small.n)  # the centre + d p^(-n)

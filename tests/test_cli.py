@@ -20,7 +20,7 @@ from padic_lseries import (
     delta_provider,
     local_factor_closed,
 )
-from padic_lseries import cli, modular, padic, wavelets
+from padic_lseries import cli, modular, padic, quadrature, wavelets
 from padic_lseries.cli import RunConfig, run
 
 
@@ -110,6 +110,17 @@ def test_gamma_rejects_the_removed_inner_circle_flag(capsys):
     assert code == 1
     assert out == ""
     assert "--n-terms" in err
+
+
+def test_lseries_rejects_the_removed_table_size_flag(capsys):
+    # the table follows from --prime-bound (euler) or --series-length (series);
+    # a smaller --table-size used to end in IndexError past a(100)
+    code = run(["lseries", "--kind", "modular", "--s", "8", "--prime-bound", "1000",
+                "--table-size", "100"])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert "--table-size" in err
 
 
 def test_complex_argument_accepts_i_suffix(capsys):
@@ -529,6 +540,9 @@ def test_run_config_validation():
         RunConfig(output_format="xml")
     with pytest.raises(ValueError):
         RunConfig(tolerance=2.0)
+    # the defaults are the library's own
+    assert RunConfig().truncation == quadrature.DEFAULT_INNER_CIRCLES == 64
+    assert RunConfig().coset_cap == padic.COSET_CAP == 1_000_000
 
 
 def test_json_report_is_sorted_and_stable(capsys):

@@ -19,6 +19,8 @@ from padic_lseries import (
     enumerate_characters,
     factorize_local,
     symmetric_power_sum,
+    local_factor_closed,
+    local_trace,
     table_provider,
     verify_recursion,
 )
@@ -285,6 +287,40 @@ def test_table_provider_validation():
     provider = table_provider((1, -2, -1), weight=2, level=11)
     assert provider.max_n == 3
     assert coefficient(provider, 2) == -2
+
+
+# a(1..12) of the weight-2 newform of level 11 (the elliptic curve 11a)
+_A_11A = (1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, -2)
+
+
+def test_table_provider_nebentypus_is_the_principal_character_mod_the_level():
+    provider = table_provider(_A_11A, weight=2, level=11)
+    assert provider.character == enumerate_characters(11)[0]
+    # p | N: chi(11) = 0, so the factor is 1/(1 - a(11) 11^(-s)) = 1/(1 - 1/121)
+    chi_pk = modular.quadratic_constant(provider, 11)
+    assert chi_pk == 0 and type(chi_pk) is int
+    closed = local_factor_closed(provider, 11, 2)
+    assert closed == pytest.approx(1 / (1 - 1 / 121), rel=1e-15)
+    # p not dividing N: chi(2) = 1, so the factor is 1/(1 - a(2) 2^(-s) + 2 2^(-2s))
+    chi_pk = modular.quadratic_constant(provider, 2)
+    assert chi_pk == 2 and type(chi_pk) is int
+    assert local_factor_closed(provider, 2, 2) == pytest.approx(1 / (1 + 2 / 4 + 2 / 16), rel=1e-15)
+    for p in (2, 11):
+        trace = local_trace(provider, p, 2)
+        assert abs(trace.value - local_factor_closed(provider, p, 2)) <= trace.remainder_bound + 1e-15
+    with pytest.raises(ValueError, match="mod the level 11"):
+        table_provider(_A_11A, weight=2, level=11, character=enumerate_characters(5)[1])
+
+
+def test_quadratic_constant_is_exact_where_chi_is_zero_or_one():
+    principal = table_provider((1,), weight=40, level=3)
+    for p, want in ((47, 47**39), (3, 0)):
+        got = modular.quadratic_constant(principal, p)
+        assert got == want and type(got) is int
+    # chi(47) = -1 for the character of order two mod 3: a complex value
+    odd = table_provider((1,), weight=40, level=3, character=enumerate_characters(3)[1])
+    got = modular.quadratic_constant(odd, 47)
+    assert type(got) is complex and got == pytest.approx(-(47**39), rel=1e-15)
 
 
 def test_factorize_known_roots_at_two():

@@ -13,20 +13,49 @@ from padic_lseries import (
     CosetCapError,
     PadicNumber,
     PrimeMismatchError,
+    Twist,
     additive_character,
     arithmetic,
     circle_measure,
     circle_representatives,
+    delta_provider,
+    enumerate_characters,
+    factorize_local,
     fractional_part,
+    local_factor_closed,
+    local_trace,
     make_padic,
     padic_from_fraction,
     padic_zero,
     rational_fractional_part,
     unit_phase,
 )
-from padic_lseries.padic import DEFAULT_PRECISION, residue_phase
+from padic_lseries.wavelets import ket, wavelet_index
+from padic_lseries.padic import DEFAULT_PRECISION, _fractional_residue, residue_phase
 
 PRIMES = (2, 3, 5, 7)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda p: make_padic(p, 0, (1,)), id="make_padic"),
+        pytest.param(padic_zero, id="padic_zero"),
+        pytest.param(lambda p: padic_from_fraction(p, Fraction(1, 2)), id="padic_from_fraction"),
+        pytest.param(lambda p: wavelet_index(p, 0), id="wavelet_index"),
+        pytest.param(lambda p: ket(p, 0), id="ket"),
+        pytest.param(Twist, id="Twist"),
+        pytest.param(lambda p: local_trace(enumerate_characters(1)[0], p, 2), id="local_trace"),
+        pytest.param(
+            lambda p: local_factor_closed(enumerate_characters(1)[0], p, 2), id="local_factor_closed"
+        ),
+        pytest.param(lambda p: factorize_local(delta_provider(8), p), id="factorize_local"),
+    ],
+)
+def test_every_entry_point_refuses_a_non_prime_with_one_message(build):
+    with pytest.raises(ValueError) as excinfo:
+        build(4)
+    assert str(excinfo.value) == "prime must be prime, got 4"
 
 
 def _random_padic(rng, p, max_precision=8):
@@ -179,9 +208,18 @@ def _unchecked(p, v, digits):
 
 def _assert_fraction_route(x):
     # the phase must be bit-for-bit the one built through an exact Fraction
-    expected = rational_fractional_part(x.as_fraction(), x.prime)
+    p = x.prime
+    expected = rational_fractional_part(x.as_fraction(), p)
     assert fractional_part(x) == expected
     assert additive_character(x) == unit_phase(expected)
+    # the residue of j u p^(v + shift), as the kernel asks for it: j u may be
+    # a multiple of p and need not be reduced
+    for j in (1, p - 1, p, p * p + 1):
+        for shift in (-1, 0, 1):
+            r, m = _fractional_residue(p, j * x.unit, x.valuation + shift)
+            want = rational_fractional_part(j * x.as_fraction() * Fraction(p) ** shift, p)
+            assert Fraction(r, m) == want
+            assert residue_phase(r, m) == unit_phase(want)
 
 
 def test_additive_character_equals_the_fraction_route_exactly():

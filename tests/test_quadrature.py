@@ -296,7 +296,8 @@ def test_circle_representatives_follow_the_index_formula():
 def test_circle_sum_is_bit_for_bit_the_fraction_route():
     f = CircleIntegrand(additive_character, locality=0)
     for p in (2, 3, 5, 7, 11):
-        for n in (-1, -2, -3):
+        # coset measures p^k for k = -(n + depth) = -3, -2, -1 and 0
+        for n in (2, 1, 0, -1, -2, -3):
             assert integrate_circle(f, p, n) == _reference_circle_sum(_fraction_route_character, p, n)
 
 

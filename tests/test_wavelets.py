@@ -324,9 +324,12 @@ def _fraction_route_inner_product(idx1, idx2, R):
 
 
 def _offset_indices(p):
-    """Wavelets with m != 0 or j != 1, at scales on both sides of n = 0."""
+    """Wavelets with m != 0 or j != 1, at scales on both sides of n = 0.
+
+    Their coset measures p^(n-1) run over k = n - 1 = -4, -2, -1, 1 and 2.
+    """
     out = []
-    for n in (-1, 0, 2):
+    for n in (-3, -1, 0, 2, 3):
         for m in (0, Fraction(1, p), Fraction(p - 1, p**2), Fraction(p + 2, p**3)):
             for j in sorted({1, p - 1}):
                 out.append(wavelet_index(p, n, m, j))
@@ -447,7 +450,7 @@ def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
                     cases[p].append((spec, idx, xi, R, want))
     moduli = set()
     for _, idx, xi, _, _ in cases[5] + cases[7]:
-        _, m = wavelets._phase_residue(idx, xi.unit, xi.valuation)
+        _, m = padic._fractional_residue(idx.prime, idx.j * xi.unit, xi.valuation + idx.n - 1)
         moduli.add((idx.prime, max(m, idx.prime), idx.j))
     for p in (5, 7):
         assert {(p, p**2, p - 1), (p, p**2, 1), (p, p, p - 1), (p, p**4, 1)} <= moduli
