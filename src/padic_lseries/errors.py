@@ -29,6 +29,10 @@ class KernelCapError(PadicLseriesError):
     """A kernel check's truncation radius or ket label exceeds its documented cap."""
 
 
+class SeriesCapError(PadicLseriesError):
+    """A partial series length exceeds its documented cap."""
+
+
 class ModulusCapError(PadicLseriesError):
     """A character modulus exceeds its documented cap."""
 

@@ -10,6 +10,16 @@ a certified remainder: geometric tails for traces, integral comparison for
 products and series, and the alternating next-term bound where a real
 character genuinely alternates.
 
+A partial Dirichlet series to N (``terms_used`` is N, the length of the
+partial sum) is summed per residue class mod k.  A class sums its terms
+below n0 = 2k(|s| + 16)/pi directly and the rest by Euler-Maclaurin with 8
+Bernoulli terms, so its cost does not grow with N; a class that ends below
+n0 is summed directly to N.  N is capped at 2^53, where every n is still an
+exact float.  The bound is the truncation tail, plus the Euler-Maclaurin
+remainder, plus an a priori radius for the float rounding, so it bounds
+|value - L(s, chi)| and not only the dropped terms.  The modular series
+sums its N terms directly, and its bound is the tail alone.
+
 Every result is a SeriesResult (value, remainder_bound, terms_used); the
 remainder bounds are upper bounds, never estimates, because the test suite
 compares methods against each other through them.
@@ -31,13 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, character_angle, character_twist, evaluate
-from .errors import ConvergenceError, DegenerateTwistError, PoleError
-from .modular import CoefficientProvider, coefficient, factorize_local, quadratic_constant
+from .errors import ConvergenceError, DegenerateTwistError, PoleError, SeriesCapError
+from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime
-from .quadrature import DEFAULT_INNER_CIRCLES, POLE_EPSILON, _p_power, _real_power
+from .quadrature import _PHASE, _U, DEFAULT_INNER_CIRCLES, POLE_EPSILON, _p_power, _real_power
 from .wavelets import OperatorSpec, eigenvalue
 
 PRIME_BOUND_CAP = 10**7
+SERIES_LENGTH_CAP = 2**53
 FSUM_CHUNK = 4096
 _REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
@@ -143,11 +154,6 @@ def _closed_factor(p: int, s: complex, a: complex, c: complex | None = None) -> 
     return 1.0 / denom
 
 
-def _hecke_coefficients(provider: CoefficientProvider, p: int) -> tuple[complex, complex]:
-    """a(p) and chi(p) p^(k-1), the coefficients of the local Hecke quadratic."""
-    return complex(coefficient(provider, p)), complex(quadratic_constant(provider, p))
-
-
 def local_factor_closed(twist, p: int, s: complex) -> complex:
     """The closed local factor the trace converges to; ``twist`` as for local_trace."""
     _require_prime(p)
@@ -227,18 +233,193 @@ def _complex_fsum(terms: Iterable) -> complex:
     return complex(math.fsum(reals), math.fsum(imags))
 
 
+# Euler-Maclaurin order M of the class sums, and the Bernoulli weights
+# B_2i / (2i)!, i = 1..M, each correctly rounded from the exact rational
+EM_ORDER = 8
+
+
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    """B_0, ..., B_count exactly, from sum_{j <= m} C(m + 1, j) B_j = 0 (so B_1 = -1/2)."""
+    numbers = [Fraction(1)]
+    for m in range(1, count + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(numbers)) / (m + 1))
+    return numbers
+
+
+_EM_WEIGHTS = tuple(
+    float(b / math.factorial(2 * i)) for i, b in enumerate(_bernoulli_numbers(2 * EM_ORDER)[2::2], start=1)
+)
+
+
+def _head_bound(s: complex, k: int) -> float:
+    """n0 = 2k(|s| + 2M)/pi, where the class sums switch from direct terms to Euler-Maclaurin.
+
+    From n0 on, x = k/n <= pi/(2(|s| + 2M)), so each Euler-Maclaurin term
+    is at most 1/16 of the one before: the term i + 1 over the term i is
+    |B_2i+2 / B_2i| / ((2i+1)(2i+2)) <= 1/(2 pi)^2, times
+    |s + 2i - 1| |s + 2i| x^2 <= ((|s| + 2M) x)^2.
+    """
+    return 2.0 * k * (abs(s) + 2 * EM_ORDER) / math.pi
+
+
+def _power_integral(a: int, b: int, k: int, s: complex) -> tuple[complex, float]:
+    """(1/k) times the integral of x^(-s) over [a, b], and a bound on its rounding in units of u.
+
+    Real s goes through log1p and expm1, so the value is accurate relative to
+    itself, at s = 1 and next to it too; complex s (Re s > 1 here) is the
+    difference of the end powers over (1 - s) k.
+    """
+    if s.imag == 0.0:
+        sigma = s.real
+        log_ratio = math.log1p((b - a) / a)  # 5 u: the quotient's rounding passes with factor <= 1
+        if sigma == 1.0:
+            value = log_ratio / k
+            return value, 7 * value
+        w = 1.0 - sigma
+        z = w * log_ratio  # 7 u
+        value = a**w * math.expm1(z) / (w * k)
+        # expm1 passes z's error on times |z| e^z / |e^z - 1| <= 1 + max(z, 0)
+        units = (20 + 7 * max(z, 0.0)) * abs(value)
+        if sigma < 0.5:  # from 1/2 on, 1 - sigma is exact (Sterbenz)
+            units += (a**w * math.log(a) + b**w * math.log(b)) / k
+        return value, units
+    w = 1.0 - s
+    high, low = b**w, a**w
+    value = (high - low) / (w * k)
+    return value, _power_count(s, b) * (abs(high) + abs(low)) / (abs(w) * k) + 10 * abs(value)
+
+
+def _correction_coefficients(s: complex) -> list:
+    """b_M, ..., b_1 with b_i = B_2i/(2i)! (-s)(-s-1)...(-s-2i+2).
+
+    For f(j) = (r + kj)^(-s) and n = r + kj, the Euler-Maclaurin
+    corrections sum_i B_2i/(2i)! f^(2i-1)(j) are n^(-s) sum_i b_i (k/n)^(2i-1),
+    since each derivative multiplies by (-s-m+1) k / n.
+    """
+    coefficients, falling = [], -s
+    for i, weight in enumerate(_EM_WEIGHTS, start=1):
+        coefficients.append(weight * falling)
+        falling *= (-s - (2 * i - 1)) * (-s - 2 * i)
+    return coefficients[::-1]
+
+
+def _correction(f, x: float, coefficients: list):
+    """f times sum_i b_i x^(2i-1), by Horner's rule in x^2."""
+    x2, acc = x * x, 0.0
+    for c in coefficients:
+        acc = acc * x2 + c
+    return f * x * acc
+
+
+def _power_count(s: complex, n: int) -> float:
+    """The rounding of a power m^(-s) or m^(1-s), m <= n, in units of u, relative to its modulus.
+
+    pow(m, -Re s) errs by 4 u, and the phase Im(s) ln m by 5 |Im s| ln m u
+    before its cos and sin add 4 u and the product 1 u.
+    """
+    return 5 * abs(s.imag) * math.log(n) + 9
+
+
+def _class_sums(chi: DirichletCharacter, s: complex, N: int) -> tuple[complex, float, float]:
+    """sum chi(n) n^(-s) over n <= N, its Euler-Maclaurin remainder, and its rounding radius.
+
+    chi is constant on each residue class r mod k, so the series is the sum
+    over the unit classes of chi(r) times the class sum S_r of n^(-s), n = r
+    mod k.  Each class sums its terms n < n0 (_head_bound) directly with fsum;
+    its tail [na, nb], the members from n0 to N, is the integral, the half
+    end terms and EM_ORDER = M Bernoulli corrections in j, n = r + kj.  A
+    class with no member in [n0, N] is summed directly to N.  The
+    Euler-Maclaurin remainder of a tail is at most
+    |B_2M|/(2M)! |(s)_2M| (k/na)^(2M-1) na^(-Re s) / (Re s + 2M - 1)
+    (Johansson, Numer. Algorithms 69, 2015), for every Re s > 0.
+
+    The radius counts units u = 2^-53, with the library functions within 2
+    ulps as quadrature._remainder_bound assumes: a power by _power_count, a
+    phase chi(r) by _PHASE (none for chi(r) = 1, which is exact), a product
+    by sqrt(5), and an fsum by 3 times the sum of its terms' moduli.  A
+    head's moduli sum to at most r^(-Re s) plus the integral of x^(-Re s)
+    over its span, over k.  The corrections at an end n carry the power's
+    count plus 12M + 16 (their coefficients' products and Horner's steps),
+    and their moduli sum to at most (4/45) |s| (k/n) n^(-Re s), by the
+    ratio 1/16.  Returns (value, remainder, radius in units of u).
+    """
+    table, k = _character_table(chi), chi.modulus
+    sigma = s.real
+    real = s.imag == 0.0
+    exponent = -sigma if real else -s
+    class_sum = math.fsum if real else _complex_fsum
+    n0 = _head_bound(s, k)
+    if n0 <= N:
+        coefficients = _correction_coefficients(sigma if real else s)
+        remainder_factor = abs(_EM_WEIGHTS[-1]) * math.prod(abs(s + j) for j in range(2 * EM_ORDER))
+        head_end = math.ceil(n0)
+    classes = [r for r in range(k) if table[r] and (r or k) <= N]
+    sums, remainder, units = [], 0.0, 0.0
+    for r in classes:
+        first = r or k
+        last = N - (N - first) % k
+        if n0 > last:  # the head reaches N
+            sums.append(class_sum(map(pow, range(first, last + 1, k), itertools.repeat(exponent))))
+            head_last = last
+        else:
+            na = head_end + (first - head_end) % k
+            fa, fb = pow(na, exponent), pow(last, exponent)
+            xa, xb = k / na, k / last
+            integral, integral_units = _power_integral(na, last, k, s)
+            pieces = (integral, fa / 2, fb / 2, _correction(fb, xb, coefficients), -_correction(fa, xa, coefficients))
+            head = map(pow, range(first, na, k), itertools.repeat(exponent))
+            sums.append(class_sum(itertools.chain(head, pieces)))
+            head_last = na - k
+            end_units = (_power_count(s, na) + 3) * abs(fa) + (_power_count(s, last) + 3) * abs(fb)
+            correction_moduli = 4 / 45 * abs(s) * (xa * abs(fa) + xb * abs(fb))
+            correction_count = _power_count(s, last) + 12 * EM_ORDER + 19
+            units += end_units / 2 + integral_units + 3 * abs(integral) + correction_count * correction_moduli
+            remainder += remainder_factor * xa ** (2 * EM_ORDER - 1) * abs(fa) / (sigma + 2 * EM_ORDER - 1)
+        head_moduli = first**-sigma + _power_integral(first, head_last, k, sigma)[0]
+        phase_count = 0.0 if table[r] == 1 else _PHASE
+        units += (_power_count(s, head_last) + 3) * head_moduli + (phase_count + 6) * abs(sums[-1])
+    value = _complex_fsum(map(operator.mul, [table[r] for r in classes], sums))
+    return value, remainder, units
+
+
+def _truncation_tail(chi: DirichletCharacter, s: complex, N: int, alternating: bool) -> float:
+    """A bound on |L(s, chi) - the partial sum to N|.
+
+    The integral of x^(-Re s) past N for Re s > 1; the next nonzero term for
+    an alternating real character at real s; the smaller where both apply.
+    """
+    bounds = []
+    if s.real > 1.0:
+        bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))
+    if alternating:
+        nxt = N + 1
+        while character_angle(chi, nxt) is None:
+            nxt += 1
+        bounds.append(nxt ** (-s.real))
+    return min(bounds)
+
+
 def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
-    """Partial sum of chi(n)/n^s or a(n)/n^s with a certified remainder.
+    """Partial sum of chi(n)/n^s or a(n)/n^s to N, with a certified remainder.
 
     Needs Re(s) past the convergence abscissa, except that a genuinely
     alternating real character admits any real s > 0 with the next-term
-    bound of the alternating series test.
+    bound of the alternating series test.  N is at most SERIES_LENGTH_CAP =
+    2^53, so that every n is an exact float; past it SeriesCapError is
+    raised at once.  ``terms_used`` is N.
+
+    A character series is summed per residue class by _class_sums, in time
+    that does not grow with N once N passes about 2k(|s| + 16)/pi; its
+    bound is the truncation tail, the Euler-Maclaurin remainder and a
+    rounding radius, so it bounds |value - L(s, chi)|.  A modular series
+    sums its N terms directly (its coefficients are not smooth in n), and
+    its bound is the truncation tail only.
     """
     s = complex(s)
     if N < 1:
         raise ValueError("the partial sum needs N >= 1")
-    # n^(-s) is a float for real s and a complex number otherwise
-    exponent = -s.real if s.imag == 0.0 else -s
+    if N > SERIES_LENGTH_CAP:
+        raise SeriesCapError(f"series length {N} exceeds the cap {SERIES_LENGTH_CAP} = 2^53")
     if isinstance(twist, CoefficientProvider):
         sigma = s.real - _series_exponent_shift(twist) - 0.5  # |a(n)| <= 2 n^(k/2)
         if sigma <= 1.0:
@@ -248,35 +429,28 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
         if N > twist.max_n:
             coefficient(twist, twist.max_n + 1)  # raises the out-of-table IndexError
         tail = 2.0 * N ** (1.0 - sigma) / (sigma - 1.0)
-        powers = map(pow, range(1, N + 1), itertools.repeat(exponent))
+        # n^(-s) is a float for real s and a complex number otherwise
+        powers = map(pow, range(1, N + 1), itertools.repeat(-s.real if s.imag == 0.0 else -s))
         terms = map(operator.mul, twist.values, powers)
-        # real s gives real terms: one fsum, correctly rounded, as class_sum below
+        # real s gives real terms: one fsum, correctly rounded
         value = complex(math.fsum(terms)) if s.imag == 0.0 else _complex_fsum(terms)
-    else:
-        chi: DirichletCharacter = twist
-        alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0
-        if s.real <= 1.0 and not alternating:
-            raise ConvergenceError(
-                f"Dirichlet series needs Re(s) > 1 (or an alternating real character "
-                f"with real s > 0); got s = {s}"
-            )
-        bounds = []
-        if s.real > 1.0:
-            bounds.append(N ** (1.0 - s.real) / (s.real - 1.0))
-        if alternating:
-            nxt = N + 1
-            while character_angle(chi, nxt) is None:
-                nxt += 1
-            bounds.append(nxt ** (-s.real))
-        tail = min(bounds)
-        # chi is constant on each class n = r mod k: the series is the sum
-        # over the unit classes r of chi(r) times the class sum of n^(-s)
-        table, k = _character_table(chi), chi.modulus
-        classes = [r for r in range(k) if table[r] and (r or k) <= N]
-        class_sum = math.fsum if s.imag == 0.0 else _complex_fsum
-        sums = [class_sum(map(pow, range(r or k, N + 1, k), itertools.repeat(exponent))) for r in classes]
-        value = _complex_fsum(map(operator.mul, [table[r] for r in classes], sums))
-    return SeriesResult(value, tail, N)
+        return SeriesResult(value, tail, N)
+    chi: DirichletCharacter = twist
+    alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0
+    if s.real <= 1.0 and not alternating:
+        raise ConvergenceError(
+            f"Dirichlet series needs Re(s) > 1 (or an alternating real character "
+            f"with real s > 0); got s = {s}"
+        )
+    tail = _truncation_tail(chi, s, N, alternating)
+    value, remainder, units = _class_sums(chi, s, N)
+    # first-order counts: 1/(1 - g u), g the longest chain of them, covers the
+    # higher orders, and (1 + 16 u) the rounding of the bound itself
+    g = _power_count(s, N) + 12 * EM_ORDER + 7 * math.log(N) + _PHASE + 64
+    if g * _U >= 0.5:
+        return SeriesResult(value, math.inf, N)
+    bound = (tail + remainder + units * _U) * (1 + 16 * _U) / (1 - g * _U)
+    return SeriesResult(value, math.nextafter(bound, math.inf), N)
 
 
 def hecke_conjugated_trace(

@@ -23,10 +23,11 @@ import cmath
 import decimal
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
-from .characters import DirichletCharacter, character_angle, enumerate_characters
-from .errors import TableCapError
+from .characters import DirichletCharacter, character_angle, unit_group
+from .errors import FloatRangeError, TableCapError
 from .padic import _require_prime, unit_phase
 
 DELTA_WEIGHT = 12
@@ -175,7 +176,9 @@ def delta_expansion(N: int) -> list[int]:
 
 
 def _principal_character(level: int) -> DirichletCharacter:
-    return enumerate_characters(level)[0]
+    """enumerate_characters(level)[0], built from the unit group alone."""
+    group = unit_group(level)
+    return DirichletCharacter(level, 0, (0,) * len(group.generators), group)
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,21 @@ def quadratic_constant(provider: CoefficientProvider, p: int):
     angle = character_angle(provider.character, p)
     if angle is None:
         return 0
-    return power if angle == 0 else unit_phase(angle) * power
+    return power if angle == 0 else unit_phase(angle) * _as_complex(power, f"{p}^{provider.weight - 1}")
+
+
+def _as_complex(value, name: str) -> complex:
+    """An exact coefficient as a complex number; FloatRangeError past the largest float."""
+    try:
+        return complex(value)
+    except OverflowError:
+        raise FloatRangeError(f"{name} exceeds the largest float {sys.float_info.max:.6g}") from None
+
+
+def _hecke_coefficients(provider: CoefficientProvider, p: int) -> tuple[complex, complex]:
+    """a(p) and chi(p) p^(k-1), the coefficients of the local Hecke quadratic, as complex numbers."""
+    a_p = _as_complex(coefficient(provider, p), f"a({p})")
+    return a_p, _as_complex(quadratic_constant(provider, p), f"chi({p}) {p}^{provider.weight - 1}")
 
 
 def verify_recursion(provider: CoefficientProvider, p: int, m: int) -> float:
@@ -274,8 +291,7 @@ def factorize_local(provider: CoefficientProvider, p: int) -> LocalFactorization
     ordered by descending real part.
     """
     _require_prime(p)
-    a_p = complex(coefficient(provider, p))
-    chi_pk = complex(quadratic_constant(provider, p))
+    a_p, chi_pk = _hecke_coefficients(provider, p)
     square_root = cmath.sqrt(a_p * a_p - 4.0 * chi_pk)
     roots = sorted(
         ((a_p + square_root) / 2.0, (a_p - square_root) / 2.0),

@@ -287,6 +287,16 @@ def test_lseries_modular_series_sums_its_table(capsys):
     assert report["terms_used"] == report["series_length"] == 300
 
 
+def test_series_length_cap_exits_two_at_once(capsys):
+    over = str(2**53 + 1)
+    argv = ["lseries", "--kind", "dirichlet", "--character", "4:1", "--s", "1", "--method", "series",
+            "--series-length", over]
+    assert run(argv) == 2
+    payload = json.loads(_capture(capsys)[1])
+    assert payload["error"]["type"] == "SeriesCapError"
+    assert over in payload["error"]["message"]
+
+
 def test_tau_table_cap_exits_two(capsys):
     over = str(DELTA_TERMS_CAP + 1)
     for argv in (

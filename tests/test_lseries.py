@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from padic_lseries import (
     ConvergenceError,
     DegenerateTwistError,
     PoleError,
+    SERIES_LENGTH_CAP,
+    SeriesCapError,
     character_angle,
     coefficient,
     delta_provider,
@@ -405,3 +409,118 @@ def test_series_meets_the_certified_rule_where_sequential_rounding_missed(addres
         exact = mpmath.dirichlet(s, values)
         error = float(abs(mpmath.mpc(result.value) - exact))
     assert error <= result.remainder_bound + 4 * 2.0**-52 * float(abs(exact))
+
+
+# Euler-Maclaurin class sums: the certified rule |value - exact partial sum|
+# <= remainder_bound - tail, against 50-digit class sums.  A class sum over
+# n = r, r + k, ..., r + (J - 1) k is k^(-s) (zeta(s, r/k) - zeta(s, r/k + J)),
+# and (psi(r/k + J) - psi(r/k)) / k at s = 1.
+
+
+@functools.cache
+def _hurwitz(s: complex, a: Fraction):
+    """zeta(s, a), or -psi(a) at s = 1, at 50 digits: the class sums' common part."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a.numerator) / a.denominator
+        return -mpmath.digamma(a) if s == 1 else mpmath.zeta(mpmath.mpc(s), a)
+
+
+def _exact_partial_sum(mpmath, chi, s: complex, N: int):
+    k = chi.modulus
+    total = mpmath.mpc(0)
+    for r in range(k):
+        angle = character_angle(chi, r)
+        first = r or k
+        if angle is None or first > N:
+            continue
+        J = (N - first) // k + 1
+        scale = mpmath.mpf(1) / k if s == 1 else mpmath.power(k, -mpmath.mpc(s))
+        class_sum = scale * (_hurwitz(s, Fraction(first, k)) - _hurwitz(s, Fraction(first, k) + J))
+        total += mpmath.expjpi(2 * mpmath.mpf(angle.numerator) / angle.denominator) * class_sum
+    return total
+
+
+def _certified_margin(mpmath, chi, s: complex, N: int) -> float:
+    """remainder_bound - tail - |value - exact partial sum|: negative when the rule fails."""
+    result = dirichlet_series(chi, s, N)
+    alternating = lseries._is_alternating(chi) and complex(s).imag == 0 and complex(s).real > 0
+    tail = lseries._truncation_tail(chi, complex(s), N, alternating)
+    with mpmath.workdps(50):
+        error = float(abs(mpmath.mpc(result.value) - _exact_partial_sum(mpmath, chi, s, N)))
+    assert result.terms_used == N
+    return result.remainder_bound - tail - error
+
+
+def _seam_lengths(s: complex, k: int) -> tuple[int, ...]:
+    """N with every class's Euler-Maclaurin tail empty, one term and two terms long."""
+    start = math.ceil(lseries._head_bound(complex(s), k))
+    return (start - 1, start - 1 + k, start - 1 + 2 * k)
+
+
+# (k, character indices, s values, N past the seams): every k and s, not
+# their full product, so the 50-digit class sums stay within seconds
+_CERTIFIED_GRID = (
+    (1, (0,), (1.5, 2, 6, 2 + 3j, 3 - 2j), (10**4, 10**5)),
+    (4, (0, 1), (1.5, 2, 6, 2 + 3j, 3 - 2j), (10**6,)),
+    (100, (17, 39), (1.5, 6, 2 + 3j), (10**6,)),
+    (400, (1,), (2, 3 - 2j), (5 * 10**5,)),
+)
+
+
+@pytest.mark.parametrize(("k", "indices", "exponents", "lengths"), _CERTIFIED_GRID)
+def test_class_sums_meet_the_certified_rule(k, indices, exponents, lengths):
+    mpmath = pytest.importorskip("mpmath")
+    characters = enumerate_characters(k)
+    for s in exponents:
+        for index in indices:
+            for N in (*_seam_lengths(s, k), *lengths):
+                assert _certified_margin(mpmath, characters[index], s, N) >= 0, (k, index, s, N)
+
+
+def test_alternating_class_sums_meet_the_certified_rule():
+    mpmath = pytest.importorskip("mpmath")
+    chi = enumerate_characters(4)[1]
+    for s in (0.5, 0.75, 1, 1.5):
+        for N in (*_seam_lengths(s, 4), 10**4, 10**6, 10**12):
+            assert _certified_margin(mpmath, chi, s, N) >= 0, (s, N)
+
+
+def test_a_flipped_bernoulli_sign_breaks_the_certified_rule(monkeypatch):
+    # the rule has to be able to fail: with B_2 negated the class sums miss
+    # their exact values by far more than the bound's rounding radius
+    mpmath = pytest.importorskip("mpmath")
+    chi = enumerate_characters(4)[1]
+    assert _certified_margin(mpmath, chi, 1.5, 10**6) >= 0
+    monkeypatch.setattr(lseries, "_EM_WEIGHTS", (-lseries._EM_WEIGHTS[0], *lseries._EM_WEIGHTS[1:]))
+    assert _certified_margin(mpmath, chi, 1.5, 10**6) < -1e-8
+
+
+def test_bernoulli_weights_are_the_exact_numbers():
+    # B_2, B_4, ..., B_16, whose signs alternate
+    exact = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+             Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510)]
+    assert lseries._bernoulli_numbers(16)[2::2] == exact
+    assert lseries._bernoulli_numbers(16)[3::2] == [0] * 7
+    assert lseries._EM_WEIGHTS == tuple(float(b / math.factorial(2 * i)) for i, b in enumerate(exact, 1))
+
+
+def test_series_length_past_the_cap_is_refused_at_once():
+    assert SERIES_LENGTH_CAP == 2**53
+    chi = enumerate_characters(4)[1]
+    for twist, s in ((chi, 1.0), (ZETA, 2.0), (delta_provider(8), 8.0)):
+        with pytest.raises(SeriesCapError, match="exceeds the cap"):
+            dirichlet_series(twist, s, SERIES_LENGTH_CAP + 1)
+    assert dirichlet_series(chi, 1.0, SERIES_LENGTH_CAP).terms_used == SERIES_LENGTH_CAP
+
+
+def test_a_trillion_term_series_returns_at_once_within_its_bound():
+    mpmath = pytest.importorskip("mpmath")
+    chi = enumerate_characters(4)[1]
+    start = time.perf_counter()
+    result = dirichlet_series(chi, 1.0, 10**12)
+    assert time.perf_counter() - start < 0.5
+    assert result.terms_used == 10**12
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpc(result.value) - mpmath.pi / 4) <= result.remainder_bound

@@ -11,12 +11,14 @@ import pytest
 
 from padic_lseries import (
     DELTA_TERMS_CAP,
+    FloatRangeError,
     TableCapError,
     binomial_side,
     coefficient,
     delta_expansion,
     delta_provider,
     enumerate_characters,
+    euler_product,
     factorize_local,
     symmetric_power_sum,
     local_factor_closed,
@@ -310,6 +312,45 @@ def test_table_provider_nebentypus_is_the_principal_character_mod_the_level():
         assert abs(trace.value - local_factor_closed(provider, p, 2)) <= trace.remainder_bound + 1e-15
     with pytest.raises(ValueError, match="mod the level 11"):
         table_provider(_A_11A, weight=2, level=11, character=enumerate_characters(5)[1])
+
+
+@pytest.mark.parametrize("level", (1, 2, 3, 4, 8, 11, 12, 100, 400, 99991))
+def test_principal_character_is_the_first_enumerated(level):
+    assert modular._principal_character(level) == enumerate_characters(level)[0]
+
+
+# chi(p) p^(k-1) past the largest float: p = 47, k = 200, a character of order
+# two mod 3, so chi(47) p^199 is a complex number, not an exact integer
+_HUGE_CONSTANT = table_provider((1,) * 50, 200, 3, enumerate_characters(3)[1])
+# a(2) past the largest float
+_HUGE_COEFFICIENT = table_provider((1, 10**400), 12, 1)
+
+
+def test_quadratic_constant_past_the_float_range_is_a_float_range_error():
+    with pytest.raises(FloatRangeError, match=r"47\^199 exceeds the largest float"):
+        modular.quadratic_constant(_HUGE_CONSTANT, 47)
+
+
+def test_factorize_local_past_the_float_range_is_a_float_range_error():
+    with pytest.raises(FloatRangeError, match=r"47\^199"):
+        factorize_local(_HUGE_CONSTANT, 47)
+    with pytest.raises(FloatRangeError, match=r"a\(2\) exceeds the largest float"):
+        factorize_local(_HUGE_COEFFICIENT, 2)
+
+
+def test_local_factor_closed_past_the_float_range_is_a_float_range_error():
+    with pytest.raises(FloatRangeError, match=r"47\^199"):
+        local_factor_closed(_HUGE_CONSTANT, 47, 150)
+    with pytest.raises(FloatRangeError, match=r"a\(2\)"):
+        local_factor_closed(_HUGE_COEFFICIENT, 2, 300)
+
+
+def test_euler_product_past_the_float_range_is_a_float_range_error():
+    # the first prime whose p^199 passes the float range is 37
+    with pytest.raises(FloatRangeError, match=r"37\^199"):
+        euler_product(_HUGE_CONSTANT, 150, 47)
+    with pytest.raises(FloatRangeError, match=r"a\(2\)"):
+        euler_product(_HUGE_COEFFICIENT, 300, 2)
 
 
 def test_quadratic_constant_is_exact_where_chi_is_zero_or_one():
