@@ -116,12 +116,16 @@ def unit_group(k: int) -> UnitGroup:
     orders = tuple(d for _, _, d in local)
     phi = euler_phi(k)
 
-    logs: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(d) for d in orders)):
-        residue = 1
-        for g, a in zip(generators, exps):
-            residue = residue * pow(g, a, k) % k
-        logs[residue] = exps
+    # the products g_1^a_1 ... g_j^a_j in itertools.product order, each
+    # residue one multiplication by g_j past the one before it
+    logs: dict[int, tuple[int, ...]] = {1: ()}
+    for g, d in zip(generators, orders):
+        stepped = {}
+        for residue, exps in logs.items():
+            for a in range(d):
+                stepped[residue] = (*exps, a)
+                residue = residue * g % k
+        logs = stepped
     if len(logs) != phi:
         raise ValueError(f"generator set for k={k} does not span the unit group")
     return UnitGroup(k, generators, orders, phi, logs)

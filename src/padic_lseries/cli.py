@@ -16,13 +16,15 @@ echoed inside each report.  The only environment variable honored is
 PADIC_LSERIES_OUTPUT, which redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
-character addresses), 2 on domain errors (nonconvergence, poles, degenerate
+character addresses, an --s or --alpha that is not a finite complex
+number), 2 on domain errors (nonconvergence, poles, degenerate
 twists, out-of-range coefficients, a character modulus or table past its cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -121,10 +123,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def _parse_complex(text: str) -> complex:
+    """--s or --alpha as a finite complex number; "i" may stand for "j"."""
     try:
         value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise _UsageError(f"cannot parse {text!r} as a complex number") from exc
+    if not cmath.isfinite(value):
+        raise _UsageError(f"{text!r} is not a finite complex number")
     return value
 
 

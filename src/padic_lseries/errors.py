@@ -37,10 +37,6 @@ class ModulusCapError(PadicLseriesError):
     """A character modulus exceeds its documented cap."""
 
 
-class LocalityError(PadicLseriesError):
-    """An integrand failed its declared local-constancy spot check."""
-
-
 class FloatRangeError(PadicLseriesError):
     """A power p^z is too large for a float."""
 

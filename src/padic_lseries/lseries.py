@@ -44,7 +44,7 @@ from .characters import DirichletCharacter, character_angle, character_twist, ev
 from .errors import ConvergenceError, DegenerateTwistError, PoleError, SeriesCapError
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime
-from .quadrature import _PHASE, _U, DEFAULT_INNER_CIRCLES, POLE_EPSILON, _p_power, _real_power
+from .quadrature import _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, _certified, _p_power, _real_power
 from .wavelets import OperatorSpec, eigenvalue
 
 PRIME_BOUND_CAP = 10**7
@@ -444,13 +444,9 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
         )
     tail = _truncation_tail(chi, s, N, alternating)
     value, remainder, units = _class_sums(chi, s, N)
-    # first-order counts: 1/(1 - g u), g the longest chain of them, covers the
-    # higher orders, and (1 + 16 u) the rounding of the bound itself
+    # g is the longest chain of first-order rounding counts
     g = _power_count(s, N) + 12 * EM_ORDER + 7 * math.log(N) + _PHASE + 64
-    if g * _U >= 0.5:
-        return SeriesResult(value, math.inf, N)
-    bound = (tail + remainder + units * _U) * (1 + 16 * _U) / (1 - g * _U)
-    return SeriesResult(value, math.nextafter(bound, math.inf), N)
+    return SeriesResult(value, _certified(tail + remainder, units, g), N)
 
 
 def hecke_conjugated_trace(

@@ -1,4 +1,4 @@
-"""Finite-precision p-adic numbers and the Haar-measure geometry of Q_p.
+"""Finite-precision p-adic numbers, the additive character, and its coset phases.
 
 A p-adic number is stored as a prime, a valuation v, a precision w and
 one integer, its unit part u = d_0 + d_1 p + ... + d_(w-1) p^(w-1), known
@@ -7,10 +7,10 @@ therefore an exact rational, and norms, measures, and coset bookkeeping
 stay in exact rational arithmetic throughout; only transcendental
 quantities (roots of unity, complex powers of p) become floats.
 
-The geometry helpers describe circles C_n = {|xi|_p = p^(-n)}: their Haar
-measure, a coset decomposition into representatives at a chosen depth, and
-phase_table, the shared table of roots of unity that gamma's outer circle
-and the kernel's support shell sum over.
+Coset sums over a circle {|xi|_p = p^(-n)} live in one place: phase_table,
+the shared table of the roots of unity that the additive character takes
+on the p - 1 cosets of one circle.  Gamma's outer circle |xi| = p and the
+kernel's support shell sum over it.
 
 The additive character exp(2 pi i {x}_p) is computed from exact integer
 residues: for v < 0, {x}_p = r / p^(-v) with r the unit part mod p^(-v), and
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CosetCapError, PrimeMismatchError
+from .errors import PrimeMismatchError
 
 DEFAULT_PRECISION = 32
 COSET_CAP = 10**6
@@ -262,35 +262,6 @@ def additive_character(x: PadicNumber) -> complex:
 def _float_power(p: int, k: int) -> float:
     """p^k as a float, correctly rounded: float(Fraction(p) ** k) with no Fraction built."""
     return float(p**k) if k >= 0 else 1 / p**-k
-
-
-def circle_measure(p: int, n: int) -> Fraction:
-    """Haar measure of {|xi|_p = p^(-n)}: (1 - 1/p) p^(-n)."""
-    return Fraction(p - 1, p) * Fraction(p) ** (-n)
-
-
-def circle_representatives(p: int, n: int, depth: int, cap: int = COSET_CAP) -> list[PadicNumber]:
-    """One representative per coset of p^(n+depth) Z_p inside {|xi|_p = p^(-n)}.
-
-    Returns (p-1) p^(depth-1) numbers with valuation n, precision depth and
-    digits (xi_0, ..., xi_{depth-1}), xi_0 nonzero; each coset has measure
-    p^(-n-depth).  The list is in index order: entry
-    (xi_0 - 1) + (p-1) (xi_1 + p xi_2 + ... + p^(depth-2) xi_{depth-1}),
-    so xi_0 runs fastest.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    count = (p - 1) * p ** (depth - 1)
-    if count > cap:
-        raise CosetCapError(
-            f"{count} representatives at depth {depth} exceed the cap of {cap}"
-        )
-    # the unit is xi_0 + p rest, with rest = xi_1 + p xi_2 + ...
-    return [
-        PadicNumber(p, n, d + p * rest, depth)
-        for rest in range(p ** (depth - 1))
-        for d in range(1, p)
-    ]
 
 
 @functools.lru_cache(maxsize=2)

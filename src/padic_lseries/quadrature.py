@@ -1,93 +1,35 @@
-"""Haar integration over p-adic circles and the local gamma functions.
+"""The local gamma functions of Q_p, as a closed form and as a quadrature.
 
-Integration is an exact coset sum: a circle {|xi|_p = p^(-n)} is split into
-cosets of p^L Z_p fine enough for the integrand's declared local-constancy
-level L, one representative is evaluated per coset, and the values are
-weighted by the exact coset measure.  For genuinely locally constant
-integrands this is the integral, not an approximation; the engine
-spot-checks the declared level on deterministic perturbations rather than
-trusting it.
+The two routes are played against each other by the test suite: a closed
+form, and a three-region quadrature of the defining integral of
+e^(2 pi i xi) |xi|^(s-1) twist(|xi|^(-1)) over Q_p (inner circles summed as
+a geometric series term by term, the unit circle exactly, the outer region
+as a coset sum).  Of the outer circles only |xi| = p is summed: on
+|xi| = p^d with d >= 2 the additive character sums to the Ramanujan sum
+c_{p^d}(1), which is exactly 0.  The test suite keeps that fact checked
+(``test_zero_circles_integrate_to_zero`` in tests/test_quadrature.py)
+instead of every call recomputing it.
 
-The gamma functions come in two routes that the test suite plays against
-each other: a closed form, and a three-region quadrature of the defining
-integral of e^(2 pi i xi) |xi|^(s-1) twist(|xi|^(-1)) over Q_p (inner
-circles summed as a geometric series term by term, the unit circle exactly,
-the outer region as a coset sum).  Of the outer circles only |xi| = p is
-summed: on |xi| = p^d with d >= 2 the additive character sums to the
-Ramanujan sum c_{p^d}(1), which is exactly 0.  The test suite keeps that
-fact checked (``test_zero_circles_integrate_to_zero`` in
-tests/test_quadrature.py) instead of every call recomputing it.  Gamma sums
-|xi| = p over padic.phase_table, the roots of unity the kernel reads too.
+Every coset sum that reaches a report is a sum over padic.phase_table, the
+one table of roots of unity that gamma's circle |xi| = p and the kernel's
+support shell both read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 from .characters import Twist
-from .errors import ConvergenceError, CosetCapError, FloatRangeError, LocalityError, PoleError
-from .padic import (
-    COSET_CAP,
-    PadicNumber,
-    _float_power,
-    circle_representatives,
-    padic_from_fraction,
-    phase_table,
-)
+from .errors import ConvergenceError, CosetCapError, FloatRangeError, PoleError
+from .padic import COSET_CAP, phase_table
 
 POLE_EPSILON = 1e-12
 # the default inner-circle count N of gamma quadrature, and of the trace
 # truncation M in lseries
 DEFAULT_INNER_CIRCLES = 64
-
-
-@dataclass(frozen=True)
-class CircleIntegrand:
-    """A callback with a declared constancy level.
-
-    ``locality`` is an integer L such that the function takes one value on
-    each coset of p^L Z_p met by the integration circle.
-    """
-
-    func: Callable[[PadicNumber], complex]
-    locality: int
-
-
-def integrate_circle(f: CircleIntegrand, p: int, n: int, cap: int = COSET_CAP) -> complex:
-    """Exact coset sum of f over {|xi|_p = p^(-n)}."""
-    depth = max(1, f.locality - n)
-    reps = circle_representatives(p, n, depth, cap=cap)
-    _check_locality(f, p, n, reps)
-    coset_measure = _float_power(p, -(n + depth))
-    total = complex(0.0, 0.0)
-    for rep in reps:
-        total += f.func(rep)
-    return total * coset_measure
-
-
-def _check_locality(f: CircleIntegrand, p: int, n: int, reps: list[PadicNumber]) -> None:
-    # perturb below both the declared level and the circle's own scale so the
-    # probe stays on the circle and inside the claimed constancy coset
-    rng = random.Random(20210427)
-    base_level = max(f.locality, n)
-    for rep in (reps[0], reps[len(reps) // 2], reps[-1]):
-        rep_value = f.func(rep)
-        rep_frac = rep.as_fraction()
-        for extra in (1, 2):
-            digit = rng.randrange(1, p)
-            probe_frac = rep_frac + digit * Fraction(p) ** (base_level + extra)
-            probe = padic_from_fraction(p, probe_frac)
-            if abs(f.func(probe) - rep_value) > 1e-9:
-                raise LocalityError(
-                    f"integrand varies inside a coset of p^{f.locality} Z_p "
-                    f"(perturbation at level {base_level + extra}, p={p}, n={n})"
-                )
 
 
 @dataclass(frozen=True)
@@ -151,8 +93,8 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     (p - 1 cosets at depth 1, refused with CosetCapError past ``cap``).  The
     circles n <= -2 are exactly 0: there the additive character sums to the
     Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2, so they are not summed;
-    ``test_zero_circles_integrate_to_zero`` checks that integrate_circle
-    gives 0 on them.
+    ``test_zero_circles_integrate_to_zero`` checks that their coset sums
+    give 0.
     """
     twist = spec.twist
     T = twist.value
@@ -227,9 +169,21 @@ def _remainder_bound(spec: GammaSpec, N: int, inner: complex, unit: complex, out
     outer_radius = abs(_p_power(p, s - 1) / T) * (p - 1) * (term_count + p / 2)
     sum_radius = 1 + 2 * (abs(inner) + abs(unit) + abs(outer))
     g = tail_count + N * (x_count + 2 * product + 1) + term_count + p * p
-    radius = (inner_radius + outer_radius + sum_radius) * _U
-    bound = (tail + radius) * (1 + 16 * _U) / (1 - g * _U)
-    return math.nextafter(bound, math.inf) if g * _U < 0.5 else math.inf
+    return _certified(tail, inner_radius + outer_radius + sum_radius, g)
+
+
+def _certified(truncation: float, units: float, g: float) -> float:
+    """The certified bound (truncation + units u) (1 + 16 u) / (1 - g u), rounded up.
+
+    ``units`` is a first-order rounding radius in units of u = 2^-53 and g
+    the longest chain of first-order counts behind it: 1 / (1 - g u) covers
+    the higher orders and (1 + 16 u) the rounding of this formula.  inf once
+    g u >= 1/2, where that step no longer holds.
+    """
+    if g * _U >= 0.5:
+        return math.inf
+    bound = (truncation + units * _U) * (1 + 16 * _U) / (1 - g * _U)
+    return math.nextafter(bound, math.inf)
 
 
 def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: int = COSET_CAP) -> QuadratureResult:

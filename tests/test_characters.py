@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -47,6 +48,25 @@ def test_discrete_logs_reconstruct_units():
             for g, e in zip(group.generators, exps):
                 value = value * pow(g, e, k) % k
             assert value == m % k
+
+
+def _product_and_pow_logs(group) -> dict[int, tuple[int, ...]]:
+    """Reference: one pow(g, a, k) per generator per unit, over itertools.product."""
+    k = group.modulus
+    logs = {}
+    for exps in itertools.product(*(range(d) for d in group.generator_orders)):
+        residue = 1 % k
+        for g, a in zip(group.generators, exps):
+            residue = residue * pow(g, a, k) % k
+        logs[residue] = exps
+    return logs
+
+
+def test_discrete_log_table_is_the_product_and_pow_table():
+    for k in [*range(1, 201), 65536, 99991]:
+        group = unit_group(k)
+        # the same entries in the same order
+        assert list(group.discrete_logs.items()) == list(_product_and_pow_logs(group).items()), k
 
 
 def test_enumeration_count_and_principal_first():

@@ -130,6 +130,28 @@ def test_complex_argument_accepts_i_suffix(capsys):
     assert json.loads(out)["abs_difference"] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lseries", "--kind", "zeta", "--s", "nan", "--prime-bound", "100"],
+        ["lseries", "--kind", "zeta", "--s", "2+1e400i", "--prime-bound", "100"],
+        ["lseries", "--kind", "zeta", "--s", "1e400", "--prime-bound", "100"],
+        ["lseries", "--kind", "zeta", "--s", "nan", "--method", "series"],
+        ["local-factor", "--kind", "zeta", "--p", "3", "--s", "nan"],
+        ["eigencheck", "--kind", "plain", "--p", "3", "--alpha", "nan"],
+        ["eigencheck", "--kind", "plain", "--p", "3", "--alpha", "1e400"],
+        ["gamma", "--p", "3", "--k", "1", "--chi", "0", "--s", "nan"],
+        ["gamma", "--p", "3", "--k", "1", "--chi", "0", "--s=-1e400i"],
+        ["hecke-trace", "--p", "2", "--s", "nan", "--shift", "1"],
+    ],
+)
+def test_non_finite_complex_argument_is_usage_error(argv, capsys):
+    assert run(argv) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "is not a finite complex number" in err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"]) == 1
     _, err = _capture(capsys)

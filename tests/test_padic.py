@@ -1,8 +1,9 @@
-"""Digit arithmetic, norms, fractional parts, and coset enumeration."""
+"""Digit arithmetic, norms, fractional parts, and the additive character."""
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,14 +11,11 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    CosetCapError,
     PadicNumber,
     PrimeMismatchError,
     Twist,
     additive_character,
     arithmetic,
-    circle_measure,
-    circle_representatives,
     delta_provider,
     enumerate_characters,
     factorize_local,
@@ -253,40 +251,19 @@ def test_additive_character_equals_the_fraction_route_property():
     check()
 
 
-def test_circle_measure_exact():
-    assert circle_measure(2, 0) == Fraction(1, 2)
-    assert circle_measure(3, 0) == Fraction(2, 3)
-    assert circle_measure(2, 1) == Fraction(1, 4)
-    assert circle_measure(5, -1) == Fraction(4, 5) * 5
-
-
-def test_circle_representatives_partition():
-    for p in (2, 3, 5):
-        for n in (-1, 0, 1):
-            for depth in (1, 2, 3):
-                reps = circle_representatives(p, n, depth)
-                assert len(reps) == (p - 1) * p ** (depth - 1)
-                assert all(r.norm == Fraction(p) ** (-n) for r in reps)
-                # distinct cosets of p^(n+depth) Z_p
-                seen = {r.as_fraction() for r in reps}
-                assert len(seen) == len(reps)
-                coset = Fraction(p) ** (-n - depth)
-                assert len(reps) * coset == circle_measure(p, n)
-
-
 def test_circle_character_sum_at_radius_p():
-    # the additive character integrates to -1 over the circle |x| = p
+    # the additive character integrates to -1 over the circle |x| = p, cut
+    # into the (p - 1) p^(depth - 1) cosets of p^(depth - 1) Z_p
     for p in (2, 3, 5, 7):
         for depth in (1, 2):
-            reps = circle_representatives(p, -1, depth)
+            reps = [
+                make_padic(p, -1, (d, *rest))
+                for d in range(1, p)
+                for rest in itertools.product(range(p), repeat=depth - 1)
+            ]
             weight = float(Fraction(p) ** (1 - depth))
             total = sum(additive_character(r) for r in reps) * weight
             assert abs(total - (-1)) < 1e-12
-
-
-def test_coset_cap_enforced():
-    with pytest.raises(CosetCapError):
-        circle_representatives(2, 0, 25, cap=1000)
 
 
 def _p_valuation(q: Fraction, p: int) -> int:

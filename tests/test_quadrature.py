@@ -10,28 +10,25 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    CircleIntegrand,
     ConvergenceError,
     FloatRangeError,
     GammaSpec,
-    LocalityError,
     PoleError,
     Twist,
     additive_character,
     character_angle,
     character_twist,
-    circle_representatives,
     conjugate_character,
     enumerate_characters,
     evaluate,
     gamma_by_quadrature,
     gamma_closed_form,
     gamma_regions,
-    integrate_circle,
     make_padic,
     rational_fractional_part,
     unit_phase,
 )
+from padic_lseries.padic import phase_table
 from padic_lseries.quadrature import _p_power
 
 S_GRID = (0.3, 0.9, 2.0, 0.5 + 14.1j)
@@ -126,33 +123,24 @@ def test_standard_gamma_quadrature_matches_closed_form_at_large_p():
 
 
 def test_integrate_unit_circle_constant():
-    f = CircleIntegrand(lambda xi: 1.0, locality=0)
+    # on |xi| = 1 the integrand of gamma is 1, so the unit region is the measure
     for p in (2, 3, 5):
-        assert abs(integrate_circle(f, p, 0) - (p - 1) / p) < 1e-15
-
-
-def test_integrate_character_on_circle_radius_p():
-    f = CircleIntegrand(additive_character, locality=0)
-    for p in (2, 3, 5, 7):
-        assert abs(integrate_circle(f, p, -1) - (-1)) < 1e-12
+        assert gamma_regions(GammaSpec(Twist(p), 2.0), 0)[1] == (p - 1) / p
 
 
 def test_integrate_weighted_character_example():
-    # e(xi)|xi|^(s-1) at s=0 over |xi|=p gives -1/p
+    # e(xi) |xi|^(s-1) over |xi| = p gives -p^(s-1), gamma's outer region at T = 1
     for p in (2, 3, 5):
-        f = CircleIntegrand(lambda xi: additive_character(xi) / float(xi.norm), locality=0)
-        assert abs(integrate_circle(f, p, -1) - (-1 / p)) < 1e-12
+        for s in (0.5, 2.0):
+            outer = gamma_regions(GammaSpec(Twist(p), s), 0)[2]
+            assert abs(outer - (-(p ** (s - 1)))) < 1e-12
 
 
-def test_locality_check_catches_liars():
-    # depends on the digit at level 2, declared locality 0
-    def deep(xi):
-        q = xi.as_fraction()
-        return float((q.numerator * pow(q.denominator, -1, 27)) % 27 >= 9)
-
-    f = CircleIntegrand(deep, locality=0)
-    with pytest.raises(LocalityError):
-        integrate_circle(f, 3, 0)
+def test_integrate_character_on_circle_radius_p():
+    # the circle |xi| = p is p - 1 cosets d/p + Z_p of measure 1, on which the
+    # additive character is the phase e^(2 pi i d / p) of phase_table
+    for p in (2, 3, 5, 7):
+        assert abs(sum(phase_table(0, 1, p, p)) - (-1)) < 1e-12
 
 
 def test_pole_detected():
@@ -239,8 +227,8 @@ def test_terms_used_reported():
 
 
 # A reference coset engine: representatives from one divmod chain per index,
-# phases through an exact Fraction.  The fast engine must reproduce it bit for
-# bit, so every comparison below is ==.
+# phases through an exact Fraction.  The additive character and gamma's outer
+# circle must reproduce it bit for bit, so those comparisons are ==.
 
 
 def _index_loop_representatives(p, n, depth):
@@ -282,23 +270,12 @@ def _reference_outer(spec):
     )
 
 
-def test_circle_representatives_follow_the_index_formula():
-    for p in (2, 3, 5):
-        for depth in (1, 2, 3):
-            reps = circle_representatives(p, -1, depth)
-            assert reps == _index_loop_representatives(p, -1, depth)
-            for index, rep in enumerate(reps):
-                d = rep.digits
-                tail = sum(digit * p**i for i, digit in enumerate(d[1:]))
-                assert index == (d[0] - 1) + (p - 1) * tail
-
-
 def test_circle_sum_is_bit_for_bit_the_fraction_route():
-    f = CircleIntegrand(additive_character, locality=0)
     for p in (2, 3, 5, 7, 11):
         # coset measures p^k for k = -(n + depth) = -3, -2, -1 and 0
         for n in (2, 1, 0, -1, -2, -3):
-            assert integrate_circle(f, p, n) == _reference_circle_sum(_fraction_route_character, p, n)
+            fast = _reference_circle_sum(additive_character, p, n)
+            assert fast == _reference_circle_sum(_fraction_route_character, p, n)
 
 
 def test_zero_circles_integrate_to_zero():
@@ -311,11 +288,10 @@ def test_zero_circles_integrate_to_zero():
     # independent and largely cancel.  Measured at p <= 13 the worst is 3.0 eps
     # per coset (8.1e-13 at p = 11, n = -3), so the allowance is 8 eps per
     # coset: at most 3.6e-12 here, against |integral| = 1 on the circle n = -1.
-    f = CircleIntegrand(additive_character, locality=0)
     for p in (2, 3, 5, 7, 11, 13):
         for n in (-2, -3):
             cosets = (p - 1) * p ** (-n - 1)
-            assert abs(integrate_circle(f, p, n)) <= 8 * cosets * 2.0**-52
+            assert abs(_reference_circle_sum(additive_character, p, n)) <= 8 * cosets * 2.0**-52
 
 
 def test_gamma_outer_region_is_bit_for_bit_the_fraction_route():

@@ -13,6 +13,7 @@ from padic_lseries import (
     LOWER,
     RAISE,
     ConvergenceError,
+    CosetCapError,
     FloatRangeError,
     GammaSpec,
     KernelCapError,
@@ -224,6 +225,25 @@ def test_kernel_preconditions():
         apply_kernel(OperatorSpec(Twist(3), -0.5), idx, _point(3, idx.center), R=4)
     with pytest.raises(ValueError, match="prime must be prime"):
         OperatorSpec(Twist(4), 1.0)  # not prime
+
+
+def test_kernel_enforces_the_coset_cap():
+    # the support shell is p cosets: p = cap is summed, p > cap is refused
+    spec = OperatorSpec(Twist(5), 1.0)
+    idx = ket(5, 0)
+    xi = _point(5, idx.center)
+    assert apply_kernel(spec, idx, xi, R=4, cap=5) == apply_kernel(spec, idx, xi, R=4)
+    with pytest.raises(CosetCapError, match="5 shell cosets exceed the cap of 4"):
+        apply_kernel(spec, idx, xi, R=4, cap=4)
+
+
+def test_inner_product_enforces_the_coset_cap():
+    # overlapping supports pair over p cosets: p = cap is summed, p > cap is refused
+    a, b = ket(5, 0), ket(5, 1)
+    for x, y in ((a, a), (a, b)):
+        assert inner_product(x, y, R=6, cap=5) == inner_product(x, y, R=6)
+        with pytest.raises(CosetCapError, match="5 coset representatives exceed the cap of 4"):
+            inner_product(x, y, R=6, cap=4)
 
 
 def test_wavelet_index_canonical_offsets():
