@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -166,18 +167,36 @@ def enumerate_characters(k: int) -> list[DirichletCharacter]:
     return chars
 
 
-def character_angle(chi: DirichletCharacter, m: int) -> Fraction | None:
-    """Exact angle of chi(m), or None where chi vanishes.
+def _angle_weights(chi: DirichletCharacter) -> tuple[list[int], int]:
+    """(w, d) with d the lcm of the generator orders d_i and w_i = e_i d / d_i.
 
-    The sum of a_i e_i / d_i mod 1 over the discrete logs a_i of m, the
-    exponents e_i and the generator orders d_i.
+    The angle of chi(m) is (sum of a_i w_i mod d) / d over the discrete
+    logs a_i of m: the sum of a_i e_i / d_i mod 1, the e_i the exponents.
     """
+    orders = chi.group.generator_orders
+    d = math.lcm(*orders)
+    return [e * (d // o) for e, o in zip(chi.exponents, orders)], d
+
+
+def character_angle(chi: DirichletCharacter, m: int) -> Fraction | None:
+    """Exact angle of chi(m), or None where chi vanishes."""
     logs = chi.group.discrete_logs.get(m % chi.modulus)
     if logs is None:
         return None
-    orders = chi.group.generator_orders
-    d = math.lcm(*orders)
-    return Fraction(sum(a * e * (d // o) for a, e, o in zip(logs, chi.exponents, orders)) % d, d)
+    weights, d = _angle_weights(chi)
+    return Fraction(sum(map(operator.mul, logs, weights)) % d, d)
+
+
+def _angle_numerators(chi: DirichletCharacter) -> tuple[list[int | None], int]:
+    """(n_0, ..., n_(k-1)) and d with chi(r) = exp(2 pi i n_r / d); n_r is None off the units.
+
+    n_r / d is character_angle(chi, r) unreduced, with no Fraction built.
+    """
+    weights, d = _angle_weights(chi)
+    numerators: list[int | None] = [None] * chi.modulus
+    for r, logs in chi.group.discrete_logs.items():
+        numerators[r] = sum(map(operator.mul, logs, weights)) % d
+    return numerators, d
 
 
 def evaluate(chi: DirichletCharacter, m: int) -> complex:

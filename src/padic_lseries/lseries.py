@@ -10,6 +10,14 @@ a certified remainder: geometric tails for traces, integral comparison for
 products and series, and the alternating next-term bound where a real
 character genuinely alternates.
 
+The primes come from one table per process: the primes up to the largest
+bound asked so far, 4 bytes each (2.66 MB at the cap of 10^7), kept until
+exit.  A larger bound sieves again; a smaller one is a slice.  A character's
+Euler product is one chain of maps over that table closed by math.prod, so
+no per-prime step runs in the interpreter; it keeps the per-prime loop's
+operations and order, and with them every bit of the value.  The modular
+product multiplies its closed factors one prime at a time.
+
 A partial Dirichlet series to N (``terms_used`` is N, the length of the
 partial sum) is summed per residue class mod k.  A class sums its terms
 below n0 = 2k(|s| + 16)/pi directly and the rest by Euler-Maclaurin with 8
@@ -33,17 +41,20 @@ long before the products stop being representable.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import itertools
 import math
 import operator
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter, character_angle, character_twist, evaluate
+from .characters import DirichletCharacter, _angle_numerators, character_angle, character_twist, evaluate
 from .errors import ConvergenceError, DegenerateTwistError, PoleError, SeriesCapError
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
-from .padic import _require_prime
+from .padic import _require_prime, residue_phase
 from .quadrature import _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, _certified, _p_power, _real_power
 from .wavelets import OperatorSpec, eigenvalue
 
@@ -60,12 +71,11 @@ class SeriesResult:
     terms_used: int
 
 
-def primes_up_to(bound: int) -> list[int]:
+def _sieve(bound: int) -> array:
     """Deterministic odd-only byte-array sieve: index i stands for 2i + 1."""
-    if bound > PRIME_BOUND_CAP:
-        raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
+    primes = array("I")
     if bound < 2:
-        return []
+        return primes
     count = (bound + 1) // 2
     sieve = bytearray([1]) * count
     sieve[0] = 0
@@ -74,7 +84,34 @@ def primes_up_to(bound: int) -> list[int]:
             q = 2 * i + 1
             start = q * q // 2
             sieve[start::q] = bytes((count - 1 - start) // q + 1)
-    return [2, *itertools.compress(range(1, bound + 1, 2), sieve)]
+    primes.append(2)
+    primes.extend(itertools.compress(range(1, bound + 1, 2), sieve))
+    return primes
+
+
+# The process-wide prime table: (B, the primes up to B), B the largest bound
+# asked so far, 4 bytes per prime and held until exit.  It is one tuple, so
+# a reader never pairs one table with another's bound; two callers growing
+# it at once each sieve, and either result is a whole table.
+_sieved: tuple[int, array] = (1, array("I"))
+
+
+def _primes(bound: int) -> array:
+    """The primes up to bound as 4-byte items, from the process-wide table."""
+    global _sieved
+    if bound > PRIME_BOUND_CAP:
+        raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
+    sieved, primes = _sieved
+    if bound > sieved:
+        primes = _sieve(bound)
+        _sieved = (bound, primes)
+        return primes
+    return primes[: bisect.bisect_right(primes, bound)]
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """The primes up to bound, a fresh list; ValueError past PRIME_BOUND_CAP."""
+    return _primes(bound).tolist()
 
 
 def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> SeriesResult:
@@ -164,8 +201,13 @@ def local_factor_closed(twist, p: int, s: complex) -> complex:
 
 
 def _character_table(chi: DirichletCharacter) -> list[complex]:
-    """chi(0), ..., chi(k - 1): the r-th item is chi(n) for every n = r mod k."""
-    return [evaluate(chi, r) for r in range(chi.modulus)]
+    """chi(0), ..., chi(k - 1): the r-th item is chi(n) for every n = r mod k.
+
+    Bit for bit evaluate(chi, r): residue_phase(n, d) divides n by d
+    correctly rounded, so an unreduced angle gives the float of the reduced one.
+    """
+    numerators, d = _angle_numerators(chi)
+    return [complex(0.0, 0.0) if n is None else residue_phase(n, d) for n in numerators]
 
 
 def _series_exponent_shift(twist) -> float:
@@ -173,6 +215,30 @@ def _series_exponent_shift(twist) -> float:
     if isinstance(twist, CoefficientProvider):
         return (twist.weight - 1) / 2.0
     return 0.0
+
+
+def _character_product(chi: DirichletCharacter, s: complex, primes: array) -> complex:
+    """The product of 1/(1 - chi(p) p^(-s)) over primes, left to right, as a chain of maps.
+
+    The operations and their order are _closed_factor's and a running
+    product's from complex 1: cmath.exp(-s log p), chi(p) times it, 1 minus
+    that, 1 over that; |chi(p) p^(-s)| <= 2^(-sigma) < 1/2, so no factor is
+    near a pole.  At real s with a table whose imaginary parts are all 0,
+    the chain runs in floats with math.exp: its product is the complex
+    chain's real part bit for bit, and that chain's imaginary part is +0.0.
+    Mod 1, chi(p) = 1 and the lookup and multiply are skipped: 1 times w
+    differs from w at most in the sign of a zero, which 1 - w absorbs.
+    """
+    table, k = _character_table(chi), chi.modulus
+    if s.imag == 0.0 and all(entry.imag == 0.0 for entry in table):
+        exp, exponent, table, one = math.exp, -s.real, [entry.real for entry in table], 1.0
+    else:
+        exp, exponent, one = cmath.exp, -s, complex(1.0)
+    w = map(exp, map(operator.mul, itertools.repeat(exponent), map(math.log, primes)))
+    if k > 1:
+        w = map(operator.mul, map(table.__getitem__, map(operator.mod, primes, itertools.repeat(k))), w)
+    factors = map(operator.truediv, itertools.repeat(1.0), map(operator.sub, itertools.repeat(1.0), w))
+    return complex(math.prod(factors, start=one))
 
 
 def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
@@ -191,16 +257,13 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
             f"Euler product needs Re(s) > {1.0 + _series_exponent_shift(twist)}; got s = {s}"
         )
     modular = isinstance(twist, CoefficientProvider)
-    primes = primes_up_to(prime_bound)
-    value = complex(1.0)
+    primes = _primes(prime_bound)
     if modular:
+        value = complex(1.0)
         for p in primes:
             value *= _closed_factor(p, s, *_hecke_coefficients(twist, p))
     else:
-        # |chi(p) p^(-s)| <= 2^(-sigma) < 1/2, so no factor is near a pole
-        table, k = _character_table(twist), twist.modulus
-        for p in primes:
-            value *= 1.0 / (1.0 - table[p % k] * _p_power(p, -s))
+        value = _character_product(twist, s, primes)
 
     # |log factor| <= c p^(-sigma) per unimodular twist, twice that for the
     # two modular roots; then sum_{p > P} p^(-sigma) < P^(1-sigma)/(sigma-1)
@@ -211,10 +274,11 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
 
 def _is_alternating(chi: DirichletCharacter) -> bool:
     """True for a real nonprincipal character whose nonzero values alternate."""
-    # angles at the units among n = 1, ..., 2k: 0 is chi(n) = 1, 1/2 is chi(n) = -1
-    angles = [character_angle(chi, n) for n in range(1, chi.modulus + 1)]
-    angles = [theta for theta in angles if theta is not None] * 2
-    if any(theta not in (0, Fraction(1, 2)) for theta in angles):
+    # angle numerators at the units among n = 1, ..., 2k: 0 is chi(n) = 1,
+    # d/2 is chi(n) = -1
+    numerators, d = _angle_numerators(chi)
+    angles = [n for n in numerators[1:] + numerators[:1] if n is not None] * 2
+    if any(n != 0 and 2 * n != d for n in angles):
         return False  # complex values never alternate in the real sense
     return any(angles) and all(a != b for a, b in zip(angles, angles[1:]))
 

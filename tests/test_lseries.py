@@ -6,7 +6,11 @@ import bisect
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -278,6 +282,9 @@ def test_euler_product_is_the_product_of_closed_factors():
     for chi in (enumerate_characters(1)[0], enumerate_characters(5)[1], enumerate_characters(4)[1]):
         for s in (2.0, 2 + 3j):
             cases.append((chi, s, 3000))
+    # the float chain through chi = 0 factors, zeta's float chain, and a
+    # real nonprincipal character, whose -1 = exp(i pi) keeps a complex chain
+    cases += [(enumerate_characters(12)[0], 3.0, 3000), (ZETA, 4.0, 3000), (enumerate_characters(400)[1], 1.5, 3000)]
     provider = delta_provider(600)
     for s in (8.0, 8 + 5j):
         cases.append((provider, s, 600))
@@ -287,8 +294,62 @@ def test_euler_product_is_the_product_of_closed_factors():
             want *= local_factor_closed(twist, p, s)
             reference *= _reference_closed_factor(twist, p, s)
         result = euler_product(twist, s, bound)
-        assert result.value == want == reference
+        assert repr(result.value) == repr(want) == repr(reference), (twist, s)
         assert result.terms_used == len(primes_up_to(bound))
+
+
+def _per_prime_product(chi, s: complex, bound: int) -> complex:
+    """The Euler loop the map chain replaced: one closed factor per prime, multiplied in turn."""
+    s = complex(s)
+    table, k = [evaluate(chi, r) for r in range(chi.modulus)], chi.modulus
+    value = complex(1.0)
+    for p in _trial_division_primes(bound):
+        value *= 1.0 / (1.0 - table[p % k] * cmath.exp(-s * math.log(p)))
+    return value
+
+
+def test_euler_product_is_the_per_prime_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Re s >= 1.01: nearer 1 the remainder bound's expm1 leaves the float
+    # range at small P and raises before the value is returned
+    real = st.floats(1.01, 40.0)
+    complex_s = st.builds(complex, st.floats(1.01, 40.0), st.floats(-200.0, 200.0))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 60),
+        index=st.one_of(st.just(0), st.integers(0, 10**6)),
+        s=st.one_of(real, complex_s),
+        bound=st.integers(1, 4000),
+    )
+    def check(k, index, s, bound):
+        characters = enumerate_characters(k)
+        chi = characters[index % len(characters)]
+        assert repr(euler_product(chi, s, bound).value) == repr(_per_prime_product(chi, s, bound))
+
+    check()
+
+
+def _fraction_route_alternating(chi) -> bool:
+    """_is_alternating on exact Fraction angles, as it was written before integer numerators."""
+    angles = [character_angle(chi, n) for n in range(1, chi.modulus + 1)]
+    angles = [theta for theta in angles if theta is not None] * 2
+    if any(theta not in (0, Fraction(1, 2)) for theta in angles):
+        return False
+    return any(angles) and all(a != b for a, b in zip(angles, angles[1:]))
+
+
+def test_character_table_and_alternation_match_the_fraction_route():
+    alternating = 0
+    for k in (*range(1, 121), 336, 400):
+        for chi in enumerate_characters(k):
+            table = lseries._character_table(chi)
+            assert repr(table) == repr([evaluate(chi, r) for r in range(k)]), (k, chi.index)
+            assert lseries._is_alternating(chi) is _fraction_route_alternating(chi), (k, chi.index)
+            alternating += lseries._is_alternating(chi)
+    assert alternating > 0  # the comparison saw both answers
 
 
 def test_zeta_closed_factor_is_the_plain_geometric_sum():
@@ -306,6 +367,63 @@ def test_sieve_equals_trial_division():
     reference = _trial_division_primes(3000)
     for bound in range(3001):
         assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
+
+
+def test_prime_table_answers_bounds_in_any_order(monkeypatch):
+    monkeypatch.setattr(lseries, "_sieved", (1, array("I")))  # as a fresh process has it
+    reference = _trial_division_primes(3000)
+    assert len(primes_up_to(10**5)) == 9592
+    assert lseries._sieved[0] == 10**5
+    # descending after a large bound, then ascending again: slices of one table
+    for bound in (*range(3000, -3, -1), *range(-2, 3001)):
+        assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
+    assert lseries._sieved[0] == 10**5
+    # past the table: a new sieve to the new bound
+    assert len(primes_up_to(2 * 10**5)) == 17984
+    assert lseries._sieved[0] == 2 * 10**5
+    assert primes_up_to(3000) == reference
+
+
+def test_prime_table_holds_four_byte_items_and_returns_fresh_lists():
+    first = primes_up_to(100)
+    first[0] = 4
+    first.append(101)
+    assert primes_up_to(100) == _trial_division_primes(100)
+    bound, table = lseries._sieved
+    assert table.typecode == "I" and table.itemsize == 4
+    assert bound >= 100 and table[: bisect.bisect_right(table, 100)].tolist() == _trial_division_primes(100)
+
+
+def test_a_bound_past_the_cap_is_refused_before_the_table_changes():
+    primes_up_to(1000)
+    before = lseries._sieved
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        primes_up_to(10**7 + 1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        euler_product(ZETA, 2.0, 10**7 + 1)
+    assert lseries._sieved is before
+
+
+# peak traced memory of one Euler product at the prime cap in a fresh
+# process: the table is 4 bytes per prime and the factors are never listed
+_PEAK_AT_THE_CAP = """
+import tracemalloc
+from padic_lseries import enumerate_characters, euler_product
+tracemalloc.start()
+euler_product(enumerate_characters(1)[0], 2 + 3j, 10**7)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_euler_product_at_the_cap_peaks_below_the_per_prime_loop():
+    src = os.path.dirname(os.path.dirname(lseries.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_AT_THE_CAP], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    # the per-prime loop over a list of the 664,579 primes peaked at 32.2e6 bytes
+    assert int(done.stdout) <= 31.5e6
 
 
 def test_euler_product_values_are_pinned():

@@ -6,8 +6,9 @@ Replays the same requests on both sides through ``padic_lseries.cli.run``:
 every request of ``perfbench/workloads.generate(w, s)`` for the three
 workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
 examples in README.md, the heavy requests of ``HEAVY``: large-p gamma
-and kernel checks, which the workloads never draw, the slow baseline
-invocations of ROADMAP.md, and both sides of gamma's coset cap, and the
+and kernel checks and Euler products at the prime cap, which the
+workloads never draw, the slow baseline invocations of ROADMAP.md, and
+both sides of gamma's coset cap, and the
 ``--format tsv`` requests of ``TSV``, which the workloads never ask for.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
@@ -41,7 +42,13 @@ SEEDS = (1, 2)
 HEAVY = (
     "gamma --p 99991 --k 1 --chi 0 --s 2",
     "lseries --kind modular --s 8 --prime-bound 100000",
+    # Euler products the workloads never draw: zeta's float and complex
+    # chains at the prime cap, chi = 0 factors in the float chain, and a
+    # small bound answered by a slice of the table the cap left behind
     "lseries --kind zeta --s 2 --prime-bound 10000000",
+    "lseries --kind zeta --s 2+3i --prime-bound 10000000",
+    "lseries --kind dirichlet --character 12:0 --s 3 --prime-bound 5000",
+    "lseries --kind dirichlet --character 4:1 --s 2 --prime-bound 100",
     "lseries --kind dirichlet --character 4:1 --s 1 --method series",
     "gamma --p 9973 --k 5 --chi 1 --s 2+1i",
     "eigencheck --kind plain --p 307 --alpha 1",
