@@ -10,13 +10,13 @@ a certified remainder: geometric tails for traces, integral comparison for
 products and series, and the alternating next-term bound where a real
 character genuinely alternates.
 
-The primes come from one table per process: the primes up to the largest
-bound asked so far, 4 bytes each (2.66 MB at the cap of 10^7), kept until
-exit.  A larger bound sieves again; a smaller one is a slice.  A character's
-Euler product is one chain of maps over that table closed by math.prod, so
-no per-prime step runs in the interpreter; it keeps the per-prime loop's
-operations and order, and with them every bit of the value.  The modular
-product multiplies its closed factors one prime at a time.
+Each Euler product sieves its own primes into an array of 4-byte items
+(2.66 MB at the cap of 10^7), dropped when the product returns.  A
+character's product is one chain of maps over that array closed by
+math.prod, so no per-prime step runs in the interpreter; it keeps the
+per-prime loop's operations and order, and with them every bit of the
+value.  The modular product multiplies its closed factors one prime at a
+time.
 
 A partial Dirichlet series to N (``terms_used`` is N, the length of the
 partial sum) is summed per residue class mod k.  A class sums its terms
@@ -41,7 +41,6 @@ long before the products stop being representable.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -72,7 +71,12 @@ class SeriesResult:
 
 
 def _sieve(bound: int) -> array:
-    """Deterministic odd-only byte-array sieve: index i stands for 2i + 1."""
+    """The primes up to bound as 4-byte items; ValueError past PRIME_BOUND_CAP.
+
+    Deterministic odd-only byte-array sieve: index i stands for 2i + 1.
+    """
+    if bound > PRIME_BOUND_CAP:
+        raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
     primes = array("I")
     if bound < 2:
         return primes
@@ -89,29 +93,9 @@ def _sieve(bound: int) -> array:
     return primes
 
 
-# The process-wide prime table: (B, the primes up to B), B the largest bound
-# asked so far, 4 bytes per prime and held until exit.  It is one tuple, so
-# a reader never pairs one table with another's bound; two callers growing
-# it at once each sieve, and either result is a whole table.
-_sieved: tuple[int, array] = (1, array("I"))
-
-
-def _primes(bound: int) -> array:
-    """The primes up to bound as 4-byte items, from the process-wide table."""
-    global _sieved
-    if bound > PRIME_BOUND_CAP:
-        raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
-    sieved, primes = _sieved
-    if bound > sieved:
-        primes = _sieve(bound)
-        _sieved = (bound, primes)
-        return primes
-    return primes[: bisect.bisect_right(primes, bound)]
-
-
 def primes_up_to(bound: int) -> list[int]:
-    """The primes up to bound, a fresh list; ValueError past PRIME_BOUND_CAP."""
-    return _primes(bound).tolist()
+    """The primes up to bound; ValueError past PRIME_BOUND_CAP."""
+    return _sieve(bound).tolist()
 
 
 def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> SeriesResult:
@@ -257,7 +241,7 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
             f"Euler product needs Re(s) > {1.0 + _series_exponent_shift(twist)}; got s = {s}"
         )
     modular = isinstance(twist, CoefficientProvider)
-    primes = _primes(prime_bound)
+    primes = _sieve(prime_bound)
     if modular:
         value = complex(1.0)
         for p in primes:

@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import time
-from array import array
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -365,65 +365,57 @@ def _trial_division_primes(bound: int) -> list[int]:
 
 def test_sieve_equals_trial_division():
     reference = _trial_division_primes(3000)
-    for bound in range(3001):
-        assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
-
-
-def test_prime_table_answers_bounds_in_any_order(monkeypatch):
-    monkeypatch.setattr(lseries, "_sieved", (1, array("I")))  # as a fresh process has it
-    reference = _trial_division_primes(3000)
     assert len(primes_up_to(10**5)) == 9592
-    assert lseries._sieved[0] == 10**5
-    # descending after a large bound, then ascending again: slices of one table
+    # descending after a larger bound, then ascending: no bound depends on the ones before
     for bound in (*range(3000, -3, -1), *range(-2, 3001)):
         assert primes_up_to(bound) == reference[: bisect.bisect_right(reference, bound)], bound
-    assert lseries._sieved[0] == 10**5
-    # past the table: a new sieve to the new bound
-    assert len(primes_up_to(2 * 10**5)) == 17984
-    assert lseries._sieved[0] == 2 * 10**5
-    assert primes_up_to(3000) == reference
 
 
-def test_prime_table_holds_four_byte_items_and_returns_fresh_lists():
+def test_sieve_holds_four_byte_items_and_primes_up_to_returns_fresh_lists():
     first = primes_up_to(100)
     first[0] = 4
     first.append(101)
     assert primes_up_to(100) == _trial_division_primes(100)
-    bound, table = lseries._sieved
-    assert table.typecode == "I" and table.itemsize == 4
-    assert bound >= 100 and table[: bisect.bisect_right(table, 100)].tolist() == _trial_division_primes(100)
+    primes = lseries._sieve(100)
+    assert primes.typecode == "I" and primes.itemsize == 4
+    assert primes.tolist() == _trial_division_primes(100)
 
 
-def test_a_bound_past_the_cap_is_refused_before_the_table_changes():
-    primes_up_to(1000)
-    before = lseries._sieved
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        primes_up_to(10**7 + 1)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        euler_product(ZETA, 2.0, 10**7 + 1)
-    assert lseries._sieved is before
+def test_a_bound_past_the_cap_is_refused_before_any_sieve():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            primes_up_to(10**7 + 1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            euler_product(ZETA, 2.0, 10**7 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # the byte array of a sieve to 10^7 alone is 5e6 bytes
 
 
-# peak traced memory of one Euler product at the prime cap in a fresh
-# process: the table is 4 bytes per prime and the factors are never listed
-_PEAK_AT_THE_CAP = """
+# peak traced memory of one Euler product at P = 10^6 in a fresh process:
+# the byte-array sieve (5e5 bytes) and the array of the 78,498 primes
+# (4 bytes each) measure 0.83e6; the same chain over a list of those
+# primes as int objects peaks at 3.1e6
+_PEAK_OF_ONE_PRODUCT = """
 import tracemalloc
 from padic_lseries import enumerate_characters, euler_product
 tracemalloc.start()
-euler_product(enumerate_characters(1)[0], 2 + 3j, 10**7)
+euler_product(enumerate_characters(1)[0], 2 + 3j, 10**6)
 print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_euler_product_at_the_cap_peaks_below_the_per_prime_loop():
+def test_euler_product_never_lists_its_primes():
     src = os.path.dirname(os.path.dirname(lseries.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", _PEAK_AT_THE_CAP], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", _PEAK_OF_ONE_PRODUCT], capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    # the per-prime loop over a list of the 664,579 primes peaked at 32.2e6 bytes
-    assert int(done.stdout) <= 31.5e6
+    # the per-prime loop over a list of the primes peaked at 3.6e6 bytes
+    assert int(done.stdout) <= 1.2e6
 
 
 def test_euler_product_values_are_pinned():

@@ -44,7 +44,7 @@ HEAVY = (
     "lseries --kind modular --s 8 --prime-bound 100000",
     # Euler products the workloads never draw: zeta's float and complex
     # chains at the prime cap, chi = 0 factors in the float chain, and a
-    # small bound answered by a slice of the table the cap left behind
+    # small bound asked after the cap in the same process
     "lseries --kind zeta --s 2 --prime-bound 10000000",
     "lseries --kind zeta --s 2+3i --prime-bound 10000000",
     "lseries --kind dirichlet --character 12:0 --s 3 --prime-bound 5000",
