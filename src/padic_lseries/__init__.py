@@ -36,7 +36,6 @@ from .errors import (
 )
 from .lseries import (
     SERIES_LENGTH_CAP,
-    SeriesResult,
     dirichlet_series,
     euler_product,
     hecke_conjugated_trace,
@@ -59,33 +58,25 @@ from .modular import (
 )
 from .padic import (
     PadicNumber,
-    additive_character,
-    arithmetic,
-    fractional_part,
-    make_padic,
     padic_from_fraction,
     padic_zero,
-    rational_fractional_part,
     unit_phase,
 )
 from .quadrature import (
+    CertifiedResult,
     GammaSpec,
-    QuadratureResult,
     gamma_by_quadrature,
     gamma_closed_form,
     gamma_regions,
 )
 from .selftest import run_selftest
 from .wavelets import (
-    LOWER,
-    RAISE,
     OperatorSpec,
     WaveletIndex,
     apply_kernel,
     eigenvalue,
     inner_product,
     ket,
-    raise_lower,
     wavelet_eval,
     wavelet_index,
 )
@@ -94,6 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHARACTER_MODULUS_CAP",
+    "CertifiedResult",
     "CoefficientProvider",
     "ConvergenceError",
     "CosetCapError",
@@ -103,7 +95,6 @@ __all__ = [
     "FloatRangeError",
     "GammaSpec",
     "KernelCapError",
-    "LOWER",
     "LocalFactorization",
     "ModulusCapError",
     "OperatorSpec",
@@ -111,18 +102,13 @@ __all__ = [
     "PadicNumber",
     "PoleError",
     "PrimeMismatchError",
-    "QuadratureResult",
-    "RAISE",
     "SERIES_LENGTH_CAP",
     "SeriesCapError",
-    "SeriesResult",
     "TableCapError",
     "Twist",
     "UnitGroup",
     "WaveletIndex",
-    "additive_character",
     "apply_kernel",
-    "arithmetic",
     "binomial_side",
     "character_angle",
     "character_twist",
@@ -137,7 +123,6 @@ __all__ = [
     "euler_product",
     "evaluate",
     "factorize_local",
-    "fractional_part",
     "gamma_by_quadrature",
     "gamma_closed_form",
     "gamma_regions",
@@ -146,12 +131,9 @@ __all__ = [
     "ket",
     "local_factor_closed",
     "local_trace",
-    "make_padic",
     "padic_from_fraction",
     "padic_zero",
     "primes_up_to",
-    "raise_lower",
-    "rational_fractional_part",
     "run_selftest",
     "symmetric_power_sum",
     "table_provider",

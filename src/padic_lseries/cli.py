@@ -51,7 +51,7 @@ from .modular import (
     factorize_local,
     quadratic_constant,
 )
-from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _from_int, _require_prime
+from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _int_valuation, _require_prime
 from .quadrature import DEFAULT_INNER_CIRCLES, GammaSpec, gamma_by_quadrature, gamma_closed_form
 from .selftest import run_selftest
 from .wavelets import (
@@ -253,9 +253,15 @@ _SAMPLE_MULTIPLIERS = 5
 
 
 def _sample_point(p: int, mult: int, n: int) -> tuple[PadicNumber, str]:
-    """mult p^(-n) as padic_from_fraction encodes it, and as "num/den" in lowest terms."""
-    point = _from_int(p, mult, -n, DEFAULT_PRECISION)
-    unit, valuation = point.unit, point.valuation
+    """mult p^(-n) as padic_from_fraction encodes it, and as "num/den" in lowest terms.
+
+    mult is 0, 1, p, p + 1 or p^2, so the unit part is at most p + 1 and needs no reduction.
+    """
+    if mult == 0:
+        return PadicNumber(p, 0, 0, 0), "0/1"
+    t = _int_valuation(mult, p)
+    unit, valuation = mult // p**t, t - n
+    point = PadicNumber(p, valuation, unit, DEFAULT_PRECISION)
     if valuation >= 0:
         return point, f"{unit * p**valuation}/1"
     return point, f"{unit}/{p**-valuation}"

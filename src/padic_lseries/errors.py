@@ -38,7 +38,7 @@ class ModulusCapError(PadicLseriesError):
 
 
 class FloatRangeError(PadicLseriesError):
-    """A power p^z is too large for a float."""
+    """A quantity (a power p^z, a sum, a tail bound) passes the float range."""
 
 
 class PoleError(PadicLseriesError):

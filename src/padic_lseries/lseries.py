@@ -28,9 +28,10 @@ remainder, plus an a priori radius for the float rounding, so it bounds
 |value - L(s, chi)| and not only the dropped terms.  The modular series
 sums its N terms directly, and its bound is the tail alone.
 
-Every result is a SeriesResult (value, remainder_bound, terms_used); the
-remainder bounds are upper bounds, never estimates, because the test suite
-compares methods against each other through them.
+Every result is a CertifiedResult (value, remainder_bound, terms_used), the
+one result type, defined in quadrature; the remainder bounds are upper
+bounds, never estimates, because the test suite compares methods against
+each other through them.
 
 One convergence subtlety is load-bearing everywhere: the modular root pairs
 satisfy |a_i| = p^((k-1)/2), so traces converge only for Re(s) beyond
@@ -45,29 +46,24 @@ import cmath
 import itertools
 import math
 import operator
+import sys
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, _angle_numerators, character_angle, character_twist, evaluate
-from .errors import ConvergenceError, DegenerateTwistError, PoleError, SeriesCapError
+from .errors import ConvergenceError, DegenerateTwistError, FloatRangeError, PoleError, SeriesCapError
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime, residue_phase
-from .quadrature import _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, _certified, _p_power, _real_power
+from .quadrature import (
+    _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, CertifiedResult, _certified, _p_power, _real_power,
+)
 from .wavelets import OperatorSpec, eigenvalue
 
 PRIME_BOUND_CAP = 10**7
 SERIES_LENGTH_CAP = 2**53
 FSUM_CHUNK = 4096
 _REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    value: complex
-    remainder_bound: float
-    terms_used: int
 
 
 def _sieve(bound: int) -> array:
@@ -98,7 +94,7 @@ def primes_up_to(bound: int) -> list[int]:
     return _sieve(bound).tolist()
 
 
-def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> SeriesResult:
+def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> CertifiedResult:
     ratio = _real_power(p, -s.real)
     if ratio >= 1.0:
         raise ConvergenceError(
@@ -108,7 +104,7 @@ def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) 
     for m in range(M + 1):
         total += eigenvalue(spec, m)
     tail = ratio ** (M + 1) / (1.0 - ratio)
-    return SeriesResult(total, tail, M + 1)
+    return CertifiedResult(total, tail, M + 1)
 
 
 def _triangular_lattice_sum(q1: complex, q2: complex, M: int) -> complex:
@@ -139,7 +135,7 @@ def _modular_ratios(provider: CoefficientProvider, p: int, s: complex) -> tuple[
     return q1, q2, ratio
 
 
-def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> SeriesResult:
+def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> CertifiedResult:
     """The truncated trace realizing one local L-factor, with its tail bound.
 
     ``twist`` is a DirichletCharacter or a CoefficientProvider, as for
@@ -152,7 +148,7 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Se
     if isinstance(twist, CoefficientProvider):
         q1, q2, ratio = _modular_ratios(twist, p, s)
         total = _triangular_lattice_sum(q1, q2, M)
-        return SeriesResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
+        return CertifiedResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
     spec = OperatorSpec(character_twist(twist, p), -s)
     if spec.twist.value == 0:
         raise DegenerateTwistError(
@@ -225,16 +221,20 @@ def _character_product(chi: DirichletCharacter, s: complex, primes: array) -> co
     return complex(math.prod(factors, start=one))
 
 
-def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
+def euler_product(twist, s: complex, prime_bound: int) -> CertifiedResult:
     """Product of closed local factors over sieved primes, with a tail bound.
 
     ``twist`` is a DirichletCharacter or a CoefficientProvider.  The bound
     on the dropped primes integrates sum p^(-sigma') for the shifted
     abscissa sigma'; for providers it assumes the root pairs satisfy
     |a_i| <= p^((k-1)/2), which holds whenever the coefficients obey the
-    Ramanujan-Petersson size |a(p)| <= 2 p^((k-1)/2).
+    Ramanujan-Petersson size |a(p)| <= 2 p^((k-1)/2).  A prime bound below 1
+    raises ValueError, and a tail bound past the float range (Re s near the
+    abscissa with few primes) raises FloatRangeError.
     """
     s = complex(s)
+    if prime_bound < 1:
+        raise ValueError(f"the Euler product needs a prime bound P >= 1, got {prime_bound}")
     sigma = s.real - _series_exponent_shift(twist)
     if sigma <= 1.0:
         raise ConvergenceError(
@@ -253,7 +253,14 @@ def euler_product(twist, s: complex, prime_bound: int) -> SeriesResult:
     # two modular roots; then sum_{p > P} p^(-sigma) < P^(1-sigma)/(sigma-1)
     c = 1.0 / (1.0 - 2.0**-sigma)
     log_tail = (2.0 if modular else 1.0) * c * prime_bound ** (1.0 - sigma) / (sigma - 1.0)
-    return SeriesResult(value, abs(value) * math.expm1(log_tail), len(primes))
+    try:
+        growth = math.expm1(log_tail)
+    except OverflowError:
+        raise FloatRangeError(
+            f"the prime-tail bound exp({log_tail:.6g}) - 1 of the Euler product at s = {s}, "
+            f"P = {prime_bound} exceeds the largest float {sys.float_info.max:.6g}"
+        ) from None
+    return CertifiedResult(value, abs(value) * growth, len(primes))
 
 
 def _is_alternating(chi: DirichletCharacter) -> bool:
@@ -447,7 +454,7 @@ def _truncation_tail(chi: DirichletCharacter, s: complex, N: int, alternating: b
     return min(bounds)
 
 
-def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
+def dirichlet_series(twist, s: complex, N: int) -> CertifiedResult:
     """Partial sum of chi(n)/n^s or a(n)/n^s to N, with a certified remainder.
 
     Needs Re(s) past the convergence abscissa, except that a genuinely
@@ -482,7 +489,7 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
         terms = map(operator.mul, twist.values, powers)
         # real s gives real terms: one fsum, correctly rounded
         value = complex(math.fsum(terms)) if s.imag == 0.0 else _complex_fsum(terms)
-        return SeriesResult(value, tail, N)
+        return CertifiedResult(value, tail, N)
     chi: DirichletCharacter = twist
     alternating = _is_alternating(chi) and s.imag == 0.0 and s.real > 0.0
     if s.real <= 1.0 and not alternating:
@@ -494,7 +501,7 @@ def dirichlet_series(twist, s: complex, N: int) -> SeriesResult:
     value, remainder, units = _class_sums(chi, s, N)
     # g is the longest chain of first-order rounding counts
     g = _power_count(s, N) + 12 * EM_ORDER + 7 * math.log(N) + _PHASE + 64
-    return SeriesResult(value, _certified(tail + remainder, units, g), N)
+    return CertifiedResult(value, _certified(tail + remainder, units, g), N)
 
 
 def hecke_conjugated_trace(
@@ -503,7 +510,7 @@ def hecke_conjugated_trace(
     s: complex,
     shift: int,
     M: int = DEFAULT_INNER_CIRCLES,
-) -> SeriesResult:
+) -> CertifiedResult:
     """Trace of the modular operator conjugated by the l-th ladder shift.
 
     Conjugation translates the (m1, m2) lattice quadrant; splitting the
@@ -523,4 +530,4 @@ def hecke_conjugated_trace(
     inner = M - shift
     value = weight * _triangular_lattice_sum(q1, q2, inner)
     tail = abs(weight) * _triangular_tail(ratio, inner)
-    return SeriesResult(value, tail, (shift + 1) * (inner + 1) * (inner + 2) // 2)
+    return CertifiedResult(value, tail, (shift + 1) * (inner + 1) * (inner + 2) // 2)

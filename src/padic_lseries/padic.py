@@ -1,11 +1,11 @@
-"""Finite-precision p-adic numbers, the additive character, and its coset phases.
+"""Finite-precision p-adic numbers and the coset phases of the additive character.
 
 A p-adic number is stored as a prime, a valuation v, a precision w and
 one integer, its unit part u = d_0 + d_1 p + ... + d_(w-1) p^(w-1), known
 mod p^w: x = p^v * u, with d_0 != 0 for nonzero x.  Every stored value is
-therefore an exact rational, and norms, measures, and coset bookkeeping
-stay in exact rational arithmetic throughout; only transcendental
-quantities (roots of unity, complex powers of p) become floats.
+therefore an exact rational (as_fraction), and coset bookkeeping stays in
+exact integer arithmetic; only transcendental quantities (roots of unity,
+complex powers of p) become floats.
 
 Coset sums over a circle {|xi|_p = p^(-n)} live in one place: phase_table,
 the shared table of the roots of unity that the additive character takes
@@ -17,14 +17,16 @@ residues: for v < 0, {x}_p = r / p^(-v) with r the unit part mod p^(-v), and
 residue_phase uses the correctly rounded quotient r / p^(-v), which equals
 float() of that fraction.  No Fraction is built per coset, so the coset sums
 stay bit-for-bit those of the exact rational route while costing a few
-integer operations each.
+integer operations each.  That route, the fractional part of a Fraction and
+its phase, is kept in tests/padic_oracle.py, and the tests compare against
+it with ==.
 
 This module is the one home of the rules of Q_p that the other modules
 use: the prime check (_require_prime, one message), the valuation of an
-integer (_int_valuation, the only valuation loop), the normal form of
-n p^shift (_from_int) and the sum of two such pairs (_sum_pair), the
-fractional part as an integer residue (_fractional_residue), and a Haar
-measure p^k as a float (_float_power).
+integer (_int_valuation, the only valuation loop), the sum of two points
+u p^v + w p^e held as (unit, valuation) pairs (_sum_pair), the fractional
+part as an integer residue (_fractional_residue), and a Haar measure p^k
+as a float (_float_power).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import PrimeMismatchError
 
 DEFAULT_PRECISION = 32
 COSET_CAP = 10**6
@@ -79,41 +79,11 @@ class PadicNumber:
     unit: int
     precision: int
 
-    @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        """The ``precision`` base-p digits of ``unit``, little-endian."""
-        return tuple(self.unit // self.prime**i % self.prime for i in range(self.precision))
-
-    @property
-    def norm(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.prime) ** (-self.valuation)
-
     def as_fraction(self) -> Fraction:
         """The exact rational this expansion denotes."""
-        if self.is_zero:
+        if self.unit == 0:
             return Fraction(0)
         return Fraction(self.prime) ** self.valuation * self.unit
-
-
-def make_padic(p: int, valuation: int, digits) -> PadicNumber:
-    """Validate and build a p-adic number; an empty digit list builds zero."""
-    _require_prime(p)
-    digits = tuple(int(d) for d in digits)
-    if not digits:
-        return PadicNumber(p, 0, 0, 0)
-    for d in digits:
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} outside [0, {p - 1}]")
-    if digits[0] == 0:
-        raise ValueError("leading digit must be nonzero for a nonzero value")
-    unit = sum(d * p**i for i, d in enumerate(digits))
-    return PadicNumber(p, int(valuation), unit, len(digits))
 
 
 def padic_zero(p: int) -> PadicNumber:
@@ -129,17 +99,6 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _from_int(p: int, n: int, shift: int, precision: int) -> PadicNumber:
-    """n p^shift in normal form, its unit part reduced mod p^precision; zero for n = 0."""
-    if n == 0:
-        return PadicNumber(p, 0, 0, 0)
-    t = _int_valuation(n, p)
-    unit = n // p**t
-    if unit >> precision:  # 0 <= unit < 2^precision <= p^precision is already reduced
-        unit %= p**precision
-    return PadicNumber(p, shift + t, unit, precision)
 
 
 def _sum_pair(p: int, u: int, v: int, w: int, e: int) -> tuple[int, int]:
@@ -168,61 +127,6 @@ def padic_from_fraction(p: int, q: Fraction, precision: int = DEFAULT_PRECISION)
     return PadicNumber(p, v, u, precision)
 
 
-def _require_same_prime(x: PadicNumber, y: PadicNumber) -> None:
-    if x.prime != y.prime:
-        raise PrimeMismatchError(f"cannot combine Q_{x.prime} and Q_{y.prime} values")
-
-
-def _negate(y: PadicNumber) -> PadicNumber:
-    if y.is_zero:
-        return y
-    p, w = y.prime, y.precision
-    return PadicNumber(p, y.valuation, (-y.unit) % p**w, w)
-
-
-def _add_sub(x: PadicNumber, y: PadicNumber, sign: int) -> PadicNumber:
-    if y.is_zero:
-        return x
-    if x.is_zero:
-        return y if sign > 0 else _negate(y)
-    p = x.prime
-    total, low = _sum_pair(p, x.unit, x.valuation, sign * y.unit, y.valuation)
-    # unit part truncated to the lesser precision
-    return _from_int(p, total, low, min(x.precision, y.precision))
-
-
-def _mul(x: PadicNumber, y: PadicNumber) -> PadicNumber:
-    p = x.prime
-    if x.is_zero or y.is_zero:
-        return PadicNumber(p, 0, 0, 0)
-    w = min(x.precision, y.precision)
-    return PadicNumber(p, x.valuation + y.valuation, (x.unit * y.unit) % p**w, w)
-
-
-def arithmetic(x: PadicNumber, y: PadicNumber, op: str) -> PadicNumber:
-    """Exact digit arithmetic, result truncated to the lesser input precision."""
-    _require_same_prime(x, y)
-    if op == "add":
-        return _add_sub(x, y, 1)
-    if op == "sub":
-        return _add_sub(x, y, -1)
-    if op == "mul":
-        return _mul(x, y)
-    raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
-
-
-def rational_fractional_part(q: Fraction, p: int) -> Fraction:
-    """The p-adic fractional part of an exact rational, in [0, 1).
-
-    Only the p-part of the denominator matters: with q = a / (m p^t) and
-    gcd(m, p) = 1, the result is (a * m^(-1) mod p^t) / p^t.
-    """
-    q = Fraction(q)
-    t = _int_valuation(q.denominator, p)
-    pt = p**t
-    return Fraction(*_fractional_residue(p, q.numerator * pow(q.denominator // pt, -1, pt), -t))
-
-
 def _fractional_residue(p: int, unit: int, valuation: int) -> tuple[int, int]:
     """(r, m) with {unit p^valuation}_p = r / m: m = p^(-valuation) and r = unit mod m.
 
@@ -232,11 +136,6 @@ def _fractional_residue(p: int, unit: int, valuation: int) -> tuple[int, int]:
         return 0, 1
     m = p**-valuation
     return unit % m, m
-
-
-def fractional_part(x: PadicNumber) -> Fraction:
-    """Sum of the negative-power digit terms of x, reduced mod 1."""
-    return Fraction(*_fractional_residue(x.prime, x.unit, x.valuation))
 
 
 def residue_phase(r: int, m: int) -> complex:
@@ -249,14 +148,6 @@ def residue_phase(r: int, m: int) -> complex:
 def unit_phase(angle: Fraction) -> complex:
     """exp(2 pi i angle) for an exact rational angle."""
     return residue_phase(angle.numerator, angle.denominator)
-
-
-def additive_character(x: PadicNumber) -> complex:
-    """exp(2 pi i {x}_p); identically 1 on Z_p.
-
-    Bit-for-bit unit_phase(fractional_part(x)), with no Fraction built.
-    """
-    return residue_phase(*_fractional_residue(x.prime, x.unit, x.valuation))
 
 
 def _float_power(p: int, k: int) -> float:

@@ -78,13 +78,6 @@ def gamma_closed_form(spec: GammaSpec) -> complex:
     return (T - _p_power(p, s - 1)) / (T * denom)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    remainder_bound: float
-    terms_used: int
-
-
 def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[complex, complex, complex]:
     """The three pieces of the defining integral, separately.
 
@@ -172,6 +165,15 @@ def _remainder_bound(spec: GammaSpec, N: int, inner: complex, unit: complex, out
     return _certified(tail, inner_radius + outer_radius + sum_radius, g)
 
 
+@dataclass(frozen=True)
+class CertifiedResult:
+    """A value, a bound on |value - exact|, and the number of terms behind the value."""
+
+    value: complex
+    remainder_bound: float
+    terms_used: int
+
+
 def _certified(truncation: float, units: float, g: float) -> float:
     """The certified bound (truncation + units u) (1 + 16 u) / (1 - g u), rounded up.
 
@@ -186,7 +188,7 @@ def _certified(truncation: float, units: float, g: float) -> float:
     return math.nextafter(bound, math.inf)
 
 
-def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: int = COSET_CAP) -> QuadratureResult:
+def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: int = COSET_CAP) -> CertifiedResult:
     """Direct evaluation of the gamma integral with a certified remainder bound.
 
     The only truncation is the inner-circle count N; the discarded circles
@@ -196,7 +198,7 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
     terms of size |p^(s-1)| can do, raises FloatRangeError.
     """
     if spec.twist.value == 0:
-        return QuadratureResult(complex(0.0, 0.0), 0.0, 0)
+        return CertifiedResult(complex(0.0, 0.0), 0.0, 0)
     inner, unit, outer = gamma_regions(spec, N, cap=cap)
     value = inner + unit + outer
     if not cmath.isfinite(value):
@@ -205,4 +207,4 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
             f"its outer circle passes the largest float {sys.float_info.max:.6g}"
         )
     bound = _remainder_bound(spec, N, inner, unit, outer)
-    return QuadratureResult(value, bound, N)
+    return CertifiedResult(value, bound, N)

@@ -6,8 +6,7 @@ The wavelet with index (n, m, j) is
 
 supported on the ball of radius p^n around m p^(-n) and constant on cosets
 of p^(1-n) Z_p.  Kets are labeled by the eigenvalue exponent: |l> is the
-wavelet with n = 1 - l, m = 0, j = 1, and the raising operator annihilates
-the label-0 ground state of that family.
+wavelet with n = 1 - l, m = 0, j = 1.
 
 An operator (OperatorSpec) is a local twist T and an order alpha, applied
 two ways.  Spectrally, eigenvalue() multiplies a ket by (T p^alpha)^label,
@@ -43,9 +42,6 @@ from .padic import (
 )
 from .quadrature import GammaSpec, _p_power, gamma_closed_form
 
-RAISE = "+"
-LOWER = "-"
-
 # The outer truncation exponent R of a kernel application; a larger R would
 # build and keep R - n outer-shell factors.
 RADIUS_CAP = 1000
@@ -63,10 +59,6 @@ class WaveletIndex:
     n: int
     m: Fraction
     j: int
-
-    @property
-    def ket_label(self) -> int:
-        return 1 - self.n
 
     @property
     def center(self) -> Fraction:
@@ -128,24 +120,6 @@ def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
             f"wavelet over Q_{idx.prime} evaluated at a Q_{xi.prime} point"
         )
     return _psi(idx, _center_pair(idx), xi.unit, xi.valuation)
-
-
-def raise_lower(idx: WaveletIndex, direction: str) -> WaveletIndex | None:
-    """a_+/a_- on the ket family; returns None for the annihilated ground state.
-
-    Only the m = 0, j = 1 wavelets form the ladder.  In ket labels the
-    raising operator moves |l> to |l-1> and kills |0>; lowering moves
-    |l> to |l+1>.
-    """
-    if idx.m != 0 or idx.j != 1:
-        raise ValueError("the ladder is defined on the m = 0, j = 1 family only")
-    if direction == RAISE:
-        if idx.ket_label == 0:
-            return None
-        return WaveletIndex(idx.prime, idx.n + 1, idx.m, idx.j)
-    if direction == LOWER:
-        return WaveletIndex(idx.prime, idx.n - 1, idx.m, idx.j)
-    raise ValueError(f"direction must be {RAISE!r} or {LOWER!r}, got {direction!r}")
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,46 @@ def test_character_values_are_roots_of_unity():
                 assert abs(value - cmath.exp(2j * cmath.pi * float(angle))) < 1e-14
 
 
+def test_character_group_laws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        # a modulus and two of its characters, by enumeration index
+        k = draw(st.integers(1, 1000))
+        phi = euler_phi(k)
+        return k, draw(st.integers(0, phi - 1)), draw(st.integers(0, phi - 1))
+
+    # the cap 10^5 = 2^5 5^5 has three generators; there 99_999 and 2^16 + 1
+    # are units and 96 is not
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(pair=pairs(), m=st.integers(0, 10**6), n=st.integers(0, 10**6))
+    @hypothesis.example(pair=(CHARACTER_MODULUS_CAP, 12345, 777), m=99_999, n=2**16 + 1)
+    @hypothesis.example(pair=(CHARACTER_MODULUS_CAP, 39_999, 39_999), m=96, n=7)
+    def check(pair, m, n):
+        k, i, j = pair
+        chars = enumerate_characters(k)
+        chi, psi = chars[i], chars[j]
+        am, an, amn = (character_angle(chi, x) for x in (m, n, m * n))
+        # None exactly off the units
+        assert (am is None) == (math.gcd(m, k) > 1)
+        # complete multiplicativity on exact angles
+        if am is None or an is None:
+            assert amn is None
+        else:
+            assert amn == (am + an) % 1
+        # the conjugate's angle is the negated angle
+        assert character_angle(conjugate_character(chi), m) == (None if am is None else (-am) % 1)
+        # row orthogonality in floats: each of the phi(k) nonzero terms is
+        # within a few ulps of a root of unity
+        phi = len(chars)
+        total = sum(evaluate(chi, r) * evaluate(psi, r).conjugate() for r in range(k))
+        assert abs(total - (phi if i == j else 0)) <= phi * 1e-14
+
+    check()
+
+
 def _reference_angles(chi) -> dict[int, Fraction]:
     """Reference: per unit residue, the running Fraction sum of a_i e_i / d_i, mod 1."""
     group = chi.group

@@ -230,6 +230,18 @@ def test_gamma_outer_circle_past_the_float_range_exits_two(capsys):
     }
 
 
+def test_euler_tail_bound_past_the_float_range_exits_two(capsys):
+    # the tail's log bound c P^(1 - sigma) / (sigma - 1) is about 2e4 at
+    # s = 1.0001 and P = 2, and exp of it passes the largest float
+    assert run(["lseries", "--kind", "zeta", "--s", "1.0001", "--prime-bound", "2"]) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "FloatRangeError"
+    assert "prime-tail bound" in error["message"]
+    assert "exceeds the largest float" in error["message"]
+
+
 _GAMMA_101 = ["gamma", "--p", "101", "--k", "1", "--chi", "0", "--coset-cap", "50"]
 
 

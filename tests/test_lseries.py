@@ -186,6 +186,14 @@ def test_euler_product_skips_degenerate_primes():
     assert abs(result.value - 0.915965594177219) <= result.remainder_bound + 1e-12
 
 
+@pytest.mark.parametrize("prime_bound", [0, -5])
+def test_euler_product_refuses_a_prime_bound_below_one(prime_bound):
+    # P = 0 divided by zero in the tail term P^(1 - sigma), and P = -5
+    # returned a negative remainder bound
+    with pytest.raises(ValueError, match=f"needs a prime bound P >= 1, got {prime_bound}"):
+        euler_product(ZETA, 2.0, prime_bound)
+
+
 def test_dirichlet_series_alternating_at_one():
     chi = enumerate_characters(4)[1]
     result = dirichlet_series(chi, 1.0, 10**6)

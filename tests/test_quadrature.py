@@ -13,9 +13,9 @@ from padic_lseries import (
     ConvergenceError,
     FloatRangeError,
     GammaSpec,
+    PadicNumber,
     PoleError,
     Twist,
-    additive_character,
     character_angle,
     character_twist,
     conjugate_character,
@@ -24,12 +24,11 @@ from padic_lseries import (
     gamma_by_quadrature,
     gamma_closed_form,
     gamma_regions,
-    make_padic,
-    rational_fractional_part,
     unit_phase,
 )
 from padic_lseries.padic import phase_table
 from padic_lseries.quadrature import _p_power
+from padic_oracle import additive_character, rational_fractional_part
 
 S_GRID = (0.3, 0.9, 2.0, 0.5 + 14.1j)
 
@@ -241,12 +240,12 @@ def _index_loop_representatives(p, n, depth):
         for i in range(1, depth):
             digits[i] = rem % p
             rem //= p
-        reps.append(make_padic(p, n, digits))
+        reps.append(PadicNumber(p, n, sum(d * p**i for i, d in enumerate(digits)), depth))
     return reps
 
 
 def _fraction_route_character(xi):
-    if xi.is_zero or xi.valuation >= 0:
+    if xi.unit == 0 or xi.valuation >= 0:
         return unit_phase(Fraction(0))
     return unit_phase(rational_fractional_part(xi.as_fraction(), xi.prime))
 

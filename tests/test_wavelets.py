@@ -1,4 +1,4 @@
-"""Wavelet states, ladder moves, and the twisted kernel's spectral action."""
+"""Wavelet states and the twisted kernel's spectral action."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import (
-    LOWER,
-    RAISE,
     ConvergenceError,
     CosetCapError,
     FloatRangeError,
@@ -31,13 +29,12 @@ from padic_lseries import (
     inner_product,
     ket,
     padic_from_fraction,
-    raise_lower,
-    rational_fractional_part,
     wavelet_eval,
     wavelet_index,
 )
 from padic_lseries import cli, padic, wavelets
 from padic_lseries.padic import rational_valuation
+from padic_oracle import rational_fractional_part
 
 
 def _point(p, q, precision=32):
@@ -76,25 +73,9 @@ def test_ket_labels():
     for p in (2, 3):
         for label in range(5):
             idx = ket(p, label)
-            assert idx.ket_label == label
             assert idx.n == 1 - label
             assert idx.m == 0
             assert idx.j == 1
-
-
-def test_raise_lower_round_trip():
-    # a_+ |l> = |l-1>, a_- |l> = |l+1>
-    idx = ket(3, 2)
-    up = raise_lower(idx, RAISE)
-    assert up.ket_label == 1
-    assert raise_lower(up, LOWER) == idx
-    assert raise_lower(ket(3, 0), LOWER).ket_label == 1
-
-
-def test_raise_annihilates_ground_state():
-    assert raise_lower(ket(5, 0), RAISE) is None
-    with pytest.raises(ValueError):
-        raise_lower(wavelet_index(5, 1, 0, 2), RAISE)  # ladder needs j = 1
 
 
 def test_orthonormality():
@@ -415,7 +396,7 @@ def test_kernel_off_the_support_is_bit_for_bit_the_fraction_route():
                     xi = _point(p, q)
                     # R from the support radius up to past every coset centre,
                     # so some coset centres fall outside p^R and are missed
-                    low = max(idx.n, 0 if xi.is_zero else -xi.valuation)
+                    low = max(idx.n, 0 if xi.unit == 0 else -xi.valuation)
                     for R in range(low, low + 4):
                         got = apply_kernel(spec, idx, xi, R)
                         assert got == _fraction_route_kernel(spec, idx, xi, R)
@@ -465,7 +446,7 @@ def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
             for q in _nearby_points(idx):
                 xi = _point(p, q)
                 if wavelet_eval(idx, xi) != 0:
-                    R = max(idx.n, 0 if xi.is_zero else -xi.valuation) + 2
+                    R = max(idx.n, 0 if xi.unit == 0 else -xi.valuation) + 2
                     want = _fraction_route_kernel(spec, idx, xi, R)
                     cases[p].append((spec, idx, xi, R, want))
     moduli = set()
