@@ -17,8 +17,9 @@ PADIC_LSERIES_OUTPUT, which redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
 character addresses, an --s or --alpha that is not a finite complex
-number), 2 on domain errors (nonconvergence, poles, degenerate
-twists, out-of-range coefficients, a character modulus or table past its cap).
+number, a report path that cannot be written), 2 on domain errors
+(nonconvergence, poles, degenerate twists, out-of-range coefficients, a
+character modulus, table or truncation past its cap).
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ from .modular import (
     quadratic_constant,
 )
 from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _int_valuation, _require_prime
-from .quadrature import DEFAULT_INNER_CIRCLES, GammaSpec, gamma_by_quadrature, gamma_closed_form
+from .quadrature import (
+    DEFAULT_INNER_CIRCLES,
+    GammaSpec,
+    _check_truncation,
+    gamma_by_quadrature,
+    gamma_closed_form,
+)
 from .selftest import run_selftest
 from .wavelets import (
     OperatorSpec,
@@ -412,6 +419,7 @@ def _cmd_hecke_trace(args, config: RunConfig) -> dict:
         raise ValueError("shift must be nonnegative")
     if config.truncation < args.shift:
         raise ValueError(f"truncation M = {config.truncation} cannot be below the shift {args.shift}")
+    _check_truncation(config.truncation)
     _require_prime(args.p)
     # p^18 > DELTA_TERMS_CAP for every p: decide the cap without building p^shift
     if args.p ** min(args.shift, DELTA_TERMS_CAP.bit_length()) > DELTA_TERMS_CAP:
@@ -537,8 +545,12 @@ def run(argv) -> int:
     text = _render(report, config.output_format)
     destination = os.environ.get(OUTPUT_ENV)
     if destination:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(destination, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write report to {destination}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -56,7 +56,8 @@ from .errors import ConvergenceError, DegenerateTwistError, FloatRangeError, Pol
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime, residue_phase
 from .quadrature import (
-    _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, CertifiedResult, _certified, _p_power, _real_power,
+    _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, CertifiedResult, _certified, _check_truncation,
+    _p_power, _real_power,
 )
 from .wavelets import OperatorSpec, eigenvalue
 
@@ -139,11 +140,13 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Ce
     """The truncated trace realizing one local L-factor, with its tail bound.
 
     ``twist`` is a DirichletCharacter or a CoefficientProvider, as for
-    euler_product; zeta is the principal character mod 1.
+    euler_product; zeta is the principal character mod 1.  M above
+    TRUNCATION_CAP raises SeriesCapError.
     """
     _require_prime(p)
     if M < 1:
         raise ValueError("truncation must be positive")
+    _check_truncation(M)
     s = complex(s)
     if isinstance(twist, CoefficientProvider):
         q1, q2, ratio = _modular_ratios(twist, p, s)
@@ -517,12 +520,13 @@ def hecke_conjugated_trace(
     shift l between the two tensor factors gives l + 1 translated quadrants,
     each a copy of the full triangular sum weighted by q1^i q2^(l-i).  The
     weights sum to a(p^l) p^(-s l), which is why this trace reproduces the
-    shifted local factor.
+    shifted local factor.  M above TRUNCATION_CAP raises SeriesCapError.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     if M < shift:
         raise ValueError(f"truncation M = {M} cannot be below the shift {shift}")
+    _check_truncation(M)
     q1, q2, ratio = _modular_ratios(provider, p, complex(s))
     weight = complex(0.0)
     for i in range(shift + 1):

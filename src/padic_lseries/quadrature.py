@@ -23,13 +23,15 @@ import sys
 from dataclasses import dataclass
 
 from .characters import Twist
-from .errors import ConvergenceError, CosetCapError, FloatRangeError, PoleError
+from .errors import ConvergenceError, CosetCapError, FloatRangeError, PoleError, SeriesCapError
 from .padic import COSET_CAP, phase_table
 
 POLE_EPSILON = 1e-12
 # the default inner-circle count N of gamma quadrature, and of the trace
-# truncation M in lseries
+# truncation M in lseries; the cost grows linearly in N and M, and a larger
+# one than the cap is refused before any loop
 DEFAULT_INNER_CIRCLES = 64
+TRUNCATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,12 @@ def gamma_closed_form(spec: GammaSpec) -> complex:
     return (T - _p_power(p, s - 1)) / (T * denom)
 
 
+def _check_truncation(M: int) -> None:
+    """Refuse a truncation past TRUNCATION_CAP with SeriesCapError."""
+    if M > TRUNCATION_CAP:
+        raise SeriesCapError(f"truncation {M} exceeds the cap {TRUNCATION_CAP}")
+
+
 def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[complex, complex, complex]:
     """The three pieces of the defining integral, separately.
 
@@ -87,8 +95,9 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     circles n <= -2 are exactly 0: there the additive character sums to the
     Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2, so they are not summed;
     ``test_zero_circles_integrate_to_zero`` checks that their coset sums
-    give 0.
+    give 0.  N above TRUNCATION_CAP raises SeriesCapError.
     """
+    _check_truncation(N)
     twist = spec.twist
     T = twist.value
     p, s = twist.prime, complex(spec.s)

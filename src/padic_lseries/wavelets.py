@@ -16,7 +16,10 @@ apply_kernel() evaluates the defining singular integral by exact shell
 decomposition: shells finer than the wavelet's constancy level cancel
 exactly, the shell at the support radius is a finite coset sum, and coarser
 shells contribute closed-form terms, so the only truncation is the outer
-radius p^R, whose discarded tail is returned as a certified bound.
+radius p^R, whose discarded tail is returned as a certified bound.  Off the
+support ball the kernel is exactly 0: |xi' - xi| is constant over the ball,
+and the wavelet's p coset phases there, one phase times the p-th roots of
+unity, sum to 0.
 """
 
 from __future__ import annotations
@@ -181,11 +184,12 @@ def apply_kernel(
     or a closed-form multiple of g(xi) (coarser shells), so the computation
     is exact up to the returned tail bound:
 
-        |g(xi)| (1 - 1/p) sum_{t > R} p^(-t Re alpha) / |Gamma(-alpha)|,
+        |g(xi)| (1 - 1/p) sum_{t > R} p^(-t Re alpha) / |Gamma(-alpha)|.
 
-    plus the measure of any support cosets falling outside the truncation
-    ball.  A degenerate twist makes the operator the identity: the wavelet
-    value is returned with a zero bound.  R above RADIUS_CAP raises
+    Off the support ball the value is exactly 0 with a zero bound; every
+    check still runs first.  A degenerate twist makes the operator the identity:
+    the wavelet value is returned with a zero bound.  p^(-Re alpha) must be
+    below 1, or ConvergenceError is raised.  R above RADIUS_CAP raises
     KernelCapError before any shell is built.
 
     Returns (value, tail_bound).
@@ -196,6 +200,11 @@ def apply_kernel(
     if alpha.real <= 0:
         raise ConvergenceError(
             f"kernel application needs Re(alpha) > 0 for the outer shells; got {alpha}"
+        )
+    decay = idx.prime**-alpha.real
+    if decay >= 1.0:
+        raise ConvergenceError(
+            f"outer shells at p = {idx.prime} need p^(-Re alpha) < 1; got {decay} at alpha = {alpha}"
         )
     if R > RADIUS_CAP:
         raise KernelCapError(f"truncation exponent R = {R} exceeds the cap of {RADIUS_CAP}")
@@ -217,46 +226,28 @@ def apply_kernel(
         raise ValueError("evaluation point lies outside the truncation ball")
 
     shells = _operator_shells(twist, alpha, n, R)
+    if not _in_support(idx, center, u, v):
+        return complex(0.0, 0.0), 0.0
+
+    # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets;
+    # with {j p^(n-1) xi}_p = r0 / m (m = p when 0), the phase of
+    # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
     coset_measure = _float_power(p, n - 1)  # a coset of p^(1-n) Z_p
-
+    shell_weight = shells.support_weight
+    amplitude = p ** (-n / 2)
+    r0, m = _fractional_residue(p, idx.j * u, v + n - 1)
+    m = max(m, p)
     acc = complex(0.0, 0.0)
-    missed = 0.0
-    if _in_support(idx, center, u, v):
-        # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets;
-        # with {j p^(n-1) xi}_p = r0 / m (m = p when 0), the phase of
-        # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
-        shell_weight = shells.support_weight
-        amplitude = p ** (-n / 2)
-        r0, m = _fractional_residue(p, idx.j * u, v + n - 1)
-        m = max(m, p)
-        for phase_d in phase_table(r0, idx.j * (m // p), m, p):
-            acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
-        # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
-        scaled = psi_xi * (1 - 1 / p)
-        for scale, power in shells.outer:
-            acc -= scaled * scale * power
-    else:
-        # |xi' - xi| = p^t0 is constant over the whole support ball
-        a, e = center
-        c, low = _sum_pair(p, u, v, -a, e)
-        t0 = -low - _int_valuation(c, p)
-        weight = _p_power(p, -(alpha + 1) * t0) * twist.power(-t0)
-        for d in range(p):
-            ru, rv = _sum_pair(p, a, e, d, -n)  # the coset centre + d p^(-n)
-            if ru == 0 or -rv <= R:
-                acc += _psi(idx, center, ru, rv) * coset_measure * weight
-            else:
-                missed += (
-                    p ** (-n / 2)
-                    * coset_measure
-                    * p ** (-t0 * (alpha.real + 1))
-                    * abs(twist.power(-t0))
-                )
+    for phase_d in phase_table(r0, idx.j * (m // p), m, p):
+        acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
+    # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
+    scaled = psi_xi * (1 - 1 / p)
+    for scale, power in shells.outer:
+        acc -= scaled * scale * power
 
-    decay = p**-alpha.real
     tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
     gamma_norm = shells.gamma_norm
-    return acc / gamma_norm, (tail + missed) / abs(gamma_norm)
+    return acc / gamma_norm, tail / abs(gamma_norm)
 
 
 class _Shells(NamedTuple):

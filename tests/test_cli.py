@@ -331,6 +331,29 @@ def test_series_length_cap_exits_two_at_once(capsys):
     assert over in payload["error"]["message"]
 
 
+def test_truncation_cap_exits_two_at_once(capsys):
+    for over in ("1000001", "1000000000000"):
+        for argv in (
+            ["local-factor", "--kind", "zeta", "--p", "3", "--s", "2", "--truncation", over],
+            ["local-factor", "--kind", "modular", "--p", "3", "--s", "8", "--truncation", over],
+            ["gamma", "--p", "3", "--k", "4", "--chi", "1", "--s", "2", "--truncation", over],
+            ["hecke-trace", "--p", "2", "--s", "8", "--shift", "1", "--truncation", over],
+        ):
+            assert run(argv) == 2
+            payload = json.loads(_capture(capsys)[1])
+            assert payload["error"] == {
+                "type": "SeriesCapError",
+                "message": f"truncation {over} exceeds the cap 1000000",
+            }
+
+
+def test_eigencheck_decay_that_rounds_to_one_exits_two(capsys):
+    for alpha in ("1e-300+5i", "1e-17+5i"):
+        assert run(["eigencheck", "--kind", "plain", "--p", "3", "--alpha", alpha]) == 2
+        payload = json.loads(_capture(capsys)[1])
+        assert payload["error"]["type"] == "ConvergenceError"
+
+
 def test_tau_table_cap_exits_two(capsys):
     over = str(DELTA_TERMS_CAP + 1)
     for argv in (
@@ -534,6 +557,17 @@ def test_output_env_redirect(tmp_path, monkeypatch, capsys):
     out, _ = _capture(capsys)
     assert out == ""
     assert json.loads(target.read_text())["coefficients"] == ["1", "-24", "252"]
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "report.json"
+    monkeypatch.setenv("PADIC_LSERIES_OUTPUT", str(target))
+    assert run(["tau", "--max", "3"]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write report to {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 def test_config_file_layering(tmp_path, capsys):

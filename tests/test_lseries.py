@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from padic_lseries import lseries
+from padic_lseries.quadrature import TRUNCATION_CAP
 from padic_lseries import (
     CoefficientProvider,
     ConvergenceError,
@@ -170,6 +171,19 @@ def test_hecke_shift_preconditions():
         hecke_conjugated_trace(provider, 2, 8.0, -1, M=16)
     with pytest.raises(ValueError):
         hecke_conjugated_trace(provider, 2, 8.0, 20, M=16)  # M < shift
+
+
+def test_traces_past_the_truncation_cap_are_refused_at_once():
+    # the cost is linear in M: 10^12 would hang, so it is refused before any loop
+    provider = delta_provider(8)
+    chi = enumerate_characters(4)[1]
+    for M in (TRUNCATION_CAP + 1, 10**12):
+        for twist, s in ((ZETA, 2.0), (chi, 2.0), (provider, 8.0)):
+            with pytest.raises(SeriesCapError, match=f"truncation {M} exceeds the cap"):
+                local_trace(twist, 3, s, M)
+        with pytest.raises(SeriesCapError, match=f"truncation {M} exceeds the cap"):
+            hecke_conjugated_trace(provider, 2, 8.0, 1, M)
+    assert hecke_conjugated_trace(provider, 2, 8.0, 0, TRUNCATION_CAP).remainder_bound == 0.0
 
 
 def test_euler_product_zeta_two():

@@ -15,6 +15,7 @@ from padic_lseries import (
     GammaSpec,
     PadicNumber,
     PoleError,
+    SeriesCapError,
     Twist,
     character_angle,
     character_twist,
@@ -27,7 +28,7 @@ from padic_lseries import (
     unit_phase,
 )
 from padic_lseries.padic import phase_table
-from padic_lseries.quadrature import _p_power
+from padic_lseries.quadrature import TRUNCATION_CAP, _p_power
 from padic_oracle import additive_character, rational_fractional_part
 
 S_GRID = (0.3, 0.9, 2.0, 0.5 + 14.1j)
@@ -153,6 +154,16 @@ def test_pole_detected():
 def test_quadrature_requires_convergent_s():
     with pytest.raises(ConvergenceError):
         gamma_by_quadrature(GammaSpec(Twist(2), -1.0), 16)
+
+
+def test_inner_circles_past_the_truncation_cap_are_refused_at_once():
+    spec = GammaSpec(Twist(3), 2.0)
+    assert gamma_by_quadrature(spec, TRUNCATION_CAP).terms_used == TRUNCATION_CAP == 10**6
+    for N in (TRUNCATION_CAP + 1, 10**12):
+        with pytest.raises(SeriesCapError, match=f"truncation {N} exceeds the cap 1000000"):
+            gamma_by_quadrature(spec, N)
+        with pytest.raises(SeriesCapError):
+            gamma_regions(spec, N)
 
 
 def test_divergent_s_past_the_float_range_is_a_convergence_error():
