@@ -41,7 +41,6 @@ from .lseries import (
     hecke_conjugated_trace,
     local_factor_closed,
     local_trace,
-    primes_up_to,
 )
 from .modular import (
     DELTA_TERMS_CAP,
@@ -133,7 +132,6 @@ __all__ = [
     "local_trace",
     "padic_from_fraction",
     "padic_zero",
-    "primes_up_to",
     "run_selftest",
     "symmetric_power_sum",
     "table_provider",

@@ -52,11 +52,10 @@ from .modular import (
     factorize_local,
     quadratic_constant,
 )
-from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _int_valuation, _require_prime
+from .padic import COSET_CAP, DEFAULT_PRECISION, PadicNumber, _int_valuation
 from .quadrature import (
     DEFAULT_INNER_CIRCLES,
     GammaSpec,
-    _check_truncation,
     gamma_by_quadrature,
     gamma_closed_form,
 )
@@ -284,7 +283,6 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
             raise _UsageError("character_twisted eigencheck needs --character k:index")
         twist = character_twist(_parse_character(args.character), p)
     else:
-        _require_prime(p)
         fac = factorize_local(delta_provider(max(8, p)), p)
         twist = Twist(p, root=fac.a1 if args.kind == "modular_a1" else fac.a2)
     spec = OperatorSpec(twist, alpha)
@@ -347,8 +345,6 @@ def _twist(args, table_size: int):
 
 def _cmd_local_factor(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    if args.kind == "modular":
-        _require_prime(args.p)
     twist = _twist(args, max(8, args.p))
     closed = local_factor_closed(twist, args.p, s)
     trace = local_trace(twist, args.p, s, config.truncation)
@@ -398,7 +394,6 @@ def _cmd_tau(args, config: RunConfig) -> dict:
 
 
 def _cmd_factorize(args, config: RunConfig) -> dict:
-    _require_prime(args.p)
     provider = delta_provider(max(8, args.p))
     fac = factorize_local(provider, args.p)
     return {
@@ -414,24 +409,17 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
 
 def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    # hecke_conjugated_trace's checks, in its order, before the table
-    if args.shift < 0:
-        raise ValueError("shift must be nonnegative")
-    if config.truncation < args.shift:
-        raise ValueError(f"truncation M = {config.truncation} cannot be below the shift {args.shift}")
-    _check_truncation(config.truncation)
-    _require_prime(args.p)
+    provider = delta_provider(max(8, args.p))
+    result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
     # p^18 > DELTA_TERMS_CAP for every p: decide the cap without building p^shift
     if args.p ** min(args.shift, DELTA_TERMS_CAP.bit_length()) > DELTA_TERMS_CAP:
         raise TableCapError(
             f"tau table of p^shift = {args.p}^{args.shift} coefficients exceeds "
             f"the cap of {DELTA_TERMS_CAP}"
         )
-    provider = delta_provider(max(8, args.p, args.p**args.shift))
-    result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
     closed = local_factor_closed(provider, args.p, s)
     reference = (
-        complex(coefficient(provider, args.p**args.shift))
+        complex(coefficient(delta_provider(max(8, args.p, args.p**args.shift)), args.p**args.shift))
         * (args.p ** -complex(s).real if s.imag == 0 else args.p ** -complex(s)) ** args.shift
         * closed
     )

@@ -30,7 +30,7 @@ class KernelCapError(PadicLseriesError):
 
 
 class SeriesCapError(PadicLseriesError):
-    """A partial series length or a trace or quadrature truncation exceeds its documented cap."""
+    """A partial series length, a trace or quadrature truncation, or a symmetric-sum order exceeds its documented cap."""
 
 
 class ModulusCapError(PadicLseriesError):

@@ -90,11 +90,6 @@ def _sieve(bound: int) -> array:
     return primes
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """The primes up to bound; ValueError past PRIME_BOUND_CAP."""
-    return _sieve(bound).tolist()
-
-
 def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> CertifiedResult:
     ratio = _real_power(p, -s.real)
     if ratio >= 1.0:

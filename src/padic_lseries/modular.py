@@ -11,24 +11,27 @@ The blocks pass from one multiplication to the next as a digit string;
 only the last becomes integers.  The process keeps the tables it has
 built, by length, and serves a repeated length from them.
 
-A CoefficientProvider wraps either that built-in table or a caller-supplied
-one together with its weight, level, and nebentypus.  factorize_local splits
-x^2 - a(p) x + chi(p) p^(k-1) into the root pair (a1, a2) that drives the
-modular operator twists and local L-factors.
+A CoefficientProvider wraps either that built-in table, built on the first
+read of a coefficient so that callers check their arguments first, or a
+caller-supplied one, with its weight, level, and nebentypus.  factorize_local
+splits x^2 - a(p) x + chi(p) p^(k-1) into the root pair (a1, a2) that drives
+the modular operator twists and local L-factors.
 """
 
 from __future__ import annotations
 
 import cmath
 import decimal
+import functools
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 
 from .characters import DirichletCharacter, character_angle, unit_group
-from .errors import FloatRangeError, TableCapError
+from .errors import FloatRangeError, SeriesCapError, TableCapError
 from .padic import _require_prime, unit_phase
+from .quadrature import TRUNCATION_CAP
 
 DELTA_WEIGHT = 12
 DEFAULT_DELTA_TERMS = 5000
@@ -183,21 +186,25 @@ def _principal_character(level: int) -> DirichletCharacter:
 
 @dataclass(frozen=True)
 class CoefficientProvider:
-    """A normalized Fourier coefficient table with its form's invariants."""
+    """A normalized Fourier coefficient table with its form's invariants.
+
+    ``table`` is a caller's a(1..max_n), or None for tau(1..max_n), built when ``values`` is first read.
+    """
 
     weight: int
     level: int
     character: DirichletCharacter
-    values: tuple = field(repr=False)
+    max_n: int
+    table: tuple | None = field(default=None, repr=False)
 
-    @property
-    def max_n(self) -> int:
-        return len(self.values)
+    @functools.cached_property
+    def values(self) -> tuple:
+        return tuple(delta_expansion(self.max_n)) if self.table is None else self.table
 
 
 def delta_provider(max_n: int = DEFAULT_DELTA_TERMS) -> CoefficientProvider:
-    """The discriminant form: weight 12, level 1, trivial nebentypus."""
-    return CoefficientProvider(DELTA_WEIGHT, 1, _principal_character(1), tuple(delta_expansion(max_n)))
+    """The discriminant form: weight 12, level 1, trivial nebentypus; nothing is built yet."""
+    return CoefficientProvider(DELTA_WEIGHT, 1, _principal_character(1), max_n)
 
 
 def table_provider(
@@ -220,7 +227,7 @@ def table_provider(
         raise ValueError(
             f"the nebentypus must be a character mod the level {level}, got one mod {character.modulus}"
         )
-    return CoefficientProvider(weight, level, character, values)
+    return CoefficientProvider(weight, level, character, len(values), values)
 
 
 def coefficient(provider: CoefficientProvider, n: int):
@@ -300,26 +307,37 @@ def factorize_local(provider: CoefficientProvider, p: int) -> LocalFactorization
     return LocalFactorization(p, a_p, chi_pk, roots[0], roots[1])
 
 
-def symmetric_power_sum(fac: LocalFactorization, m: int) -> complex:
-    """sum_{i=0..m} a1^(m-i) a2^i by the two-term recurrence."""
+def _check_order(m: int) -> None:
+    """ValueError for a negative order m, SeriesCapError for one past TRUNCATION_CAP."""
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if m > TRUNCATION_CAP:
+        raise SeriesCapError(f"order m = {m} exceeds the cap {TRUNCATION_CAP}")
+
+
+def _finite(value: complex, name: str) -> complex:
+    """value, or FloatRangeError naming it when it is not finite."""
+    if not cmath.isfinite(value):
+        raise FloatRangeError(f"{name} exceeds the largest float {sys.float_info.max:.6g}")
+    return value
+
+
+def symmetric_power_sum(fac: LocalFactorization, m: int) -> complex:
+    """sum_{i=0..m} a1^(m-i) a2^i by the two-term recurrence, for m up to TRUNCATION_CAP."""
+    _check_order(m)
     previous, current = complex(0.0), complex(1.0)
     for _ in range(m):
         previous, current = current, fac.a_p * current - fac.chi_pk * previous
-    return current
+    return _finite(current, f"the symmetric power sum of order {m} at p = {fac.prime}")
 
 
 def binomial_side(a_p: complex, chi_pk: complex, m: int) -> complex:
-    """sum_l (-1)^l C(m-l, l) a_p^(m-2l) chi_pk^l with exact binomials."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    """sum_l (-1)^l C(m-l, l) a_p^(m-2l) chi_pk^l with exact binomials, for m up to TRUNCATION_CAP."""
+    _check_order(m)
     total = complex(0.0)
-    for el in range(m // 2 + 1):
-        total += (
-            (-1) ** el
-            * math.comb(m - el, el)
-            * complex(a_p) ** (m - 2 * el)
-            * complex(chi_pk) ** el
-        )
-    return total
+    try:
+        for el in range(m // 2 + 1):
+            total += (-1) ** el * math.comb(m - el, el) * complex(a_p) ** (m - 2 * el) * complex(chi_pk) ** el
+    except OverflowError:  # a power or a binomial past the float range
+        total = complex(math.inf)
+    return _finite(total, f"the binomial sum of order {m}")

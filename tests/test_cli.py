@@ -461,6 +461,10 @@ def test_factorize_composite_prime_exits_two(capsys):
     assert json.loads(err)["error"]["message"] == "prime must be prime, got 4"
 
 
+def _no_table(*args, **kwargs):
+    raise AssertionError("a tau table was built before the argument check")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -481,19 +485,55 @@ def test_factorize_composite_prime_exits_two(capsys):
          "prime must be prime, got 4"),
         (["eigencheck", "--kind", "character_twisted", "--p", "4", "--alpha", "1",
           "--character", "3:1"], "prime must be prime, got 4"),
+        # each breaks two rules, the first of them the library's
+        (["hecke-trace", "--p", "4", "--s", "8", "--shift", "10"], "prime must be prime, got 4"),
+        (["hecke-trace", "--p", "2", "--s", "8", "--shift", "20", "--truncation", "10"],
+         "truncation M = 10 cannot be below the shift 20"),
     ],
 )
 def test_bad_prime_or_shift_fails_before_any_table(argv, message, monkeypatch, capsys):
-    def no_table(*args, **kwargs):
-        raise AssertionError("a tau table was built before the argument check")
-
-    monkeypatch.setattr(cli, "delta_provider", no_table)
-    monkeypatch.setattr(modular, "delta_expansion", no_table)
+    monkeypatch.setattr(modular, "delta_expansion", _no_table)
     code = run(argv)
     out, err = _capture(capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, error, message, tables",
+    [
+        (["lseries", "--kind", "modular", "--s", "1", "--prime-bound", "150000"],
+         "ConvergenceError", "Euler product needs Re(s) > 6.5; got s = (1+0j)", []),
+        (["lseries", "--kind", "modular", "--s", "1", "--prime-bound", "300000"],
+         "ConvergenceError", "Euler product needs Re(s) > 6.5; got s = (1+0j)", []),
+        (["lseries", "--kind", "modular", "--method", "series", "--s", "6", "--series-length", "150000"],
+         "ConvergenceError", "modular series needs Re(s) > 7.0; got s = (6+0j)", []),
+        (["lseries", "--kind", "modular", "--method", "series", "--s", "1", "--series-length", "300000"],
+         "ConvergenceError", "modular series needs Re(s) > 7.0; got s = (1+0j)", []),
+        (["lseries", "--kind", "modular", "--s", "8", "--prime-bound", "100000000"],
+         "ValueError", "prime bound 100000000 exceeds the cap 10000000", []),
+        # the trace reads a(2) to find its ratio, and fails before p^shift is looked at
+        (["hecke-trace", "--p", "2", "--s", "1", "--shift", "20", "--truncation", "30"],
+         "ConvergenceError", "modular trace at p = 2 needs max|a_i| p^(-Re s) < 1; got 22.6274 at s = (1+0j)", [8]),
+    ],
+)
+def test_modular_requests_report_the_library_fault_first(argv, error, message, tables, monkeypatch, capsys):
+    # no table the library does not read is built, whatever its length
+    asked = []
+    build = modular.delta_expansion
+
+    def counted(N):
+        asked.append(N)
+        return build(N)
+
+    monkeypatch.setattr(modular, "delta_expansion", counted)
+    code = run(argv)
+    out, err = _capture(capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": error, "message": message}
+    assert asked == tables
 
 
 def test_gamma_bad_s_is_usage_error_before_the_prime_check(capsys):
@@ -506,10 +546,13 @@ def test_gamma_bad_s_is_usage_error_before_the_prime_check(capsys):
 
 @pytest.mark.parametrize("p, shift", [(2, 15000), (99991, 1_000_000)])
 def test_hecke_trace_large_shift_hits_the_table_cap(p, shift, monkeypatch, capsys):
-    def no_table(*args, **kwargs):
-        raise AssertionError("a tau table was requested past the cap")
+    build = modular.delta_expansion
 
-    monkeypatch.setattr(cli, "delta_provider", no_table)
+    def capped(N):
+        assert N <= DELTA_TERMS_CAP, "a tau table was requested past the cap"
+        return build(N)
+
+    monkeypatch.setattr(modular, "delta_expansion", capped)
     code = run(["hecke-trace", "--p", str(p), "--s", "8", "--shift", str(shift),
                 "--truncation", str(shift)])
     out, err = _capture(capsys)

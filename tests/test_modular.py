@@ -12,6 +12,7 @@ import pytest
 from padic_lseries import (
     DELTA_TERMS_CAP,
     FloatRangeError,
+    SeriesCapError,
     TableCapError,
     binomial_side,
     coefficient,
@@ -27,6 +28,7 @@ from padic_lseries import (
     verify_recursion,
 )
 from padic_lseries import modular
+from padic_lseries.quadrature import TRUNCATION_CAP
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
@@ -449,3 +451,53 @@ def test_expansion_prefix_stability():
     short = delta_expansion(60)
     long = delta_expansion(200)
     assert long[:60] == short
+
+
+def test_delta_provider_builds_its_table_on_the_first_read(monkeypatch):
+    asked = []
+
+    def counted(N):
+        asked.append(N)
+        return _reference_tau(N)
+
+    monkeypatch.setattr(modular, "delta_expansion", counted)
+    provider = delta_provider(50)
+    assert provider.max_n == 50
+    assert provider == delta_provider(50) != delta_provider(51)  # compared by length, unbuilt
+    with pytest.raises(IndexError):
+        coefficient(provider, 51)  # the range check reads no table
+    assert asked == []
+    assert [coefficient(provider, n) for n in range(1, 11)] == list(TAU_FIRST_TEN)
+    assert asked == [50]  # built once, then kept by the provider
+
+
+def test_delta_provider_past_the_cap_is_refused_on_the_first_read():
+    provider = delta_provider(DELTA_TERMS_CAP + 1)
+    assert provider.max_n == DELTA_TERMS_CAP + 1
+    with pytest.raises(TableCapError):
+        coefficient(provider, 2)
+
+
+def test_table_providers_compare_their_coefficients():
+    assert table_provider(_A_11A, weight=2, level=11) == table_provider(list(_A_11A), weight=2, level=11)
+    assert table_provider(_A_11A, weight=2, level=11) != table_provider(_A_11A[:-1] + (3,), weight=2, level=11)
+
+
+def test_symmetric_sums_past_the_float_range_are_float_range_errors():
+    fac = factorize_local(delta_provider(8), 2)
+    with pytest.raises(FloatRangeError, match=r"symmetric power sum of order 100000 at p = 2 exceeds the largest float"):
+        symmetric_power_sum(fac, 10**5)  # |a1|^m = 2^(5.5 m) passes 2^1024 near m = 186
+    with pytest.raises(FloatRangeError, match=r"binomial sum of order 200 exceeds the largest float"):
+        binomial_side(fac.a_p, fac.chi_pk, 200)  # chi_pk^100 = 2^1100 overflows
+
+
+def test_symmetric_sums_past_the_order_cap_are_refused_at_once():
+    fac = factorize_local(delta_provider(8), 2)
+    message = f"order m = {TRUNCATION_CAP + 1} exceeds the cap {TRUNCATION_CAP}"
+    with pytest.raises(SeriesCapError, match=message):
+        symmetric_power_sum(fac, TRUNCATION_CAP + 1)
+    with pytest.raises(SeriesCapError, match=message):
+        binomial_side(fac.a_p, fac.chi_pk, TRUNCATION_CAP + 1)
+    # unimodular roots +-i stay in range up to the cap: the sums cycle 1, 0, -1, 0
+    unit = factorize_local(table_provider((1, 0), weight=1, level=1), 2)
+    assert symmetric_power_sum(unit, TRUNCATION_CAP) == 1
