@@ -65,6 +65,7 @@ from .wavelets import (
     apply_kernel,
     check_ket_label,
     eigenvalue,
+    kernel_coset,
     ket,
     wavelet_eval,
 )
@@ -276,6 +277,10 @@ def _sample_point(p: int, mult: int, n: int) -> tuple[PadicNumber, str]:
 def _cmd_eigencheck(args, config: RunConfig) -> dict:
     p = args.p
     alpha = _parse_complex(args.alpha)
+    if not 1 <= args.points <= _SAMPLE_MULTIPLIERS:
+        raise _UsageError(f"--points must lie in 1..{_SAMPLE_MULTIPLIERS}")
+    if args.max_ket < 0:
+        raise _UsageError("--max-ket must be nonnegative")
     if args.kind == "plain":
         twist = Twist(p)
     elif args.kind == "character_twisted":
@@ -290,10 +295,6 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
     radius = args.radius
     if radius is None:
         radius = 2 if args.kind in ("modular_a1", "modular_a2") else 40
-    if not 1 <= args.points <= _SAMPLE_MULTIPLIERS:
-        raise _UsageError(f"--points must lie in 1..{_SAMPLE_MULTIPLIERS}")
-    if args.max_ket < 0:
-        raise _UsageError("--max-ket must be nonnegative")
     check_ket_label(spec, args.max_ket)
     multipliers = (0, 1, p, p + 1, p * p)[: args.points]
 
@@ -302,11 +303,15 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
     for label in range(args.max_ket + 1):
         idx = ket(p, label)
         lam = eigenvalue(spec, label)
+        checked = {}  # kernel_coset -> (value, tail, residual); one kernel run per coset
         for mult in multipliers:
             # a ket is centred at 0, so its sample points are mult p^(-n)
             point, point_text = _sample_point(p, mult, idx.n)
-            value, tail = apply_kernel(spec, idx, point, radius, cap=config.coset_cap)
-            residual = abs(value - lam * wavelet_eval(idx, point))
+            key = kernel_coset(idx, point)
+            if key not in checked:
+                value, tail = apply_kernel(spec, idx, point, radius, cap=config.coset_cap)
+                checked[key] = value, tail, abs(value - lam * wavelet_eval(idx, point))
+            value, tail, residual = checked[key]
             margin = residual - tail
             worst_margin = max(worst_margin, margin)
             entries.append(

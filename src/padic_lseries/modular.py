@@ -27,6 +27,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .characters import DirichletCharacter, character_angle, unit_group
 from .errors import FloatRangeError, SeriesCapError, TableCapError
@@ -338,6 +339,17 @@ def binomial_side(a_p: complex, chi_pk: complex, m: int) -> complex:
     try:
         for el in range(m // 2 + 1):
             total += (-1) ** el * math.comb(m - el, el) * complex(a_p) ** (m - 2 * el) * complex(chi_pk) ** el
-    except OverflowError:  # a power or a binomial past the float range
-        total = complex(math.inf)
+    except OverflowError:
+        # a power or a binomial past the float range: from term el on, each
+        # float power is scaled by its exact binomial and rounded once, so a
+        # term is refused only if it is itself past the range; a power that
+        # underflowed to 0 needs no binomial
+        try:
+            for el in range(el, m // 2 + 1):
+                power = (-1) ** el * complex(a_p) ** (m - 2 * el) * complex(chi_pk) ** el
+                if power:
+                    c = math.comb(m - el, el)
+                    total += complex(float(c * Fraction(power.real)), float(c * Fraction(power.imag)))
+        except OverflowError:
+            total = complex(math.inf)
     return _finite(total, f"the binomial sum of order {m}")

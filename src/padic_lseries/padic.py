@@ -161,7 +161,8 @@ def phase_table(r0: int, stride: int, m: int, p: int) -> tuple[complex, ...]:
 
     The phases of p - 1 cosets on one circle.  Gamma's circle |xi| = p reads
     (0, 1, p, p), the characters of d/p; apply_kernel's support shell reads
-    (r0, j m / p, m, p), and an eigencheck's 20 kernel calls share the two
-    tables r0 = 0 and 1 with m = p.  Each table holds p - 1 complex values.
+    (r0, j m / p, m, p), and an eigencheck's 8 kernel calls, one per ket and
+    coset, share the two tables r0 = 0 and 1 with m = p.  Each table holds
+    p - 1 complex values.
     """
     return tuple(residue_phase((r0 + d * stride) % m, m) for d in range(1, p))

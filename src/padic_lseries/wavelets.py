@@ -19,7 +19,9 @@ shells contribute closed-form terms, so the only truncation is the outer
 radius p^R, whose discarded tail is returned as a certified bound.  Off the
 support ball the kernel is exactly 0: |xi' - xi| is constant over the ball,
 and the wavelet's p coset phases there, one phase times the p-th roots of
-unity, sum to 0.
+unity, sum to 0.  The wavelet and the kernel read a point only through
+kernel_coset(), its coset of p^(1-n) Z_p, so eigencheck runs the kernel
+once per coset of its sample points.
 """
 
 from __future__ import annotations
@@ -109,11 +111,27 @@ def _in_support(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> b
     return low >= -n or c % p ** (-n - low) == 0
 
 
-def _psi(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> complex:
+def _coset(idx: WaveletIndex, center: tuple[int, int], u: int, v: int):
+    """None off the support ball, else (r0, max(m, p)) with {j p^(n-1) u p^v}_p = r0 / m."""
     if not _in_support(idx, center, u, v):
+        return None
+    r0, m = _fractional_residue(idx.prime, idx.j * u, v + idx.n - 1)
+    return r0, max(m, idx.prime)
+
+
+def kernel_coset(idx: WaveletIndex, xi: PadicNumber) -> tuple[int, int] | None:
+    """The only data of xi that the values of wavelet_eval and apply_kernel read.
+
+    None off the support ball; on it, the phase residue (r0, m) of xi's coset
+    of p^(1-n) Z_p, m raised to p on Z_p.  Equal keys give bit-equal values.
+    """
+    return _coset(idx, _center_pair(idx), xi.unit, xi.valuation)
+
+
+def _psi(idx: WaveletIndex, coset: tuple[int, int] | None) -> complex:
+    if coset is None:
         return complex(0.0, 0.0)
-    p, n = idx.prime, idx.n
-    return p ** (-n / 2) * residue_phase(*_fractional_residue(p, idx.j * u, v + n - 1))
+    return idx.prime ** (-idx.n / 2) * residue_phase(*coset)
 
 
 def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
@@ -122,7 +140,7 @@ def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
         raise PrimeMismatchError(
             f"wavelet over Q_{idx.prime} evaluated at a Q_{xi.prime} point"
         )
-    return _psi(idx, _center_pair(idx), xi.unit, xi.valuation)
+    return _psi(idx, kernel_coset(idx, xi))
 
 
 @dataclass(frozen=True)
@@ -208,9 +226,8 @@ def apply_kernel(
         )
     if R > RADIUS_CAP:
         raise KernelCapError(f"truncation exponent R = {R} exceeds the cap of {RADIUS_CAP}")
-    center = _center_pair(idx)
-    u, v = xi.unit, xi.valuation
-    psi_xi = _psi(idx, center, u, v)
+    coset = kernel_coset(idx, xi)
+    psi_xi = _psi(idx, coset)
     twist = spec.twist
     if twist.value == 0:
         return psi_xi, 0.0
@@ -222,11 +239,11 @@ def apply_kernel(
         )
     if p > cap:
         raise CosetCapError(f"{p} shell cosets exceed the cap of {cap}")
-    if u != 0 and -v > R:
+    if xi.unit != 0 and -xi.valuation > R:
         raise ValueError("evaluation point lies outside the truncation ball")
 
     shells = _operator_shells(twist, alpha, n, R)
-    if not _in_support(idx, center, u, v):
+    if coset is None:
         return complex(0.0, 0.0), 0.0
 
     # shell |z| = p^n: both endpoints stay in the support, (p-1) cosets;
@@ -235,8 +252,7 @@ def apply_kernel(
     coset_measure = _float_power(p, n - 1)  # a coset of p^(1-n) Z_p
     shell_weight = shells.support_weight
     amplitude = p ** (-n / 2)
-    r0, m = _fractional_residue(p, idx.j * u, v + n - 1)
-    m = max(m, p)
+    r0, m = coset
     acc = complex(0.0, 0.0)
     for phase_d in phase_table(r0, idx.j * (m // p), m, p):
         acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
@@ -260,7 +276,8 @@ class _Shells(NamedTuple):
 def _operator_shells(twist: Twist, alpha: complex, n: int, R: int) -> _Shells:
     """The factors of apply_kernel that depend only on the operator, n and R.
 
-    Every kernel call of one eigencheck label shares them.  Keys compare by
+    Every kernel call of one eigencheck label shares them: one call per
+    coset of its sample points, two for the default points.  Keys compare by
     ==, so an alpha or Hecke root that differs only in the sign of a zero
     part shares the entry; that can flip only the sign of a zero part of the
     kernel value.  A PoleError is not cached: it is raised on every call.
@@ -304,8 +321,8 @@ def inner_product(
         if u != 0 and -v > R:
             continue
         total += (
-            _psi(idx1, centers[idx1], u, v)
-            * _psi(idx2, centers[idx2], u, v).conjugate()
+            _psi(idx1, _coset(idx1, centers[idx1], u, v))
+            * _psi(idx2, _coset(idx2, centers[idx2], u, v)).conjugate()
             * coset_measure
         )
     return total

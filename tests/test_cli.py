@@ -263,14 +263,15 @@ def test_gamma_coset_cap_exits_two(s, error, capsys):
 
 
 def test_gamma_reads_the_phase_table_of_an_eigencheck(capsys):
-    # gamma's outer circle at p = 97 is the eigencheck's r0 = 0 table
+    # gamma's outer circle at p = 97 is the eigencheck's r0 = 0 table; the
+    # eigencheck runs its kernel once per ket and coset, 8 times in all
     padic.phase_table.cache_clear()
     assert run(["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "1"]) == 0
     before = padic.phase_table.cache_info()
     assert run(["gamma", "--p", "97", "--k", "1", "--chi", "0", "--s", "2"]) == 0
     _capture(capsys)
     after = padic.phase_table.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 1) == (2, 19)
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1) == (2, 7)
 
 
 def test_degenerate_twist_exits_two(capsys):
@@ -498,6 +499,23 @@ def test_bad_prime_or_shift_fails_before_any_table(argv, message, monkeypatch, c
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "modular_a1", "--p", "99991", "--points", "9"], "--points must lie in 1..5"),
+        (["--kind", "modular_a2", "--p", "99991", "--max-ket", "-1"], "--max-ket must be nonnegative"),
+    ],
+)
+def test_eigencheck_usage_errors_come_before_the_tau_table(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(modular, "_tau_memo", {})
+    monkeypatch.setattr(modular, "_tau_table", _no_table)
+    code = run(["eigencheck", *argv, "--alpha", "1"])
+    out, err = _capture(capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -491,6 +491,24 @@ def test_symmetric_sums_past_the_float_range_are_float_range_errors():
         binomial_side(fac.a_p, fac.chi_pk, 200)  # chi_pk^100 = 2^1100 overflows
 
 
+def test_binomial_side_applies_a_binomial_past_the_float_range_exactly():
+    # C(m - l, l) passes the float range from m of about 1,500; from there each
+    # binomial scales its float power exactly, so only a term past the range
+    # is refused.  Roots (1 +- i sqrt 3) / 4 have modulus 1/2: the sum
+    # underflows to 0 as the recurrence's does.
+    roots = ((1 + 3**0.5 * 1j) / 4, (1 - 3**0.5 * 1j) / 4)
+    half = modular.LocalFactorization(2, 0.5 + 0j, 0.25 + 0j, *roots)
+    assert binomial_side(0.5, 0.25, 2000) == symmetric_power_sum(half, 2000) == 0
+    # roots (1 +- sqrt 1.4) / 2: positive terms up to about 1e90, no cancellation
+    roots = ((1 + 1.4**0.5) / 2 + 0j, (1 - 1.4**0.5) / 2 + 0j)
+    real = modular.LocalFactorization(2, 1 + 0j, -0.1 + 0j, *roots)
+    want = symmetric_power_sum(real, 2400)
+    assert abs(binomial_side(1, -0.1, 2400) - want) <= 1e-12 * abs(want)
+    # Fibonacci: F(2001) is about 1e418, so terms and sum pass the range
+    with pytest.raises(FloatRangeError, match=r"binomial sum of order 2000 exceeds"):
+        binomial_side(1, -1, 2000)
+
+
 def test_symmetric_sums_past_the_order_cap_are_refused_at_once():
     fac = factorize_local(delta_provider(8), 2)
     message = f"order m = {TRUNCATION_CAP + 1} exceeds the cap {TRUNCATION_CAP}"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import collections
+import json
 import math
 import random
 from fractions import Fraction
@@ -518,12 +520,94 @@ def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
 
 
 def test_one_eigencheck_builds_two_phase_tables(capsys):
-    # its 20 points have {p^(n-1) xi}_p = 0 or 1/p: r0 = 0 or 1 with m = p
+    # its 20 points have {p^(n-1) xi}_p = 0 or 1/p: r0 = 0 or 1 with m = p,
+    # and the kernel runs once per ket and key, 8 times
     padic.phase_table.cache_clear()
     assert cli.run(["eigencheck", "--kind", "plain", "--p", "97", "--alpha", "1"]) == 0
     capsys.readouterr()
     info = padic.phase_table.cache_info()
-    assert (info.misses, info.hits) == (2, 18)
+    assert (info.misses, info.hits) == (2, 6)
+
+
+def _key_indices(p):
+    """Kets 0-3, and translated wavelets, whose support points have m = p^2 or p^4."""
+    translated = [
+        wavelet_index(p, n, m, j)
+        for n in (-1, 2)
+        for m in (Fraction(1, p), Fraction(p + 2, p**3))
+        for j in sorted({1, p - 1})
+    ]
+    return [ket(p, label) for label in range(4)] + translated
+
+
+def _key_points(idx):
+    """_nearby_points, the eigencheck multipliers, and a second point in each of their cosets."""
+    p, n = idx.prime, idx.n
+    points = _nearby_points(idx)
+    for mult in (0, 1, p, p + 1, p * p):
+        near = idx.center + mult * Fraction(p) ** (-n)
+        points += [near, near + (p - 1) * Fraction(p) ** (1 - n)]
+    return points
+
+
+def test_points_with_one_kernel_key_get_equal_values():
+    # the kernel and the wavelet read a point only through kernel_coset, so
+    # points with one key get the same value bits; the key itself is the Fraction
+    # route's: None off the support ball, else {j p^(n-1) xi}_p = r0 / m
+    # with m raised to p on Z_p
+    chi7 = enumerate_characters(7)[1]  # order 6
+    repeats = collections.Counter()
+    for p in (2, 3, 5, 17, 251):
+        fac = factorize_local(delta_provider(max(8, p)), p)
+        specs = [
+            OperatorSpec(Twist(p), 1.0),
+            OperatorSpec(character_twist(chi7, p), 0.5 + 2j),
+            OperatorSpec(character_twist(enumerate_characters(p)[0], p), 1.0),  # T = 0
+            OperatorSpec(Twist(p, root=fac.a1), 1.0),
+            OperatorSpec(Twist(p, root=fac.a2), 1.7 + 0.5j),
+        ]
+        for idx in _key_indices(p):
+            points = [_point(p, q) for q in _key_points(idx)]
+            keys = [wavelets.kernel_coset(idx, xi) for xi in points]
+            for xi, key in zip(points, keys):
+                q = xi.as_fraction()
+                diff = q - idx.center
+                if diff != 0 and rational_valuation(diff, p) < -idx.n:
+                    assert key is None
+                else:
+                    frac = rational_fractional_part(idx.j * Fraction(p) ** (idx.n - 1) * q, p)
+                    assert key == (frac.numerator, max(frac.denominator, p))
+            for spec in specs:
+                for R in (2, 40):
+                    seen = {}
+                    for xi, key in zip(points, keys):
+                        if R < idx.n or (xi.unit != 0 and -xi.valuation > R):
+                            continue
+                        # repr, so a NaN value (Hecke roots at p = 251, R = 40) compares too
+                        got = repr((apply_kernel(spec, idx, xi, R), wavelet_eval(idx, xi)))
+                        if key in seen:
+                            assert got == seen[key]
+                            repeats[p, key is None, key is not None and key[1] > p] += 1
+                        seen.setdefault(key, got)
+    # every prime repeats keys off the support, on it with m = p, and with m > p
+    kinds = ((True, False), (False, False), (False, True))
+    assert set(repeats) == {(p, off, wide) for p in (2, 3, 5, 17, 251) for off, wide in kinds}
+
+
+def test_eigencheck_runs_the_kernel_once_per_ket_and_coset(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_kernel(*args, **kwargs)
+
+    # 4 kets with 5 points in 2 cosets each, and with one point each
+    monkeypatch.setattr(cli, "apply_kernel", counted)
+    for extra, want in (([], 8), (["--points", "1"], 4)):
+        calls.clear()
+        assert cli.run(["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1", *extra]) == 0
+        capsys.readouterr()
+        assert len(calls) == want
 
 
 def _largest_ket(spec):
@@ -598,3 +682,33 @@ def test_eigencheck_reports_do_not_depend_on_request_order(capsys):
     backward = _replay(reversed(_EIGENCHECKS), capsys)
     assert forward == backward
     assert {code for code, _, _ in forward.values()} == {0, 2}
+
+
+def _eigencheck_spec(args):
+    p = int(args["--p"])
+    kind = args["--kind"]
+    if kind == "plain":
+        twist = Twist(p)
+    elif kind == "character_twisted":
+        k, index = map(int, args["--character"].split(":"))
+        twist = character_twist(enumerate_characters(k)[index], p)
+    else:
+        fac = factorize_local(delta_provider(max(8, p)), p)
+        twist = Twist(p, root=fac.a1 if kind == "modular_a1" else fac.a2)
+    return OperatorSpec(twist, complex(args["--alpha"]))
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _EIGENCHECKS if argv[-2:] != ["--radius", "0"]])
+def test_eigencheck_entries_are_the_kernel_at_each_point(argv, capsys):
+    # one kernel run per coset reports, point by point, what a run per point gives
+    assert cli.run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    args = dict(zip(argv[1::2], argv[2::2]))
+    p, spec = int(args["--p"]), _eigencheck_spec(args)
+    assert len(report["entries"]) == 5 * (int(args.get("--max-ket", 3)) + 1)
+    for entry in report["entries"]:
+        idx = ket(p, entry["ket"])
+        xi = _point(p, Fraction(entry["point"]))
+        value, tail = apply_kernel(spec, idx, xi, report["radius"])
+        residual = abs(value - eigenvalue(spec, entry["ket"]) * wavelet_eval(idx, xi))
+        assert (entry["residual"], entry["tail_bound"]) == (residual, tail)
