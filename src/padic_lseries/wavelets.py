@@ -14,8 +14,9 @@ where T is 1 for the plain derivative, chi(p) for a character twist, or one
 root of the local Hecke quadratic for a modular twist.  Through the kernel,
 apply_kernel() evaluates the defining singular integral by exact shell
 decomposition: shells finer than the wavelet's constancy level cancel
-exactly, the shell at the support radius is a finite coset sum, and coarser
-shells contribute closed-form terms, so the only truncation is the outer
+exactly, the shell at the support radius is a finite coset sum, and the
+coarser shells p^(n+1) .. p^R form one geometric series in
+q = p^(-alpha) / T, summed in closed form.  The only truncation is the outer
 radius p^R, whose discarded tail is returned as a certified bound.  Off the
 support ball the kernel is exactly 0: |xi' - xi| is constant over the ball,
 and the wavelet's p coset phases there, one phase times the p-th roots of
@@ -26,11 +27,9 @@ once per coset of its sample points.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .characters import Twist
 from .errors import ConvergenceError, CosetCapError, KernelCapError, PrimeMismatchError
@@ -47,8 +46,9 @@ from .padic import (
 )
 from .quadrature import GammaSpec, _p_power, gamma_closed_form
 
-# The outer truncation exponent R of a kernel application; a larger R would
-# build and keep R - n outer-shell factors.
+# The largest outer truncation exponent R of a kernel application.  The
+# outer shells cost the same at every R, so the cap only keeps R a documented,
+# bounded input until an omitted R can mean R = infinity.
 RADIUS_CAP = 1000
 # The natural log of the largest magnitude a kernel check may reach: e^600 is
 # about 1e260, which leaves room below the float range (e^709.78) for the
@@ -199,16 +199,18 @@ def apply_kernel(
     ball |xi'| <= p^R, for g the wavelet.  The integrand is summed shell by
     shell in z = xi' - xi; every shell is either identically zero (finer than
     the wavelet's constancy level), a finite coset sum (the support radius),
-    or a closed-form multiple of g(xi) (coarser shells), so the computation
-    is exact up to the returned tail bound:
+    or g(xi) (1 - 1/p) q^t for q = p^(-alpha) / T (the coarser shells
+    t = n+1 .. R, summed as one geometric series), so the computation is exact
+    up to the returned tail bound:
 
         |g(xi)| (1 - 1/p) sum_{t > R} p^(-t Re alpha) / |Gamma(-alpha)|.
 
     Off the support ball the value is exactly 0 with a zero bound; every
     check still runs first.  A degenerate twist makes the operator the identity:
-    the wavelet value is returned with a zero bound.  p^(-Re alpha) must be
-    below 1, or ConvergenceError is raised.  R above RADIUS_CAP raises
-    KernelCapError before any shell is built.
+    the wavelet value is returned with a zero bound.  p^(-Re alpha) and |q|
+    must be below 1, or ConvergenceError is raised; a q of exactly 1 is a pole
+    of Gamma(-alpha) and raises PoleError first.  R above RADIUS_CAP raises
+    KernelCapError before any shell is computed.
 
     Returns (value, tail_bound).
     """
@@ -242,7 +244,15 @@ def apply_kernel(
     if xi.unit != 0 and -xi.valuation > R:
         raise ValueError("evaluation point lies outside the truncation ball")
 
-    shells = _operator_shells(twist, alpha, n, R)
+    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
+    # shell |z| = p^t outside the support weighs (p^(-alpha) / T)^t = q^t
+    q = _p_power(p, -alpha) * twist.power(-1)
+    if abs(q) >= 1.0:
+        raise ConvergenceError(
+            f"outer shells at p = {p} need |p^(-alpha) / T| < 1; got {abs(q)} at alpha = {alpha}"
+        )
+    shell_weight = _p_power(p, -(alpha + 1) * n) * twist.power(-n)  # |z| = p^n
+    first = _p_power(p, -alpha * (n + 1)) * twist.power(-(n + 1))  # q^(n+1)
     if coset is None:
         return complex(0.0, 0.0), 0.0
 
@@ -250,43 +260,16 @@ def apply_kernel(
     # with {j p^(n-1) xi}_p = r0 / m (m = p when 0), the phase of
     # xi + d p^(-n) is the residue (r0 + d j m/p) mod m
     coset_measure = _float_power(p, n - 1)  # a coset of p^(1-n) Z_p
-    shell_weight = shells.support_weight
     amplitude = p ** (-n / 2)
     r0, m = coset
     acc = complex(0.0, 0.0)
     for phase_d in phase_table(r0, idx.j * (m // p), m, p):
         acc += (amplitude * phase_d - psi_xi) * coset_measure * shell_weight
-    # shells p^(n+1) .. p^R: g vanishes there, closed form per shell
-    scaled = psi_xi * (1 - 1 / p)
-    for scale, power in shells.outer:
-        acc -= scaled * scale * power
+    # shells p^(n+1) .. p^R: g vanishes there, one geometric series in q
+    acc -= psi_xi * (1 - 1 / p) * (first * (1 - q ** (R - n)) / (1 - q))
 
     tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
-    gamma_norm = shells.gamma_norm
     return acc / gamma_norm, tail / abs(gamma_norm)
-
-
-class _Shells(NamedTuple):
-    gamma_norm: complex  # Gamma(-alpha) of the twist
-    support_weight: complex  # |z|^(-(alpha+1)) twist(|z|^(-1)) at |z| = p^n
-    outer: tuple[tuple[complex, complex], ...]  # (p^(-alpha t), T^(-t)), t = n+1..R
-
-
-@functools.lru_cache(maxsize=8)
-def _operator_shells(twist: Twist, alpha: complex, n: int, R: int) -> _Shells:
-    """The factors of apply_kernel that depend only on the operator, n and R.
-
-    Every kernel call of one eigencheck label shares them: one call per
-    coset of its sample points, two for the default points.  Keys compare by
-    ==, so an alpha or Hecke root that differs only in the sign of a zero
-    part shares the entry; that can flip only the sign of a zero part of the
-    kernel value.  A PoleError is not cached: it is raised on every call.
-    """
-    p = twist.prime
-    gamma_norm = gamma_closed_form(GammaSpec(twist, -alpha))
-    support_weight = _p_power(p, -(alpha + 1) * n) * twist.power(-n)
-    outer = tuple((_p_power(p, -alpha * t), twist.power(-t)) for t in range(n + 1, R + 1))
-    return _Shells(gamma_norm, support_weight, outer)
 
 
 def inner_product(

@@ -430,14 +430,17 @@ def test_eigencheck_negative_max_ket_is_usage_error(capsys):
          "this operator allows kets up to 273"),
     ],
 )
-def test_eigencheck_over_its_caps_fails_before_any_shell(argv, message, capsys):
-    wavelets._operator_shells.cache_clear()
+def test_eigencheck_over_its_caps_fails_before_any_shell(argv, message, monkeypatch, capsys):
+    # Gamma(-alpha) is the first thing a kernel run computes after its checks
+    def no_shell(spec):
+        raise AssertionError("a kernel shell was computed")
+
+    monkeypatch.setattr(wavelets, "gamma_closed_form", no_shell)
     code = run(["eigencheck", "--kind", "plain", *argv])
     out, err = _capture(capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == {"type": "KernelCapError", "message": message}
-    assert wavelets._operator_shells.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ EXAMPLE_DIGESTS = {
     "hecke-trace --p 2 --s 8 --shift 1":
         "84dcbe5da39e8ea5b0cd0586d2e8a8fa00c45c8f233615bd8c05bd97126f783f",
     "selftest":
-        "38b64fac6a0b24f613e99024d115695a4dd4bfe23c40cea6469571b5e1843256",
+        "a87dd4a7c7e432b8e3be91a7b58c6261604374445aafff3d3c4e93937d11ba29",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import functools
 import json
 import math
 import random
@@ -291,6 +292,35 @@ def _fraction_power(twist, n):
     return _fraction_phase((n * twist.angle) % 1)
 
 
+def _outer_ratio(spec, n):
+    """q = p^(-alpha) / T and q^(n+1), on the ops apply_kernel uses."""
+    alpha, twist = complex(spec.alpha), spec.twist
+    log_p = math.log(twist.prime)
+    q = cmath.exp(-alpha * log_p) * _fraction_power(twist, -1)
+    return q, cmath.exp(-alpha * (n + 1) * log_p) * _fraction_power(twist, -(n + 1))
+
+
+def _closed_outer(q, first, n, R):
+    """The outer shells' weights q^(n+1) + ... + q^R as one geometric sum."""
+    return first * (1 - q ** (R - n)) / (1 - q)
+
+
+def _per_shell_outer(spec, n, R):
+    """The same weights summed shell by shell, and the sum of their moduli.
+
+    Each term p^(-alpha t) T^(-t) is built on its own, so this sum shares
+    no rounding with the closed form beyond its first term.
+    """
+    alpha, twist = complex(spec.alpha), spec.twist
+    log_p = math.log(twist.prime)
+    total, moduli = complex(0.0, 0.0), 0.0
+    for t in range(n + 1, R + 1):
+        term = cmath.exp(-alpha * t * log_p) * _fraction_power(twist, -t)
+        total += term
+        moduli += abs(term)
+    return total, moduli
+
+
 def _fraction_route_kernel(spec, idx, xi, R):
     alpha, twist = complex(spec.alpha), spec.twist
     p, n = twist.prime, idx.n
@@ -309,8 +339,7 @@ def _fraction_route_kernel(spec, idx, xi, R):
     shell_weight = cmath.exp(-(alpha + 1) * n * log_p) * _fraction_power(twist, -n)
     for d in range(1, p):
         acc += (_fraction_psi(idx, xif + d * step) - psi_xi) * coset_measure * shell_weight
-    for t in range(n + 1, R + 1):
-        acc -= psi_xi * (1 - 1 / p) * cmath.exp(-alpha * t * log_p) * _fraction_power(twist, -t)
+    acc -= psi_xi * (1 - 1 / p) * _closed_outer(*_outer_ratio(spec, n), n, R)
     decay = p**-alpha.real
     tail = abs(psi_xi) * (1 - 1 / p) * decay ** (R + 1) / (1 - decay)
     return acc / gamma_norm, tail / abs(gamma_norm)
@@ -472,16 +501,113 @@ def test_inner_product_is_bit_for_bit_the_fraction_route():
                     assert inner_product(idx1, idx2, R) == want
 
 
-def test_kernel_cache_hit_returns_the_same_tuple():
-    spec = OperatorSpec(character_twist(enumerate_characters(7)[1], 5), 0.5 + 2j)
-    idx = ket(5, 2)
-    xi = _point(5, idx.center + 5 * Fraction(5) ** (-idx.n))
-    wavelets._operator_shells.cache_clear()
-    first = apply_kernel(spec, idx, xi, 40)
-    hits = wavelets._operator_shells.cache_info().hits
-    second = apply_kernel(spec, idx, xi, 40)
-    assert wavelets._operator_shells.cache_info().hits == hits + 1
-    assert second == first == _fraction_route_kernel(spec, idx, xi, 40)
+def _outer_specs():
+    """Plain and character twists up to R = 60, both Hecke roots at p <= 11 up to R = 50.
+
+    Past t = 53 at p = 11 a Hecke root's T^(-t) leaves the float range, so
+    the per-shell sum stops at R = 50 for the roots.
+    """
+    chi7, chi12 = enumerate_characters(7)[1], enumerate_characters(12)[3]
+    for p in (2, 3, 5, 7, 11, 17, 97):
+        yield OperatorSpec(Twist(p), 1.0), 60
+        yield OperatorSpec(Twist(p), 0.5), 60
+        yield OperatorSpec(character_twist(chi7 if p != 7 else chi12, p), 0.5 + 2j), 60
+        yield OperatorSpec(character_twist(chi12 if p > 3 else chi7, p), 1.7), 60
+        if p <= 11:
+            fac = factorize_local(delta_provider(max(8, p)), p)
+            yield OperatorSpec(Twist(p, root=fac.a1), 1.0), 50
+            yield OperatorSpec(Twist(p, root=fac.a2), 1.7 + 0.5j), 50
+
+
+# The closed form and the per-shell sum round differently; over the grid of
+# _outer_specs, kets 0-3 and every R from the support radius up, they differ
+# by at most 7.7 u of the summed term moduli, u = 2^-53.
+_OUTER_ULPS = 16
+
+
+@functools.lru_cache(maxsize=1)
+def _outer_grid():
+    """(q, q^(n+1), n, R, per-shell sum, its term moduli) over _outer_specs and kets 0-3."""
+    grid = []
+    for spec, top in _outer_specs():
+        for label in range(4):
+            n = 1 - label
+            q, first = _outer_ratio(spec, n)
+            for R in range(n, top + 1):
+                grid.append((q, first, n, R, *_per_shell_outer(spec, n, R)))
+    return grid
+
+
+def _outer_misses(closed):
+    """The largest |closed - per-shell sum| over the grid, in u of the term moduli."""
+    worst = 0.0
+    for q, first, n, R, want, moduli in _outer_grid():
+        got = closed(q, first, n, R)
+        if moduli == 0:  # R = n: no outer shell, so anything but 0 misses
+            worst = max(worst, 0.0 if got == 0 else math.inf)
+        else:
+            worst = max(worst, abs(got - want) / (2.0**-53 * moduli))
+    return worst
+
+
+def test_outer_shells_in_closed_form_are_the_per_shell_sum():
+    # _fraction_route_kernel sums the outer shells with _closed_outer, and
+    # apply_kernel is that route bit for bit, so this checks the kernel's sum
+    assert _outer_misses(_closed_outer) <= _OUTER_ULPS
+
+
+def test_outer_shell_oracle_catches_a_wrong_ratio_or_exponent():
+    def conjugated(q, first, n, R):
+        return _closed_outer(q.conjugate(), first.conjugate(), n, R)
+
+    def one_shell_late(q, first, n, R):
+        return _closed_outer(q, first * q, n, R)
+
+    def one_shell_more(q, first, n, R):
+        return _closed_outer(q, first, n, R + 1)
+
+    for wrong in (conjugated, one_shell_late, one_shell_more):
+        assert _outer_misses(wrong) > 1e12 * _OUTER_ULPS
+
+
+def test_kernel_refuses_outer_shells_that_do_not_shrink():
+    # |q| = 3^(-1) / 0.1 = 10/3: the geometric sum would divide by 1 - q;
+    # refused before any shell, at an off-support point too
+    spec = OperatorSpec(Twist(3, root=0.1), 1.0)
+    idx = ket(3, 1)
+    for xi in (_point(3, idx.center), _point(3, Fraction(1, 9))):
+        with pytest.raises(ConvergenceError, match=r"need \|p\^\(-alpha\) / T\| < 1; got 3\.33"):
+            apply_kernel(spec, idx, xi, 40)
+
+
+def test_hecke_roots_at_a_large_prime_give_finite_kernel_values():
+    # T^(-t) passes the float range from t = 24 at p = 251; the geometric sum
+    # never builds it, so R = 40 stays finite and meets the eigenrelation
+    fac = factorize_local(delta_provider(251), 251)
+    for root in (fac.a1, fac.a2):
+        spec = OperatorSpec(Twist(251, root=root), 1.0)
+        for label in range(2):
+            idx = ket(251, label)
+            for mult in (0, 1, 251):
+                xi = _point(251, idx.center + mult * Fraction(251) ** (-idx.n))
+                value, tail = apply_kernel(spec, idx, xi, 40)
+                want = eigenvalue(spec, label) * wavelet_eval(idx, xi)
+                assert all(map(math.isfinite, (value.real, value.imag, tail)))
+                assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_eigencheck_of_hecke_roots_at_a_large_prime_is_finite(capsys):
+    for kind in ("modular_a1", "modular_a2"):
+        argv = ["eigencheck", "--kind", kind, "--p", "251", "--alpha", "1",
+                "--radius", "40", "--points", "1", "--max-ket", "0"]
+        assert cli.run(argv) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert math.isfinite(report["worst_margin"])
+        assert report["all_passed"]
 
 
 def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
@@ -583,8 +709,7 @@ def test_points_with_one_kernel_key_get_equal_values():
                     for xi, key in zip(points, keys):
                         if R < idx.n or (xi.unit != 0 and -xi.valuation > R):
                             continue
-                        # repr, so a NaN value (Hecke roots at p = 251, R = 40) compares too
-                        got = repr((apply_kernel(spec, idx, xi, R), wavelet_eval(idx, xi)))
+                        got = apply_kernel(spec, idx, xi, R), wavelet_eval(idx, xi)
                         if key in seen:
                             assert got == seen[key]
                             repeats[p, key is None, key is not None and key[1] > p] += 1
@@ -677,7 +802,8 @@ def _replay(argvs, capsys):
 
 
 def test_eigencheck_reports_do_not_depend_on_request_order(capsys):
-    # more operators than the shell cache holds, replayed in two orders
+    # operators at several primes, replayed in two orders: no table a request
+    # leaves cached changes a later report
     forward = _replay(_EIGENCHECKS, capsys)
     backward = _replay(reversed(_EIGENCHECKS), capsys)
     assert forward == backward

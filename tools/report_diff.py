@@ -52,6 +52,8 @@ HEAVY = (
     "lseries --kind dirichlet --character 4:1 --s 1 --method series",
     "gamma --p 9973 --k 5 --chi 1 --s 2+1i",
     "eigencheck --kind plain --p 307 --alpha 1",
+    # Hecke-root powers T^(-t) pass the float range from t = 24 at p = 251
+    "eigencheck --kind modular_a1 --p 251 --alpha 1 --radius 40 --points 1 --max-ket 0",
     # p - 1 = 100 cosets: at the cap, one past it, and a divergent s that
     # fails its convergence check before the cap is reached
     "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 100",
