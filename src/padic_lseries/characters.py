@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ModulusCapError
+from .errors import ModulusCapError, _finite
 from .padic import _int_valuation, _require_prime, residue_phase, unit_phase
 
 # unit_group refuses larger moduli with ModulusCapError before building any
@@ -239,9 +239,14 @@ class Twist:
         return complex(0.0, 0.0) if self.angle is None else unit_phase(self.angle)
 
     def power(self, n: int) -> complex:
-        """T^n, on exact angles for unimodular twists; T^0 = 1 as an empty product."""
+        """T^n, on exact angles for unimodular twists; T^0 = 1 as an empty product;
+        FloatRangeError where a root's power, or the T^(-n) it inverts for n < 0, passes the float range."""
         if self.root is not None:
-            return self.root**n
+            try:
+                value = self.root**n
+            except OverflowError:
+                value = complex(math.inf)
+            return _finite(value, "T^%s for the root T = %s at p = %s", n, self.root, self.prime)
         if n == 0:
             return complex(1.0, 0.0)
         if self.angle is None:

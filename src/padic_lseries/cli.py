@@ -288,7 +288,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
             raise _UsageError("character_twisted eigencheck needs --character k:index")
         twist = character_twist(_parse_character(args.character), p)
     else:
-        fac = factorize_local(delta_provider(max(8, p)), p)
+        fac = factorize_local(delta_provider(p), p)
         twist = Twist(p, root=fac.a1 if args.kind == "modular_a1" else fac.a2)
     spec = OperatorSpec(twist, alpha)
 
@@ -350,7 +350,7 @@ def _twist(args, table_size: int):
 
 def _cmd_local_factor(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    twist = _twist(args, max(8, args.p))
+    twist = _twist(args, args.p)
     closed = local_factor_closed(twist, args.p, s)
     trace = local_trace(twist, args.p, s, config.truncation)
     difference = abs(trace.value - closed)
@@ -369,7 +369,7 @@ def _cmd_lseries(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
     if args.method == "euler":
         # modular euler needs coefficients at every sieved prime
-        twist = _twist(args, max(8, config.prime_bound))
+        twist = _twist(args, config.prime_bound)
         result = euler_product(twist, s, config.prime_bound)
         scope = {"prime_bound": config.prime_bound}
     else:
@@ -399,7 +399,7 @@ def _cmd_tau(args, config: RunConfig) -> dict:
 
 
 def _cmd_factorize(args, config: RunConfig) -> dict:
-    provider = delta_provider(max(8, args.p))
+    provider = delta_provider(args.p)
     fac = factorize_local(provider, args.p)
     return {
         "p": fac.prime,
@@ -414,7 +414,7 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
 
 def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     s = _parse_complex(args.s)
-    provider = delta_provider(max(8, args.p))
+    provider = delta_provider(args.p)
     result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
     # p^18 > DELTA_TERMS_CAP for every p: decide the cap without building p^shift
     if args.p ** min(args.shift, DELTA_TERMS_CAP.bit_length()) > DELTA_TERMS_CAP:
@@ -424,7 +424,7 @@ def _cmd_hecke_trace(args, config: RunConfig) -> dict:
         )
     closed = local_factor_closed(provider, args.p, s)
     reference = (
-        complex(coefficient(delta_provider(max(8, args.p, args.p**args.shift)), args.p**args.shift))
+        complex(coefficient(delta_provider(args.p**args.shift), args.p**args.shift))
         * (args.p ** -complex(s).real if s.imag == 0 else args.p ** -complex(s)) ** args.shift
         * closed
     )

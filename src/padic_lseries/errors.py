@@ -3,10 +3,14 @@
 Everything raised on a *domain* failure (a parameter outside a convergence
 region, a pole, a degenerate twist, an enumeration or a table blowing past
 its cap) derives from PadicLseriesError so callers, including the CLI, can
-separate domain errors from plain usage bugs.
+separate domain errors from plain usage bugs.  _finite raises
+FloatRangeError for a float result that is not finite.
 """
 
 from __future__ import annotations
+
+import cmath
+import sys
 
 
 class PadicLseriesError(Exception):
@@ -30,7 +34,8 @@ class KernelCapError(PadicLseriesError):
 
 
 class SeriesCapError(PadicLseriesError):
-    """A partial series length, a trace or quadrature truncation, or a symmetric-sum order exceeds its documented cap."""
+    """A partial series length, an Euler product's prime bound, a trace or
+    quadrature truncation, or a symmetric-sum order exceeds its documented cap."""
 
 
 class ModulusCapError(PadicLseriesError):
@@ -39,6 +44,13 @@ class ModulusCapError(PadicLseriesError):
 
 class FloatRangeError(PadicLseriesError):
     """A quantity (a power p^z, a sum, a tail bound) passes the float range."""
+
+
+def _finite(value: complex, name: str, *args) -> complex:
+    """value, or FloatRangeError naming it as name % args, formatted only then, when it is not finite."""
+    if not cmath.isfinite(value):
+        raise FloatRangeError(f"{name % args} exceeds the largest float {sys.float_info.max:.6g}")
+    return value
 
 
 class PoleError(PadicLseriesError):

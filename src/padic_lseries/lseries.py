@@ -51,7 +51,7 @@ from array import array
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .characters import DirichletCharacter, _angle_numerators, character_angle, character_twist, evaluate
+from .characters import DirichletCharacter, _angle_numerators, character_angle, character_twist
 from .errors import ConvergenceError, DegenerateTwistError, FloatRangeError, PoleError, SeriesCapError
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime, residue_phase
@@ -68,12 +68,12 @@ _REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 def _sieve(bound: int) -> array:
-    """The primes up to bound as 4-byte items; ValueError past PRIME_BOUND_CAP.
+    """The primes up to bound as 4-byte items; SeriesCapError past PRIME_BOUND_CAP.
 
     Deterministic odd-only byte-array sieve: index i stands for 2i + 1.
     """
     if bound > PRIME_BOUND_CAP:
-        raise ValueError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
+        raise SeriesCapError(f"prime bound {bound} exceeds the cap {PRIME_BOUND_CAP}")
     primes = array("I")
     if bound < 2:
         return primes
@@ -88,19 +88,6 @@ def _sieve(bound: int) -> array:
     primes.append(2)
     primes.extend(itertools.compress(range(1, bound + 1, 2), sieve))
     return primes
-
-
-def _geometric_unimodular_trace(spec: OperatorSpec, p: int, s: complex, M: int) -> CertifiedResult:
-    ratio = _real_power(p, -s.real)
-    if ratio >= 1.0:
-        raise ConvergenceError(
-            f"trace at p = {p} needs Re(s) > 0 to converge; got s = {s}"
-        )
-    total = complex(0.0)
-    for m in range(M + 1):
-        total += eigenvalue(spec, m)
-    tail = ratio ** (M + 1) / (1.0 - ratio)
-    return CertifiedResult(total, tail, M + 1)
 
 
 def _triangular_lattice_sum(q1: complex, q2: complex, M: int) -> complex:
@@ -142,11 +129,9 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Ce
     if M < 1:
         raise ValueError("truncation must be positive")
     _check_truncation(M)
-    s = complex(s)
     if isinstance(twist, CoefficientProvider):
-        q1, q2, ratio = _modular_ratios(twist, p, s)
-        total = _triangular_lattice_sum(q1, q2, M)
-        return CertifiedResult(total, _triangular_tail(ratio, M), (M + 1) * (M + 2) // 2)
+        return hecke_conjugated_trace(twist, p, s, 0, M)
+    s = complex(s)
     spec = OperatorSpec(character_twist(twist, p), -s)
     if spec.twist.value == 0:
         raise DegenerateTwistError(
@@ -154,7 +139,15 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Ce
             "degenerates to the identity and its trace diverges; the closed "
             "local factor there is exactly 1"
         )
-    return _geometric_unimodular_trace(spec, p, s, M)
+    ratio = _real_power(p, -s.real)
+    if ratio >= 1.0:
+        raise ConvergenceError(
+            f"trace at p = {p} needs Re(s) > 0 to converge; got s = {s}"
+        )
+    total = complex(0.0)
+    for m in range(M + 1):
+        total += eigenvalue(spec, m)
+    return CertifiedResult(total, ratio ** (M + 1) / (1.0 - ratio), M + 1)
 
 
 def _closed_factor(p: int, s: complex, a: complex, c: complex | None = None) -> complex:
@@ -175,7 +168,7 @@ def local_factor_closed(twist, p: int, s: complex) -> complex:
     s = complex(s)
     if isinstance(twist, CoefficientProvider):
         return _closed_factor(p, s, *_hecke_coefficients(twist, p))
-    return _closed_factor(p, s, evaluate(twist, p))
+    return _closed_factor(p, s, character_twist(twist, p).value)
 
 
 def _character_table(chi: DirichletCharacter) -> list[complex]:
@@ -227,8 +220,9 @@ def euler_product(twist, s: complex, prime_bound: int) -> CertifiedResult:
     abscissa sigma'; for providers it assumes the root pairs satisfy
     |a_i| <= p^((k-1)/2), which holds whenever the coefficients obey the
     Ramanujan-Petersson size |a(p)| <= 2 p^((k-1)/2).  A prime bound below 1
-    raises ValueError, and a tail bound past the float range (Re s near the
-    abscissa with few primes) raises FloatRangeError.
+    raises ValueError, one past PRIME_BOUND_CAP SeriesCapError, and a tail
+    bound past the float range (Re s near the abscissa with few primes)
+    raises FloatRangeError.
     """
     s = complex(s)
     if prime_bound < 1:

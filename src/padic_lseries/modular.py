@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import DirichletCharacter, character_angle, unit_group
-from .errors import FloatRangeError, SeriesCapError, TableCapError
+from .errors import FloatRangeError, SeriesCapError, TableCapError, _finite
 from .padic import _require_prime, unit_phase
 from .quadrature import TRUNCATION_CAP
 
@@ -316,20 +316,13 @@ def _check_order(m: int) -> None:
         raise SeriesCapError(f"order m = {m} exceeds the cap {TRUNCATION_CAP}")
 
 
-def _finite(value: complex, name: str) -> complex:
-    """value, or FloatRangeError naming it when it is not finite."""
-    if not cmath.isfinite(value):
-        raise FloatRangeError(f"{name} exceeds the largest float {sys.float_info.max:.6g}")
-    return value
-
-
 def symmetric_power_sum(fac: LocalFactorization, m: int) -> complex:
     """sum_{i=0..m} a1^(m-i) a2^i by the two-term recurrence, for m up to TRUNCATION_CAP."""
     _check_order(m)
     previous, current = complex(0.0), complex(1.0)
     for _ in range(m):
         previous, current = current, fac.a_p * current - fac.chi_pk * previous
-    return _finite(current, f"the symmetric power sum of order {m} at p = {fac.prime}")
+    return _finite(current, "the symmetric power sum of order %s at p = %s", m, fac.prime)
 
 
 def binomial_side(a_p: complex, chi_pk: complex, m: int) -> complex:
@@ -352,4 +345,4 @@ def binomial_side(a_p: complex, chi_pk: complex, m: int) -> complex:
                     total += complex(float(c * Fraction(power.real)), float(c * Fraction(power.imag)))
         except OverflowError:
             total = complex(math.inf)
-    return _finite(total, f"the binomial sum of order {m}")
+    return _finite(total, "the binomial sum of order %s", m)

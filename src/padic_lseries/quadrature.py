@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .characters import Twist
-from .errors import ConvergenceError, CosetCapError, FloatRangeError, PoleError, SeriesCapError
+from .errors import ConvergenceError, CosetCapError, FloatRangeError, PoleError, SeriesCapError, _finite
 from .padic import COSET_CAP, phase_table
 
 POLE_EPSILON = 1e-12
@@ -66,7 +66,8 @@ def _real_power(p: int, x: float) -> float:
 
 
 def gamma_closed_form(spec: GammaSpec) -> complex:
-    """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0."""
+    """(T - p^(s-1)) / (T (1 - T p^(-s))) for twist value T; 0 when T = 0; PoleError
+    within POLE_EPSILON of a pole, FloatRangeError for a denominator past the float range."""
     T = spec.twist.value
     if T == 0:
         return complex(0.0, 0.0)
@@ -77,7 +78,9 @@ def gamma_closed_form(spec: GammaSpec) -> complex:
             f"gamma denominator |1 - T p^(-s)| = {abs(denom):.3e} at s = {s} "
             f"is inside the pole epsilon {POLE_EPSILON:.1e}"
         )
-    return (T - _p_power(p, s - 1)) / (T * denom)
+    # complex products past the float range read inf or NaN without raising
+    scaled = _finite(T * denom, "gamma denominator T (1 - T p^(-s)) at p = %s, s = %s", p, s)
+    return (T - _p_power(p, s - 1)) / scaled
 
 
 def _check_truncation(M: int) -> None:

@@ -123,22 +123,13 @@ def _check_hecke_trace() -> float:
     return abs(result.value - reference) - result.remainder_bound
 
 
-def _check_eigenrelation() -> float:
-    spec = OperatorSpec(Twist(2), complex(1.0))
-    idx = ket(2, 1)
-    point = padic_zero(2)
-    value, tail = apply_kernel(spec, idx, point, 20)
-    expected = eigenvalue(spec, 1) * wavelet_eval(idx, point)
-    return abs(value - expected) - tail
-
-
-def _check_modular_eigenrelation() -> float:
-    fac = factorize_local(delta_provider(8), 3)
-    spec = OperatorSpec(Twist(3, root=fac.a1), complex(1.0))
-    idx = ket(3, 2)
-    point = padic_zero(3)
-    value, tail = apply_kernel(spec, idx, point, 2)
-    expected = eigenvalue(spec, 2) * wavelet_eval(idx, point)
+def _kernel_gap(twist: Twist, label: int, R: int) -> float:
+    """The kernel's distance from the eigenvalue times the ket at 0, less its tail; alpha = 1."""
+    spec = OperatorSpec(twist, complex(1.0))
+    idx = ket(twist.prime, label)
+    point = padic_zero(twist.prime)
+    value, tail = apply_kernel(spec, idx, point, R)
+    expected = eigenvalue(spec, label) * wavelet_eval(idx, point)
     return abs(value - expected) - tail
 
 
@@ -166,8 +157,9 @@ _CHECKS = (
     ("symmetric_vs_binomial_sums", _check_power_sum_identity, 1e-6),
     ("local_trace_vs_closed_factor", _check_local_traces, 1e-8),
     ("conjugated_trace_shifts_factor", _check_hecke_trace, 1e-9),
-    ("kernel_eigenrelation_plain", _check_eigenrelation, 1e-8),
-    ("kernel_eigenrelation_modular", _check_modular_eigenrelation, 1e-8),
+    ("kernel_eigenrelation_plain", lambda: _kernel_gap(Twist(2), 1, 20), 1e-8),
+    ("kernel_eigenrelation_modular",
+     lambda: _kernel_gap(Twist(3, root=factorize_local(delta_provider(8), 3).a1), 2, 2), 1e-8),
     ("wavelet_orthonormality", _check_wavelet_orthonormality, 1e-12),
     ("euler_product_vs_series", _check_euler_vs_series, 0.0),
 )

@@ -210,7 +210,8 @@ def apply_kernel(
     the wavelet value is returned with a zero bound.  p^(-Re alpha) and |q|
     must be below 1, or ConvergenceError is raised; a q of exactly 1 is a pole
     of Gamma(-alpha) and raises PoleError first.  R above RADIUS_CAP raises
-    KernelCapError before any shell is computed.
+    KernelCapError, and p - 1 support-shell cosets past ``cap`` raise
+    CosetCapError, before any shell is computed.
 
     Returns (value, tail_bound).
     """
@@ -239,8 +240,8 @@ def apply_kernel(
         raise ValueError(
             f"truncation radius p^{R} is smaller than the support radius p^{n}"
         )
-    if p > cap:
-        raise CosetCapError(f"{p} shell cosets exceed the cap of {cap}")
+    if p - 1 > cap:
+        raise CosetCapError(f"{p - 1} shell cosets exceed the cap of {cap}")
     if xi.unit != 0 and -xi.valuation > R:
         raise ValueError("evaluation point lies outside the truncation ball")
 

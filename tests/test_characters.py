@@ -12,14 +12,17 @@ import pytest
 
 from padic_lseries import (
     CHARACTER_MODULUS_CAP,
+    FloatRangeError,
     ModulusCapError,
     Twist,
     character_angle,
     character_twist,
     conjugate_character,
+    delta_provider,
     enumerate_characters,
     euler_phi,
     evaluate,
+    factorize_local,
     unit_group,
     unit_phase,
 )
@@ -200,6 +203,18 @@ def test_plain_twist_is_exactly_one_and_root_twist_powers_the_root():
     assert twist.value == root
     for n in range(-6, 7):
         assert twist.power(n) == root**n
+
+
+def test_hecke_root_powers_past_the_float_range_are_refused():
+    # |T| = 251^5.5 at p = 251: T^24 overflows, and CPython computes
+    # T^(-24) as 1 / T^24, which reads nan+nanj without raising
+    fac = factorize_local(delta_provider(251), 251)
+    for root in (fac.a1, fac.a2):
+        twist = Twist(251, root=root)
+        assert cmath.isfinite(twist.power(23)) and cmath.isfinite(twist.power(-23))
+        for n in (-40, -24, 24, 25, 40):
+            with pytest.raises(FloatRangeError, match=rf"T\^{n} for the root .* at p = 251"):
+                twist.power(n)
 
 
 def test_twist_power_is_the_fraction_route_exactly():

@@ -533,10 +533,10 @@ def test_eigencheck_usage_errors_come_before_the_tau_table(argv, message, monkey
         (["lseries", "--kind", "modular", "--method", "series", "--s", "1", "--series-length", "300000"],
          "ConvergenceError", "modular series needs Re(s) > 7.0; got s = (1+0j)", []),
         (["lseries", "--kind", "modular", "--s", "8", "--prime-bound", "100000000"],
-         "ValueError", "prime bound 100000000 exceeds the cap 10000000", []),
+         "SeriesCapError", "prime bound 100000000 exceeds the cap 10000000", []),
         # the trace reads a(2) to find its ratio, and fails before p^shift is looked at
         (["hecke-trace", "--p", "2", "--s", "1", "--shift", "20", "--truncation", "30"],
-         "ConvergenceError", "modular trace at p = 2 needs max|a_i| p^(-Re s) < 1; got 22.6274 at s = (1+0j)", [8]),
+         "ConvergenceError", "modular trace at p = 2 needs max|a_i| p^(-Re s) < 1; got 22.6274 at s = (1+0j)", [2]),
     ],
 )
 def test_modular_requests_report_the_library_fault_first(argv, error, message, tables, monkeypatch, capsys):

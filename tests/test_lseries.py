@@ -49,7 +49,7 @@ def test_prime_sieve():
     assert len(lseries._sieve(100000).tolist()) == 9592
     assert len(lseries._sieve(10**6).tolist()) == 78498
     assert len(lseries._sieve(10**7).tolist()) == 664579  # at the cap
-    with pytest.raises(ValueError):
+    with pytest.raises(SeriesCapError):
         lseries._sieve(10**7 + 1)
 
 
@@ -401,9 +401,9 @@ def test_sieve_holds_four_byte_items():
 def test_a_bound_past_the_cap_is_refused_before_any_sieve():
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="exceeds the cap"):
+        with pytest.raises(SeriesCapError, match="exceeds the cap"):
             lseries._sieve(10**7 + 1)
-        with pytest.raises(ValueError, match="exceeds the cap"):
+        with pytest.raises(SeriesCapError, match="exceeds the cap"):
             euler_product(ZETA, 2.0, 10**7 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -227,16 +227,16 @@ def test_kernel_refuses_a_decay_that_rounds_to_one():
 
 
 def test_kernel_enforces_the_coset_cap():
-    # the support shell is p cosets: p = cap is summed, p > cap is refused
-    # at an off-support point too, where the value is exactly 0
+    # the support shell is p - 1 cosets: p - 1 = cap is summed, p - 1 > cap
+    # is refused at an off-support point too, where the value is exactly 0
     spec = OperatorSpec(Twist(5), 1.0)
     idx = ket(5, 0)
     off_support = _point(5, Fraction(1, 25))
     assert apply_kernel(spec, idx, off_support, R=4) == (0j, 0.0)
     for xi in (_point(5, idx.center), off_support):
-        assert apply_kernel(spec, idx, xi, R=4, cap=5) == apply_kernel(spec, idx, xi, R=4)
-        with pytest.raises(CosetCapError, match="5 shell cosets exceed the cap of 4"):
-            apply_kernel(spec, idx, xi, R=4, cap=4)
+        assert apply_kernel(spec, idx, xi, R=4, cap=4) == apply_kernel(spec, idx, xi, R=4)
+        with pytest.raises(CosetCapError, match="4 shell cosets exceed the cap of 3"):
+            apply_kernel(spec, idx, xi, R=4, cap=3)
 
 
 def test_inner_product_enforces_the_coset_cap():
@@ -414,7 +414,7 @@ def test_kernel_is_bit_for_bit_the_fraction_route():
     chi7 = enumerate_characters(7)[1]  # order 6
     chi12 = enumerate_characters(12)[3]
     for p in (2, 3, 5, 17, 29, 97):
-        root = factorize_local(delta_provider(max(8, p)), p).a1
+        root = factorize_local(delta_provider(p), p).a1
         specs = [
             (OperatorSpec(Twist(p), 1.0), 40),
             (OperatorSpec(character_twist(chi7 if p != 7 else chi12, p), 0.5 + 2j), 40),
@@ -514,7 +514,7 @@ def _outer_specs():
         yield OperatorSpec(character_twist(chi7 if p != 7 else chi12, p), 0.5 + 2j), 60
         yield OperatorSpec(character_twist(chi12 if p > 3 else chi7, p), 1.7), 60
         if p <= 11:
-            fac = factorize_local(delta_provider(max(8, p)), p)
+            fac = factorize_local(delta_provider(p), p)
             yield OperatorSpec(Twist(p, root=fac.a1), 1.0), 50
             yield OperatorSpec(Twist(p, root=fac.a2), 1.7 + 0.5j), 50
 
@@ -610,6 +610,36 @@ def test_eigencheck_of_hecke_roots_at_a_large_prime_is_finite(capsys):
         assert report["all_passed"]
 
 
+def _no_shell(*args):
+    raise AssertionError("a shell was summed")
+
+
+@pytest.mark.parametrize("p, alpha", [(101, 150.0), (97, 147.49)])
+def test_a_gamma_denominator_past_the_float_range_is_refused_before_any_shell(p, alpha, monkeypatch):
+    # Gamma(-alpha) divides by T (1 - T p^alpha) with |T| = p^5.5: at p = 101,
+    # alpha = 150 already T p^alpha passes the float range, at p = 97,
+    # alpha = 147.49 only the product with T does; neither complex product
+    # raises, and without the check the kernel reads NaN
+    monkeypatch.setattr(wavelets, "phase_table", _no_shell)
+    fac = factorize_local(delta_provider(p), p)
+    for root in (fac.a1, fac.a2):
+        spec = OperatorSpec(Twist(p, root=root), alpha)
+        with pytest.raises(FloatRangeError, match=r"gamma denominator T \(1 - T p\^\(-s\)\) at p = "):
+            gamma_closed_form(GammaSpec(spec.twist, -alpha))
+        with pytest.raises(FloatRangeError, match="gamma denominator"):
+            apply_kernel(spec, ket(p, 0), _point(p, Fraction(0)), 5)
+
+
+def test_eigencheck_with_a_gamma_denominator_past_the_float_range_exits_two(capsys):
+    for kind in ("modular_a1", "modular_a2"):
+        argv = ["eigencheck", "--kind", kind, "--p", "101", "--alpha", "150",
+                "--radius", "5", "--points", "1", "--max-ket", "0"]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FloatRangeError"
+
+
 def test_kernel_phase_tables_cold_and_warm_are_the_fraction_route():
     # in-support points of offset wavelets: phase moduli m = p .. p^4, so the
     # table stride j m / p runs over multiples of p, with j = 1 and j = p - 1
@@ -684,7 +714,7 @@ def test_points_with_one_kernel_key_get_equal_values():
     chi7 = enumerate_characters(7)[1]  # order 6
     repeats = collections.Counter()
     for p in (2, 3, 5, 17, 251):
-        fac = factorize_local(delta_provider(max(8, p)), p)
+        fac = factorize_local(delta_provider(p), p)
         specs = [
             OperatorSpec(Twist(p), 1.0),
             OperatorSpec(character_twist(chi7, p), 0.5 + 2j),
@@ -819,7 +849,7 @@ def _eigencheck_spec(args):
         k, index = map(int, args["--character"].split(":"))
         twist = character_twist(enumerate_characters(k)[index], p)
     else:
-        fac = factorize_local(delta_provider(max(8, p)), p)
+        fac = factorize_local(delta_provider(p), p)
         twist = Twist(p, root=fac.a1 if kind == "modular_a1" else fac.a2)
     return OperatorSpec(twist, complex(args["--alpha"]))
 

@@ -7,8 +7,9 @@ every request of ``perfbench/workloads.generate(w, s)`` for the three
 workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
 examples in README.md, the heavy requests of ``HEAVY``: large-p gamma
 and kernel checks and Euler products at the prime cap, which the
-workloads never draw, the slow baseline invocations of ROADMAP.md, and
-both sides of gamma's coset cap, and the
+workloads never draw, the slow baseline invocations of ROADMAP.md,
+both sides of gamma's coset cap, the kernel's support shell at its cap
+and a kernel whose gamma denominator passes the float range, and the
 ``--format tsv`` requests of ``TSV``, which the workloads never ask for.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
@@ -59,6 +60,10 @@ HEAVY = (
     "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 100",
     "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 99",
     "gamma --p 101 --k 1 --chi 0 --s=-1 --coset-cap 50",
+    # the kernel's support shell is p - 1 = 100 cosets, at the cap
+    "eigencheck --kind plain --p 101 --alpha 1 --coset-cap 100",
+    # T p^150 passes the float range in Gamma(-alpha)'s denominator
+    "eigencheck --kind modular_a2 --p 101 --alpha 150 --radius 5 --points 1 --max-ket 0",
 )
 
 # one report of each shape: sample-point strings, complex pairs, a quoted
