@@ -58,7 +58,6 @@ from .modular import (
 from .padic import (
     PadicNumber,
     padic_from_fraction,
-    padic_zero,
     unit_phase,
 )
 from .quadrature import (
@@ -131,7 +130,6 @@ __all__ = [
     "local_factor_closed",
     "local_trace",
     "padic_from_fraction",
-    "padic_zero",
     "run_selftest",
     "symmetric_power_sum",
     "table_provider",

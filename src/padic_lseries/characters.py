@@ -79,7 +79,6 @@ class UnitGroup:
     modulus: int
     generators: tuple[int, ...]
     generator_orders: tuple[int, ...]
-    totient: int
     discrete_logs: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
 
 
@@ -91,7 +90,7 @@ def unit_group(k: int) -> UnitGroup:
         raise ModulusCapError(f"character modulus {k} exceeds the cap of {CHARACTER_MODULUS_CAP}")
     if k <= 2:
         residue = 0 if k == 1 else 1
-        return UnitGroup(k, (), (), 1, {residue: ()})
+        return UnitGroup(k, (), (), {residue: ()})
 
     local: list[tuple[int, int, int]] = []  # (prime_power, generator mod k, order)
     for q, e in sorted(_factorize(k)):
@@ -115,7 +114,6 @@ def unit_group(k: int) -> UnitGroup:
     local.sort(key=lambda t: t[0])
     generators = tuple(g for _, g, _ in local)
     orders = tuple(d for _, _, d in local)
-    phi = euler_phi(k)
 
     # the products g_1^a_1 ... g_j^a_j in itertools.product order, each
     # residue one multiplication by g_j past the one before it
@@ -127,9 +125,9 @@ def unit_group(k: int) -> UnitGroup:
                 stepped[residue] = (*exps, a)
                 residue = residue * g % k
         logs = stepped
-    if len(logs) != phi:
+    if len(logs) != euler_phi(k):
         raise ValueError(f"generator set for k={k} does not span the unit group")
-    return UnitGroup(k, generators, orders, phi, logs)
+    return UnitGroup(k, generators, orders, logs)
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,6 @@ class DirichletCharacter:
     index: int
     exponents: tuple[int, ...]
     group: UnitGroup = field(compare=False, repr=False)
-
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
 
 def _index_of(exponents: tuple[int, ...], orders: tuple[int, ...]) -> int:

@@ -8,18 +8,20 @@ One recursive writer renders the report as built.  Its JSON bytes are
 those of json.dumps(sort_keys=True, indent=2) applied to the report with
 each complex number as a [re, im] list, each integer past 2^53 as a string
 and each key as str(key); --format tsv writes one path<TAB>value line per
-scalar, the value in the same JSON text.
+scalar, the value in the same JSON text.  Strict JSON has no NaN or
+infinity: such a float raises FloatRangeError naming its TSV path.
 
-Configuration comes from defaults, then an optional key=value file given
-with --config, then per-flag overrides; the effective configuration is
-echoed inside each report.  The only environment variable honored is
-PADIC_LSERIES_OUTPUT, which redirects the report from stdout to a file.
+Each of the six settings of RunConfig has one flag (output_format is
+--format) and a default; the effective configuration is echoed inside each
+report.  The only environment variable honored is PADIC_LSERIES_OUTPUT,
+which redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
 character addresses, an --s or --alpha that is not a finite complex
 number, a report path that cannot be written), 2 on domain errors
 (nonconvergence, poles, degenerate twists, out-of-range coefficients, a
-character modulus, table or truncation past its cap).
+character modulus, table or truncation past its cap, a report value that
+is not a finite float).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characters import DirichletCharacter, Twist, character_twist, enumerate_characters
-from .errors import PadicLseriesError, TableCapError
+from .errors import FloatRangeError, PadicLseriesError, TableCapError
 from .lseries import (
     dirichlet_series,
     euler_product,
@@ -77,7 +79,7 @@ _JSON_SAFE_INT = 2**53
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs every subcommand shares; all overridable by file then flags."""
+    """Knobs every subcommand shares, each set by one flag (output_format by --format)."""
 
     truncation: int = DEFAULT_INNER_CIRCLES
     prime_bound: int = 100_000
@@ -102,31 +104,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2); remap to 1
         raise _UsageError(message)
-
-
-def _load_config_file(path: str) -> dict:
-    overrides = {}
-    coerce = {f.name: type(f.default) for f in fields(RunConfig)}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in coerce:
-            raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            overrides[key] = coerce[key](value)
-        except ValueError as exc:
-            raise _UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return overrides
 
 
 def _parse_complex(text: str) -> complex:
@@ -166,20 +143,17 @@ def _character(k: int, index: int) -> DirichletCharacter:
 _SCALARS = (str, float, int)  # bool is an int
 
 
-def _scalar(value) -> str:
-    """The JSON text of one scalar, as json.dumps writes it; TypeError for a non-scalar.
+def _scalar(value, path: str = "") -> str:
+    """The JSON text of the scalar at ``path`` as json.dumps writes it; TypeError for a non-scalar.
 
-    Integers outside +-2^53 are quoted, since a double cannot hold them.
+    Integers outside +-2^53 are quoted, since a double cannot hold them.  A NaN
+    or infinite float raises FloatRangeError naming ``path``.
     """
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
+        if not math.isfinite(value):
+            raise FloatRangeError(f"report field {path} is {value}; strict JSON has no token for it")
         return float.__repr__(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -224,7 +198,7 @@ def _tsv(value, prefix: str, lines: list) -> None:
     """One "path<TAB>scalar" line per scalar under ``prefix``, dict keys sorted."""
     children = _children(value)
     if children is None:
-        lines.append(f"{prefix}\t{_scalar(value)}")
+        lines.append(f"{prefix}\t{_scalar(value, prefix)}")
     elif isinstance(value, dict):
         for key, item in children:
             _tsv(item, f"{prefix}.{key}" if prefix else key, lines)
@@ -234,9 +208,14 @@ def _tsv(value, prefix: str, lines: list) -> None:
 
 
 def _render(report: dict, output_format: str) -> str:
-    if output_format == "json":
-        return _json(report, "\n") + "\n"
+    """The report's bytes; FloatRangeError naming the first NaN or infinite float's path."""
     lines: list = []
+    if output_format == "json":
+        try:
+            return _json(report, "\n") + "\n"
+        except FloatRangeError:
+            _tsv(report, "", lines)  # meets the same float first, and knows its path
+            raise
     _tsv(report, "", lines)
     return "\n".join(lines) + "\n"
 
@@ -446,7 +425,6 @@ def _cmd_selftest(args, config: RunConfig) -> dict:
 def _build_parser() -> _Parser:
     """The one parser of this process, built on the first run() and reused."""
     common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
     common.add_argument(
         "--format", dest="output_format", choices=("json", "tsv"), help="output format"
     )
@@ -512,11 +490,9 @@ def _build_parser() -> _Parser:
 
 
 def _effective_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = replace(config, **_load_config_file(args.config))
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    """The defaults, each replaced by its flag's value where the flag was given."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def run(argv) -> int:
@@ -527,6 +503,7 @@ def run(argv) -> int:
         config = _effective_config(args)
         report = {"command": args.command, **args.handler(args, config)}
         report["config"] = {f.name: getattr(config, f.name) for f in fields(config)}
+        text = _render(report, config.output_format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -535,7 +512,6 @@ def run(argv) -> int:
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 2
 
-    text = _render(report, config.output_format)
     destination = os.environ.get(OUTPUT_ENV)
     if destination:
         try:

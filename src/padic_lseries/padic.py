@@ -86,11 +86,6 @@ class PadicNumber:
         return Fraction(self.prime) ** self.valuation * self.unit
 
 
-def padic_zero(p: int) -> PadicNumber:
-    _require_prime(p)
-    return PadicNumber(p, 0, 0, 0)
-
-
 def _int_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero is undefined")

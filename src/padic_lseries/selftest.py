@@ -25,7 +25,7 @@ from .modular import (
     symmetric_power_sum,
     verify_recursion,
 )
-from .padic import padic_zero, phase_table
+from .padic import padic_from_fraction, phase_table
 from .quadrature import GammaSpec, gamma_by_quadrature, gamma_closed_form
 from .wavelets import (
     OperatorSpec,
@@ -127,7 +127,7 @@ def _kernel_gap(twist: Twist, label: int, R: int) -> float:
     """The kernel's distance from the eigenvalue times the ket at 0, less its tail; alpha = 1."""
     spec = OperatorSpec(twist, complex(1.0))
     idx = ket(twist.prime, label)
-    point = padic_zero(twist.prime)
+    point = padic_from_fraction(twist.prime, 0)
     value, tail = apply_kernel(spec, idx, point, R)
     expected = eigenvalue(spec, label) * wavelet_eval(idx, point)
     return abs(value - expected) - tail

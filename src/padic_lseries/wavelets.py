@@ -103,17 +103,16 @@ def _center_pair(idx: WaveletIndex) -> tuple[int, int]:
     return m.numerator, -idx.n - _int_valuation(m.denominator, idx.prime)
 
 
-def _in_support(idx: WaveletIndex, center: tuple[int, int], u: int, v: int) -> bool:
-    """Whether |u p^v - centre| <= p^n, i.e. the difference lies in p^(-n) Z_p."""
-    p, n = idx.prime, idx.n
+def _within(p: int, center: tuple[int, int], u: int, v: int, level: int) -> bool:
+    """Whether u p^v - centre lies in p^level Z_p; level -n is the support ball."""
     a, e = center
     c, low = _sum_pair(p, u, v, -a, e)
-    return low >= -n or c % p ** (-n - low) == 0
+    return low >= level or c % p ** (level - low) == 0
 
 
 def _coset(idx: WaveletIndex, center: tuple[int, int], u: int, v: int):
     """None off the support ball, else (r0, max(m, p)) with {j p^(n-1) u p^v}_p = r0 / m."""
-    if not _in_support(idx, center, u, v):
+    if not _within(idx.prime, center, u, v, -idx.n):
         return None
     r0, m = _fractional_residue(idx.prime, idx.j * u, v + idx.n - 1)
     return r0, max(m, idx.prime)
@@ -124,8 +123,15 @@ def kernel_coset(idx: WaveletIndex, xi: PadicNumber) -> tuple[int, int] | None:
 
     None off the support ball; on it, the phase residue (r0, m) of xi's coset
     of p^(1-n) Z_p, m raised to p on Z_p.  Equal keys give bit-equal values.
+    A nonzero xi is fixed only mod p^(valuation + precision); ValueError where
+    that leaves its coset open, i.e. the digits it fixes of xi - centre are all 0.
     """
-    return _coset(idx, _center_pair(idx), xi.unit, xi.valuation)
+    p, center, known = idx.prime, _center_pair(idx), xi.valuation + xi.precision
+    if xi.unit and known <= -idx.n and _within(p, center, xi.unit, xi.valuation, known):
+        raise ValueError(
+            f"the point's digits fix it only mod {p}^{known}; the wavelet reads it mod {p}^{1 - idx.n}"
+        )
+    return _coset(idx, center, xi.unit, xi.valuation)
 
 
 def _psi(idx: WaveletIndex, coset: tuple[int, int] | None) -> complex:
@@ -135,7 +141,7 @@ def _psi(idx: WaveletIndex, coset: tuple[int, int] | None) -> complex:
 
 
 def wavelet_eval(idx: WaveletIndex, xi: PadicNumber) -> complex:
-    """psi_{n,m,j}(xi); exactly zero off the support ball."""
+    """psi_{n,m,j}(xi); exactly zero off the support ball, ValueError as kernel_coset."""
     if idx.prime != xi.prime:
         raise PrimeMismatchError(
             f"wavelet over Q_{idx.prime} evaluated at a Q_{xi.prime} point"
@@ -211,7 +217,8 @@ def apply_kernel(
     must be below 1, or ConvergenceError is raised; a q of exactly 1 is a pole
     of Gamma(-alpha) and raises PoleError first.  R above RADIUS_CAP raises
     KernelCapError, and p - 1 support-shell cosets past ``cap`` raise
-    CosetCapError, before any shell is computed.
+    CosetCapError, before any shell is computed; a point with too few digits
+    raises ValueError as kernel_coset does.
 
     Returns (value, tail_bound).
     """
@@ -292,7 +299,7 @@ def inner_product(
     centers = {idx1: _center_pair(idx1), idx2: _center_pair(idx2)}
     small, large = (idx1, idx2) if idx1.n <= idx2.n else (idx2, idx1)
     # the balls meet exactly when the smaller one's centre is in the larger
-    if not _in_support(large, centers[large], *centers[small]):
+    if not _within(p, centers[large], *centers[small], -large.n):
         return complex(0.0, 0.0)
 
     # both wavelets are constant on cosets of p^(1-n) Z_p, n the smaller scale

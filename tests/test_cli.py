@@ -1,14 +1,13 @@
-"""Exit codes, serialization, config layering, and report determinism."""
+"""Exit codes, serialization, config flags, and report determinism."""
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,7 @@ import pytest
 from padic_lseries import (
     CHARACTER_MODULUS_CAP,
     DELTA_TERMS_CAP,
+    FloatRangeError,
     TableCapError,
     delta_provider,
     local_factor_closed,
@@ -94,6 +94,16 @@ def test_one_parser_serves_every_request_of_a_process_byte_for_byte():
     assert [r[0] for r in results] == [1, 0, 0, 1]
     assert len(json.loads(results[1][1])["entries"]) == 5
     assert len(json.loads(results[2][1])["entries"]) == 20
+
+
+def test_gamma_of_a_vanishing_twist_reports_zeros(capsys):
+    # chi_4(2) = 0: both routes give 0, with a zero bound and no circle summed
+    assert run(["gamma", "--p", "2", "--k", "4", "--chi", "1", "--s", "2"]) == 0
+    out, _ = _capture(capsys)
+    report = json.loads(out)
+    assert report["closed_form"] == report["quadrature"] == [0.0, 0.0]
+    assert report["remainder_bound"] == report["abs_difference"] == 0.0
+    assert report["terms_used"] == 0
 
 
 def test_gamma_at_p_101_stays_under_the_coset_cap(capsys):
@@ -634,35 +644,25 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert not target.exists()
 
 
-def test_config_file_layering(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("# comment line\ntruncation = 32\noutput_format = tsv\n")
+def test_flags_override_the_defaults(capsys):
     code = run(["local-factor", "--kind", "zeta", "--p", "2", "--s", "2",
-                "--config", str(config), "--truncation", "16"])
+                "--truncation", "16", "--format", "tsv"])
     out, _ = _capture(capsys)
     assert code == 0
-    # flags win over the file; the file sets the format
+    # the flags set their settings, the others keep their defaults
     assert "config.truncation\t16" in out
     assert "config.output_format\t\"tsv\"" in out
+    assert "config.prime_bound\t100000" in out
     assert "\t" in out.splitlines()[0]
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("warp_speed = 9\n")
-    assert run(["selftest", "--config", str(config)]) == 1
-    _, err = _capture(capsys)
-    assert "unknown config key" in err
-
-
-def test_config_file_is_closed_after_loading(tmp_path):
+def test_the_removed_config_file_flag_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("truncation = 32\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli._load_config_file(str(config)) == {"truncation": 32}
-        gc.collect()
-    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert run(["selftest", "--config", str(config)]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "unrecognized arguments: --config" in err
 
 
 def test_tsv_flattening(capsys):
@@ -787,12 +787,12 @@ def test_writer_matches_the_encode_then_dumps_route_property():
     )
     scalars = st.one_of(
         text,
-        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1.7976931348623157e308]),
         st.integers(),
         st.sampled_from([s + d for s in (safe, -safe) for d in (-1, 0, 1)]),
         st.booleans(),
-        st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
     )
     values = st.recursive(
         scalars,
@@ -812,6 +812,45 @@ def test_writer_matches_the_encode_then_dumps_route_property():
             assert cli._render(report, output_format) == _reference_render(report, output_format)
 
     check()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_float_at_any_depth_is_refused_naming_its_path(bad):
+    # strict JSON has no token for these; the path is the one TSV writes
+    cases = [
+        ({"x": bad}, "x"),
+        ({"a": [1, {"b": (2.0, bad)}]}, "a[1].b[1]"),
+        ({"z": complex(bad, 0.0)}, "z[0]"),
+        ({"z": [complex(0.0, bad)]}, "z[0][1]"),
+        ({0: {"ok": 1.5, "x": [bad, math.inf]}}, "0.x[0]"),
+    ]
+    for report, path in cases:
+        for output_format in ("json", "tsv"):
+            with pytest.raises(FloatRangeError, match=rf"^report field {re.escape(path)} is {bad}; "):
+                cli._render(report, output_format)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # g u >= 1/2 at |Im s| = 1e17: the certified rounding radius is inf
+        ["gamma", "--p", "2", "--k", "1", "--chi", "0", "--s", "0.5+1e17i"],
+        ["lseries", "--kind", "zeta", "--s", "2+1e17i", "--method", "series", "--series-length", "100"],
+    ],
+)
+def test_an_infinite_remainder_bound_exits_two_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    for output_format in ("json", "tsv"):
+        assert run([*argv, "--format", output_format]) == 2
+        out, err = _capture(capsys)
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "FloatRangeError",
+            "message": "report field remainder_bound is inf; strict JSON has no token for it",
+        }
+    target = tmp_path / "report.json"
+    monkeypatch.setenv("PADIC_LSERIES_OUTPUT", str(target))
+    assert run(argv) == 2
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("p", [2, 3, 17, 307])

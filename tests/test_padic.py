@@ -19,7 +19,6 @@ from padic_lseries import (
     local_factor_closed,
     local_trace,
     padic_from_fraction,
-    padic_zero,
     unit_phase,
 )
 from padic_lseries.wavelets import ket, wavelet_index
@@ -32,7 +31,6 @@ PRIMES = (2, 3, 5, 7)
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(padic_zero, id="padic_zero"),
         pytest.param(lambda p: padic_from_fraction(p, Fraction(1, 2)), id="padic_from_fraction"),
         pytest.param(lambda p: wavelet_index(p, 0), id="wavelet_index"),
         pytest.param(lambda p: ket(p, 0), id="ket"),
@@ -51,7 +49,7 @@ def test_every_entry_point_refuses_a_non_prime_with_one_message(build):
 
 
 def test_zero_element():
-    z = padic_zero(5)
+    z = padic_from_fraction(5, 0)
     assert z.unit == 0
     assert z.as_fraction() == 0
 
@@ -81,7 +79,7 @@ def test_fractional_part_drops_integral_digits():
     x = _unchecked(2, -2, (1, 0, 1, 1))  # 1/4 + 1/1 + 2 integrally
     assert fractional_part(x) == Fraction(1, 4)
     assert fractional_part(_unchecked(5, 0, (3, 1))) == 0
-    assert fractional_part(padic_zero(7)) == 0
+    assert fractional_part(padic_from_fraction(7, 0)) == 0
 
 
 def test_additive_character_basics():
@@ -126,7 +124,7 @@ def _assert_fraction_route(x):
 def test_additive_character_equals_the_fraction_route_exactly():
     rng = random.Random(20240229)
     for p in (2, 3, 5, 7, 29, 97):
-        _assert_fraction_route(padic_zero(p))
+        _assert_fraction_route(padic_from_fraction(p, 0))
         for v in range(-4, 3):
             # leading zero digits make the unit part a multiple of p^(-v): r = 0
             _assert_fraction_route(_unchecked(p, v, (0,) * max(0, -v) + (1,)))

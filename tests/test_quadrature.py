@@ -231,6 +231,16 @@ def test_gamma_bound_meets_the_benchmark_rule_on_the_local_grid_space():
     assert cases == 1905
 
 
+def test_a_twist_that_vanishes_gives_gamma_zero_from_every_route():
+    # chi_4(2) = 0: gamma is 0 by convention, and no circle is summed
+    spec = GammaSpec(character_twist(enumerate_characters(4)[1], 2), 2.0)
+    assert spec.twist.value == 0
+    assert gamma_closed_form(spec) == 0j
+    assert gamma_regions(spec, 64) == (0j, 0j, 0j)
+    result = gamma_by_quadrature(spec, 64)
+    assert (result.value, result.remainder_bound, result.terms_used) == (0j, 0.0, 0)
+
+
 def test_terms_used_reported():
     spec = GammaSpec(Twist(3), 2.0)
     assert gamma_by_quadrature(spec, 17).terms_used == 17

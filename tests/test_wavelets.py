@@ -749,6 +749,37 @@ def test_points_with_one_kernel_key_get_equal_values():
     assert set(repeats) == {(p, off, wide) for p in (2, 3, 5, 17, 251) for off, wide in kinds}
 
 
+def test_a_point_with_too_few_digits_is_refused_where_they_decide_the_value():
+    # a nonzero point is fixed only mod p^(valuation + precision); the wavelet
+    # at scale n reads it mod p^(1 - n)
+    spec = OperatorSpec(Twist(3), 1.0)
+    idx = wavelet_index(3, 0, Fraction(1, 9))
+
+    def outcomes(q, precision, R=40):
+        xi = _point(3, q, precision)
+        return wavelets.kernel_coset(idx, xi), wavelet_eval(idx, xi), apply_kernel(spec, idx, xi, R)
+
+    # 7/9 - 1/9 = 2/3 lies off the support; one digit of 7/9 leaves it open
+    for precision in (2, 3, 32):
+        assert outcomes(Fraction(7, 9), precision) == (None, 0j, (0j, 0.0))
+    # 23/45 - 1/9 = 2/5 is on the support; its phase residue 10/27 needs three digits
+    on_support = outcomes(Fraction(23, 45), 32)
+    assert on_support[0] == (10, 27)
+    assert outcomes(Fraction(23, 45), 3) == on_support
+    for q, precision in ((Fraction(7, 9), 1), (Fraction(23, 45), 1), (Fraction(23, 45), 2)):
+        xi = _point(3, q, precision)
+        for read in (wavelets.kernel_coset, wavelet_eval, lambda i, x: apply_kernel(spec, i, x, 40)):
+            with pytest.raises(ValueError, match=r"fix it only mod 3\^-?\d+; the wavelet reads it mod 3\^1$"):
+                read(idx, xi)
+    # a far-off point is off a ket's support whatever its missing digits are
+    far = ket(3, 2)  # n = -1, support 3 Z_3
+    for precision in (1, 32):
+        xi = _point(3, Fraction(1, 3**9), precision)
+        assert wavelets.kernel_coset(far, xi) is None
+        assert wavelet_eval(far, xi) == 0
+        assert apply_kernel(spec, far, xi, 40) == (0j, 0.0)
+
+
 def test_eigencheck_runs_the_kernel_once_per_ket_and_coset(monkeypatch, capsys):
     calls = []
 

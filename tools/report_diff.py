@@ -8,9 +8,10 @@ workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
 examples in README.md, the heavy requests of ``HEAVY``: large-p gamma
 and kernel checks and Euler products at the prime cap, which the
 workloads never draw, the slow baseline invocations of ROADMAP.md,
-both sides of gamma's coset cap, the kernel's support shell at its cap
-and a kernel whose gamma denominator passes the float range, and the
-``--format tsv`` requests of ``TSV``, which the workloads never ask for.
+both sides of gamma's coset cap, the kernel's support shell at its cap,
+a kernel whose gamma denominator passes the float range and two reports
+whose remainder bound is infinite, and the ``--format tsv`` requests of
+``TSV``, which the workloads never ask for.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
 ``tools/bench_pair.py`` does; the change is this repository's working tree.
@@ -64,6 +65,10 @@ HEAVY = (
     "eigencheck --kind plain --p 101 --alpha 1 --coset-cap 100",
     # T p^150 passes the float range in Gamma(-alpha)'s denominator
     "eigencheck --kind modular_a2 --p 101 --alpha 150 --radius 5 --points 1 --max-ket 0",
+    # |Im s| = 1e17 makes the certified rounding radius infinite: a report
+    # with no strict-JSON form
+    "gamma --p 2 --k 1 --chi 0 --s 0.5+1e17i",
+    "lseries --kind zeta --s 2+1e17i --method series --series-length 100",
 )
 
 # one report of each shape: sample-point strings, complex pairs, a quoted
