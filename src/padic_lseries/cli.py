@@ -11,17 +11,17 @@ and each key as str(key); --format tsv writes one path<TAB>value line per
 scalar, the value in the same JSON text.  Strict JSON has no NaN or
 infinity: such a float raises FloatRangeError naming its TSV path.
 
-Each of the six settings of RunConfig has one flag (output_format is
---format) and a default; the effective configuration is echoed inside each
-report.  The only environment variable honored is PADIC_LSERIES_OUTPUT,
-which redirects the report from stdout to a file.
+Each subcommand has a flag only for the settings it reads; each report
+echoes all six settings under "config", a flag's value or the default.
+The only environment variable honored is PADIC_LSERIES_OUTPUT, which
+redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
 character addresses, an --s or --alpha that is not a finite complex
 number, a report path that cannot be written), 2 on domain errors
-(nonconvergence, poles, degenerate twists, out-of-range coefficients, a
-character modulus, table or truncation past its cap, a report value that
-is not a finite float).
+(a count below 1 or a tolerance outside (0, 1), nonconvergence, poles,
+degenerate twists, out-of-range coefficients, a character modulus, table,
+coset count or truncation past its cap, a non-finite report value).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 
 from .characters import DirichletCharacter, Twist, character_twist, enumerate_characters
@@ -77,24 +76,17 @@ OUTPUT_ENV = "PADIC_LSERIES_OUTPUT"
 _JSON_SAFE_INT = 2**53
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs every subcommand shares, each set by one flag (output_format by --format)."""
-
-    truncation: int = DEFAULT_INNER_CIRCLES
-    prime_bound: int = 100_000
-    series_length: int = 1_000_000
-    tolerance: float = 1e-9
-    coset_cap: int = COSET_CAP
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        if min(self.truncation, self.prime_bound, self.series_length, self.coset_cap) <= 0:
-            raise ValueError("config values must be positive")
-        if not 0.0 < self.tolerance < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
-        if self.output_format not in ("json", "tsv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+# The six settings each report echoes under "config", at their defaults.  A
+# subcommand has a flag only for the settings it reads, and the echo is this
+# table with those flags' values laid over it; coset_cap has no flag.
+_SETTINGS = {
+    "truncation": DEFAULT_INNER_CIRCLES,
+    "prime_bound": 100_000,
+    "series_length": 1_000_000,
+    "tolerance": 1e-9,
+    "coset_cap": COSET_CAP,
+    "output_format": "json",
+}
 
 
 class _UsageError(Exception):
@@ -220,12 +212,12 @@ def _render(report: dict, output_format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gamma(args, config: RunConfig) -> dict:
+def _cmd_gamma(args) -> dict:
     chi = _character(args.k, args.chi)
     s = _parse_complex(args.s)  # a bad --s is a usage error even for a non-prime --p
     spec = GammaSpec(character_twist(chi, args.p), s)
     closed = gamma_closed_form(spec)
-    quadrature = gamma_by_quadrature(spec, config.truncation, cap=config.coset_cap)
+    quadrature = gamma_by_quadrature(spec, args.truncation)
     return {
         "closed_form": closed,
         "quadrature": quadrature.value,
@@ -253,7 +245,7 @@ def _sample_point(p: int, mult: int, n: int) -> tuple[PadicNumber, str]:
     return point, f"{unit}/{p**-valuation}"
 
 
-def _cmd_eigencheck(args, config: RunConfig) -> dict:
+def _cmd_eigencheck(args) -> dict:
     p = args.p
     alpha = _parse_complex(args.alpha)
     if not 1 <= args.points <= _SAMPLE_MULTIPLIERS:
@@ -288,7 +280,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
             point, point_text = _sample_point(p, mult, idx.n)
             key = kernel_coset(idx, point)
             if key not in checked:
-                value, tail = apply_kernel(spec, idx, point, radius, cap=config.coset_cap)
+                value, tail = apply_kernel(spec, idx, point, radius)
                 checked[key] = value, tail, abs(value - lam * wavelet_eval(idx, point))
             value, tail, residual = checked[key]
             margin = residual - tail
@@ -299,7 +291,7 @@ def _cmd_eigencheck(args, config: RunConfig) -> dict:
                     "point": point_text,
                     "residual": residual,
                     "tail_bound": tail,
-                    "passed": margin <= config.tolerance,
+                    "passed": margin <= args.tolerance,
                 }
             )
     return {
@@ -327,11 +319,11 @@ def _twist(args, table_size: int):
     return delta_provider(table_size)
 
 
-def _cmd_local_factor(args, config: RunConfig) -> dict:
+def _cmd_local_factor(args) -> dict:
     s = _parse_complex(args.s)
     twist = _twist(args, args.p)
     closed = local_factor_closed(twist, args.p, s)
-    trace = local_trace(twist, args.p, s, config.truncation)
+    trace = local_trace(twist, args.p, s, args.truncation)
     difference = abs(trace.value - closed)
     return {
         "kind": args.kind,
@@ -340,28 +332,27 @@ def _cmd_local_factor(args, config: RunConfig) -> dict:
         "remainder_bound": trace.remainder_bound,
         "terms_used": trace.terms_used,
         "abs_difference": difference,
-        "within_bound": difference <= trace.remainder_bound + config.tolerance,
+        "within_bound": difference <= trace.remainder_bound + args.tolerance,
     }
 
 
-def _cmd_lseries(args, config: RunConfig) -> dict:
+def _cmd_lseries(args) -> dict:
+    if args.series_length is None:
+        # a modular series sums its whole tau table, whose build cost is real,
+        # so it defaults to the library's table length; the config echoes
+        # the length resolved here
+        modular_series = args.kind == "modular" and args.method == "series"
+        args.series_length = DEFAULT_DELTA_TERMS if modular_series else _SETTINGS["series_length"]
     s = _parse_complex(args.s)
     if args.method == "euler":
         # modular euler needs coefficients at every sieved prime
-        twist = _twist(args, config.prime_bound)
-        result = euler_product(twist, s, config.prime_bound)
-        scope = {"prime_bound": config.prime_bound}
+        twist = _twist(args, args.prime_bound)
+        result = euler_product(twist, s, args.prime_bound)
+        scope = {"prime_bound": args.prime_bound}
     else:
-        series_length = config.series_length
-        if args.kind == "modular":
-            # the series sums its whole table; the expansion cost is real, so
-            # the length comes from the flags or the library default, never
-            # from the config's series_length (1e6 by default, meant for
-            # Dirichlet kinds)
-            series_length = args.series_length or DEFAULT_DELTA_TERMS
-        twist = _twist(args, series_length)
-        result = dirichlet_series(twist, s, series_length)
-        scope = {"series_length": series_length}
+        twist = _twist(args, args.series_length)
+        result = dirichlet_series(twist, s, args.series_length)
+        scope = {"series_length": args.series_length}
     return {
         "kind": args.kind,
         "method": args.method,
@@ -372,12 +363,12 @@ def _cmd_lseries(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_tau(args, config: RunConfig) -> dict:
+def _cmd_tau(args) -> dict:
     values = delta_expansion(args.max)
     return {"max": args.max, "coefficients": [str(v) for v in values]}
 
 
-def _cmd_factorize(args, config: RunConfig) -> dict:
+def _cmd_factorize(args) -> dict:
     provider = delta_provider(args.p)
     fac = factorize_local(provider, args.p)
     return {
@@ -391,10 +382,10 @@ def _cmd_factorize(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_hecke_trace(args, config: RunConfig) -> dict:
+def _cmd_hecke_trace(args) -> dict:
     s = _parse_complex(args.s)
     provider = delta_provider(args.p)
-    result = hecke_conjugated_trace(provider, args.p, s, args.shift, config.truncation)
+    result = hecke_conjugated_trace(provider, args.p, s, args.shift, args.truncation)
     # p^18 > DELTA_TERMS_CAP for every p: decide the cap without building p^shift
     if args.p ** min(args.shift, DELTA_TERMS_CAP.bit_length()) > DELTA_TERMS_CAP:
         raise TableCapError(
@@ -417,36 +408,35 @@ def _cmd_hecke_trace(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_selftest(args, config: RunConfig) -> dict:
+def _cmd_selftest(args) -> dict:
     return run_selftest()
 
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The one parser of this process, built on the first run() and reused."""
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format", dest="output_format", choices=("json", "tsv"), help="output format"
-    )
-    common.add_argument("--truncation", type=int, help="trace/quadrature truncation M")
-    common.add_argument("--prime-bound", type=int, help="Euler product prime bound P")
-    common.add_argument(
-        "--series-length", type=int, help="Dirichlet series length N (modular: table length)"
-    )
-    common.add_argument("--tolerance", type=float, help="pass/fail slack on comparisons")
-    common.add_argument("--coset-cap", type=int, help="max coset representatives")
+    """The one parser of this process, built on the first run() and reused.
+
+    Each subcommand takes --format and a flag for each setting it reads.
+    """
+    fmt, trunc, tol = (_Parser(add_help=False) for _ in range(3))
+    fmt.add_argument("--format", dest="output_format", choices=("json", "tsv"),
+                     default=_SETTINGS["output_format"], help="output format")
+    trunc.add_argument("--truncation", type=int, default=_SETTINGS["truncation"],
+                       help="trace/quadrature truncation M")
+    tol.add_argument("--tolerance", type=float, default=_SETTINGS["tolerance"],
+                     help="pass/fail slack on comparisons")
 
     parser = _Parser(prog="padic-lseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gamma", parents=[common], help="closed form vs quadrature")
+    g = sub.add_parser("gamma", parents=[fmt, trunc], help="closed form vs quadrature")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--k", type=int, required=True, help="character modulus")
     g.add_argument("--chi", type=int, required=True, help="character index mod k")
     g.add_argument("--s", required=True)
     g.set_defaults(handler=_cmd_gamma)
 
-    e = sub.add_parser("eigencheck", parents=[common], help="kernel vs spectral action")
+    e = sub.add_parser("eigencheck", parents=[fmt, tol], help="kernel vs spectral action")
     e.add_argument("--kind", choices=("plain", "character_twisted", "modular_a1", "modular_a2"), required=True)
     e.add_argument("--p", type=int, required=True)
     e.add_argument("--alpha", required=True)
@@ -456,43 +446,50 @@ def _build_parser() -> _Parser:
     e.add_argument("--points", type=int, default=5, help="sample points per ket (max 5)")
     e.set_defaults(handler=_cmd_eigencheck)
 
-    lf = sub.add_parser("local-factor", parents=[common], help="trace vs closed factor")
+    lf = sub.add_parser("local-factor", parents=[fmt, trunc, tol], help="trace vs closed factor")
     lf.add_argument("--kind", choices=("zeta", "dirichlet", "modular"), required=True)
     lf.add_argument("--p", type=int, required=True)
     lf.add_argument("--s", required=True)
     lf.add_argument("--character", help="k:index for dirichlet")
     lf.set_defaults(handler=_cmd_local_factor)
 
-    ls = sub.add_parser("lseries", parents=[common], help="Euler product or partial series")
+    ls = sub.add_parser("lseries", parents=[fmt], help="Euler product or partial series")
+    ls.add_argument("--prime-bound", type=int, default=_SETTINGS["prime_bound"],
+                    help="Euler product prime bound P")
+    ls.add_argument("--series-length", type=int, help="series length N (default "
+                    f"{_SETTINGS['series_length']}; modular: {DEFAULT_DELTA_TERMS})")
     ls.add_argument("--kind", choices=("zeta", "dirichlet", "modular"), required=True)
     ls.add_argument("--s", required=True)
     ls.add_argument("--method", choices=("euler", "series"), default="euler")
     ls.add_argument("--character", help="k:index for dirichlet")
     ls.set_defaults(handler=_cmd_lseries)
 
-    t = sub.add_parser("tau", parents=[common], help="exact discriminant coefficients")
+    t = sub.add_parser("tau", parents=[fmt], help="exact discriminant coefficients")
     t.add_argument("--max", type=int, required=True)
     t.set_defaults(handler=_cmd_tau)
 
-    f = sub.add_parser("factorize", parents=[common], help="local Hecke root pair")
+    f = sub.add_parser("factorize", parents=[fmt], help="local Hecke root pair")
     f.add_argument("--p", type=int, required=True)
     f.set_defaults(handler=_cmd_factorize)
 
-    h = sub.add_parser("hecke-trace", parents=[common], help="conjugated lattice trace")
+    h = sub.add_parser("hecke-trace", parents=[fmt, trunc], help="conjugated lattice trace")
     h.add_argument("--p", type=int, required=True)
     h.add_argument("--s", required=True)
     h.add_argument("--shift", type=int, required=True)
     h.set_defaults(handler=_cmd_hecke_trace)
 
-    st = sub.add_parser("selftest", parents=[common], help="run the invariant suite")
+    st = sub.add_parser("selftest", parents=[fmt], help="run the invariant suite")
     st.set_defaults(handler=_cmd_selftest)
     return parser
 
 
-def _effective_config(args) -> RunConfig:
-    """The defaults, each replaced by its flag's value where the flag was given."""
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
+def _check_settings(args) -> None:
+    """ValueError, before any work, for a count below 1 or a tolerance outside (0, 1)."""
+    counts = [getattr(args, name, None) for name in ("truncation", "prime_bound", "series_length")]
+    if any(count is not None and count <= 0 for count in counts):
+        raise ValueError("config values must be positive")
+    if not 0.0 < getattr(args, "tolerance", _SETTINGS["tolerance"]) < 1.0:
+        raise ValueError("tolerance must lie in (0, 1)")
 
 
 def run(argv) -> int:
@@ -500,10 +497,10 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _effective_config(args)
-        report = {"command": args.command, **args.handler(args, config)}
-        report["config"] = {f.name: getattr(config, f.name) for f in fields(config)}
-        text = _render(report, config.output_format)
+        _check_settings(args)
+        report = {"command": args.command, **args.handler(args)}
+        report["config"] = {name: getattr(args, name, value) for name, value in _SETTINGS.items()}
+        text = _render(report, args.output_format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

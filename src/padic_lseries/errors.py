@@ -22,7 +22,7 @@ class PrimeMismatchError(PadicLseriesError):
 
 
 class CosetCapError(PadicLseriesError):
-    """A coset enumeration would exceed the configured representative cap."""
+    """A coset enumeration would exceed the representative cap COSET_CAP."""
 
 
 class TableCapError(PadicLseriesError):

@@ -89,12 +89,12 @@ def _check_truncation(M: int) -> None:
         raise SeriesCapError(f"truncation {M} exceeds the cap {TRUNCATION_CAP}")
 
 
-def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[complex, complex, complex]:
+def gamma_regions(spec: GammaSpec, N: int) -> tuple[complex, complex, complex]:
     """The three pieces of the defining integral, separately.
 
     Returns (inner, unit, outer): inner circles |xi| = p^(-n) for n = 1..N,
     the unit circle, and the outer region, which is the one circle n = -1
-    (p - 1 cosets at depth 1, refused with CosetCapError past ``cap``).  The
+    (p - 1 cosets at depth 1, refused with CosetCapError past COSET_CAP).  The
     circles n <= -2 are exactly 0: there the additive character sums to the
     Ramanujan sum c_{p^d}(1) = 0, d = -n >= 2, so they are not summed;
     ``test_zero_circles_integrate_to_zero`` checks that their coset sums
@@ -128,8 +128,8 @@ def gamma_regions(spec: GammaSpec, N: int, cap: int = COSET_CAP) -> tuple[comple
     # the additive character is the phase e^(2 pi i d / p) of phase_table
     radius_factor = _p_power(p, s - 1)
     twist_factor = twist.power(-1)
-    if p - 1 > cap:
-        raise CosetCapError(f"{p - 1} representatives at depth 1 exceed the cap of {cap}")
+    if p - 1 > COSET_CAP:
+        raise CosetCapError(f"{p - 1} representatives at depth 1 exceed the cap of {COSET_CAP}")
     outer = complex(0.0, 0.0)
     for phase in phase_table(0, 1, p, p):
         outer += phase * radius_factor * twist_factor
@@ -200,7 +200,7 @@ def _certified(truncation: float, units: float, g: float) -> float:
     return math.nextafter(bound, math.inf)
 
 
-def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: int = COSET_CAP) -> CertifiedResult:
+def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES) -> CertifiedResult:
     """Direct evaluation of the gamma integral with a certified remainder bound.
 
     The only truncation is the inner-circle count N; the discarded circles
@@ -211,7 +211,7 @@ def gamma_by_quadrature(spec: GammaSpec, N: int = DEFAULT_INNER_CIRCLES, cap: in
     """
     if spec.twist.value == 0:
         return CertifiedResult(complex(0.0, 0.0), 0.0, 0)
-    inner, unit, outer = gamma_regions(spec, N, cap=cap)
+    inner, unit, outer = gamma_regions(spec, N)
     value = inner + unit + outer
     if not cmath.isfinite(value):
         raise FloatRangeError(

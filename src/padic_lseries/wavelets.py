@@ -191,13 +191,7 @@ def check_ket_label(spec: OperatorSpec, label: int) -> None:
         )
 
 
-def apply_kernel(
-    spec: OperatorSpec,
-    idx: WaveletIndex,
-    xi: PadicNumber,
-    R: int,
-    cap: int = COSET_CAP,
-) -> tuple[complex, float]:
+def apply_kernel(spec: OperatorSpec, idx: WaveletIndex, xi: PadicNumber, R: int) -> tuple[complex, float]:
     """Apply the operator through its integral kernel, truncated at |xi'| <= p^R.
 
     Evaluates (1/Gamma(-alpha)) times the integral of
@@ -216,7 +210,7 @@ def apply_kernel(
     the wavelet value is returned with a zero bound.  p^(-Re alpha) and |q|
     must be below 1, or ConvergenceError is raised; a q of exactly 1 is a pole
     of Gamma(-alpha) and raises PoleError first.  R above RADIUS_CAP raises
-    KernelCapError, and p - 1 support-shell cosets past ``cap`` raise
+    KernelCapError, and p - 1 support-shell cosets past COSET_CAP raise
     CosetCapError, before any shell is computed; a point with too few digits
     raises ValueError as kernel_coset does.
 
@@ -247,8 +241,8 @@ def apply_kernel(
         raise ValueError(
             f"truncation radius p^{R} is smaller than the support radius p^{n}"
         )
-    if p - 1 > cap:
-        raise CosetCapError(f"{p - 1} shell cosets exceed the cap of {cap}")
+    if p - 1 > COSET_CAP:
+        raise CosetCapError(f"{p - 1} shell cosets exceed the cap of {COSET_CAP}")
     if xi.unit != 0 and -xi.valuation > R:
         raise ValueError("evaluation point lies outside the truncation ball")
 
@@ -280,12 +274,7 @@ def apply_kernel(
     return acc / gamma_norm, tail / abs(gamma_norm)
 
 
-def inner_product(
-    idx1: WaveletIndex,
-    idx2: WaveletIndex,
-    R: int,
-    cap: int = COSET_CAP,
-) -> complex:
+def inner_product(idx1: WaveletIndex, idx2: WaveletIndex, R: int) -> complex:
     """Exact L2 pairing <psi1, psi2> over the ball |xi| <= p^R.
 
     Disjoint supports pair to zero outright.  Otherwise the smaller support
@@ -303,8 +292,8 @@ def inner_product(
         return complex(0.0, 0.0)
 
     # both wavelets are constant on cosets of p^(1-n) Z_p, n the smaller scale
-    if p > cap:
-        raise CosetCapError(f"{p} coset representatives exceed the cap of {cap}")
+    if p > COSET_CAP:
+        raise CosetCapError(f"{p} coset representatives exceed the cap of {COSET_CAP}")
     coset_measure = _float_power(p, small.n - 1)
     total = complex(0.0, 0.0)
     for d in range(p):

@@ -1,4 +1,4 @@
-"""Exit codes, serialization, config flags, and report determinism."""
+"""Exit codes, serialization, setting flags, and report determinism."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from padic_lseries import (
     local_factor_closed,
 )
 from padic_lseries import cli, modular, padic, quadrature, wavelets
-from padic_lseries.cli import RunConfig, run
+from padic_lseries.cli import run
 
 
 def _capture(capsys):
@@ -252,24 +252,39 @@ def test_euler_tail_bound_past_the_float_range_exits_two(capsys):
     assert "exceeds the largest float" in error["message"]
 
 
-_GAMMA_101 = ["gamma", "--p", "101", "--k", "1", "--chi", "0", "--coset-cap", "50"]
-
-
 @pytest.mark.parametrize(
     "s, error",
     [
         ("2", {"type": "CosetCapError",
-               "message": "100 representatives at depth 1 exceed the cap of 50"}),
+               "message": "1000002 representatives at depth 1 exceed the cap of 1000000"}),
         # the convergence check comes before the cap
         ("-1", {"type": "ConvergenceError",
-                "message": "inner circles need |T| p^(-Re s) < 1; got 101 at s = (-1+0j)"}),
+                "message": "inner circles need |T| p^(-Re s) < 1; got 1e+06 at s = (-1+0j)"}),
     ],
 )
 def test_gamma_coset_cap_exits_two(s, error, capsys):
-    assert run(_GAMMA_101 + [f"--s={s}"]) == 2
+    # p = 1000003 is the first prime past COSET_CAP: p - 1 cosets on the outer circle
+    assert run(["gamma", "--p", "1000003", "--k", "1", "--chi", "0", f"--s={s}"]) == 2
     out, err = _capture(capsys)
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+def test_gamma_sums_its_outer_circle_at_the_coset_cap(monkeypatch, capsys):
+    # at p = 101 the outer circle is 100 cosets: summed at a cap of 100, refused at 99
+    argv = ["gamma", "--p", "101", "--k", "1", "--chi", "0", "--s", "2"]
+    assert run(argv) == 0
+    expected, _ = _capture(capsys)
+    monkeypatch.setattr(quadrature, "COSET_CAP", 100)
+    assert run(argv) == 0
+    assert _capture(capsys) == (expected, "")
+    monkeypatch.setattr(quadrature, "COSET_CAP", 99)
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "CosetCapError", "message": "100 representatives at depth 1 exceed the cap of 99"
+    }
 
 
 def test_gamma_reads_the_phase_table_of_an_eigencheck(capsys):
@@ -316,20 +331,17 @@ def test_lseries_euler_and_series(capsys):
     assert abs(report["value"][0] - 0.7853981634) < 1e-5
 
 
-def test_lseries_modular_series_sums_its_table(capsys):
-    code = run(["lseries", "--kind", "modular", "--s", "8", "--method", "series"])
-    out, _ = _capture(capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["terms_used"] == 5000
-    assert report["series_length"] == 5000
-
-    code = run(["lseries", "--kind", "modular", "--s", "8", "--method", "series",
-                "--series-length", "300"])
-    out, _ = _capture(capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["terms_used"] == report["series_length"] == 300
+@pytest.mark.parametrize(
+    "kind, default",
+    [(["zeta"], 1_000_000), (["dirichlet", "--character", "4:1"], 1_000_000), (["modular"], 5000)],
+)
+def test_a_series_report_echoes_the_length_it_summed(kind, default, capsys):
+    # a modular series sums its whole table, DEFAULT_DELTA_TERMS long by default
+    for flags, length in (([], default), (["--series-length", "300"], 300)):
+        assert run(["lseries", "--kind", *kind, "--s", "8", "--method", "series", *flags]) == 0
+        report = json.loads(_capture(capsys)[0])
+        assert report["series_length"] == report["config"]["series_length"] == length
+        assert report["terms_used"] == length
 
 
 def test_series_length_cap_exits_two_at_once(capsys):
@@ -675,16 +687,88 @@ def test_tsv_flattening(capsys):
     assert lines["command"] == '"tau"'
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(truncation=0)
-    with pytest.raises(ValueError):
-        RunConfig(output_format="xml")
-    with pytest.raises(ValueError):
-        RunConfig(tolerance=2.0)
-    # the defaults are the library's own
-    assert RunConfig().truncation == quadrature.DEFAULT_INNER_CIRCLES == 64
-    assert RunConfig().coset_cap == padic.COSET_CAP == 1_000_000
+# a valid request of each subcommand, and the settings it reads
+_REQUESTS = {
+    "gamma": ["--p", "3", "--k", "4", "--chi", "1", "--s", "0.5"],
+    "eigencheck": ["--kind", "plain", "--p", "3", "--alpha", "1", "--max-ket", "0", "--points", "1"],
+    "local-factor": ["--kind", "zeta", "--p", "3", "--s", "2"],
+    "lseries": ["--kind", "zeta", "--s", "2"],
+    "tau": ["--max", "3"],
+    "factorize": ["--p", "3"],
+    "hecke-trace": ["--p", "2", "--s", "8", "--shift", "1"],
+    "selftest": [],
+}
+_READS = {
+    "gamma": {"truncation"},
+    "eigencheck": {"tolerance"},
+    "local-factor": {"truncation", "tolerance"},
+    "lseries": {"prime-bound", "series-length"},
+    "hecke-trace": {"truncation"},
+}
+_SETTING_FLAGS = {"truncation": "16", "prime-bound": "500", "series-length": "300",
+                  "tolerance": "0.001", "coset-cap": "7"}
+
+
+@pytest.mark.parametrize("flag", list(_SETTING_FLAGS))
+@pytest.mark.parametrize("command", list(_REQUESTS))
+def test_a_subcommand_takes_only_the_settings_it_reads(command, flag, capsys):
+    value = _SETTING_FLAGS[flag]
+    code = run([command, *_REQUESTS[command], f"--{flag}", value])
+    out, err = _capture(capsys)
+    if flag in _READS.get(command, ()):
+        assert code == 0, err
+        assert json.loads(out)["config"][flag.replace("-", "_")] == json.loads(value)
+    else:
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: --{flag} {value}" in err
+
+
+def test_the_config_echo_defaults_are_the_librarys_own(capsys):
+    assert run(["tau", "--max", "3"]) == 0
+    assert json.loads(_capture(capsys)[0])["config"] == {
+        "truncation": quadrature.DEFAULT_INNER_CIRCLES,
+        "prime_bound": 100_000,
+        "series_length": 1_000_000,
+        "tolerance": 1e-9,
+        "coset_cap": padic.COSET_CAP,
+        "output_format": "json",
+    }
+    assert quadrature.DEFAULT_INNER_CIRCLES == 64
+    assert padic.COSET_CAP == 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gamma", *_REQUESTS["gamma"], "--truncation", "0"], "config values must be positive"),
+        (["hecke-trace", *_REQUESTS["hecke-trace"], "--truncation", "-1"],
+         "config values must be positive"),
+        (["local-factor", *_REQUESTS["local-factor"], "--tolerance", "2"], "tolerance must lie in (0, 1)"),
+        (["eigencheck", *_REQUESTS["eigencheck"], "--tolerance", "0"], "tolerance must lie in (0, 1)"),
+        (["lseries", *_REQUESTS["lseries"], "--prime-bound", "0"], "config values must be positive"),
+        (["lseries", "--kind", "modular", "--s", "8", "--method", "series", "--series-length", "0"],
+         "config values must be positive"),
+        # before the handler's own checks: --character is missing here
+        (["lseries", "--kind", "dirichlet", "--s", "2", "--prime-bound", "0"],
+         "config values must be positive"),
+        # a count is checked before the tolerance
+        (["local-factor", *_REQUESTS["local-factor"], "--tolerance", "2", "--truncation", "0"],
+         "config values must be positive"),
+    ],
+)
+def test_a_setting_out_of_range_exits_two(argv, message, capsys):
+    assert run(argv) == 2
+    out, err = _capture(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+def test_an_unknown_format_is_a_usage_error(capsys):
+    assert run(["tau", "--max", "3", "--format", "xml"]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert "invalid choice: 'xml'" in err
 
 
 def test_json_report_is_sorted_and_stable(capsys):

@@ -226,26 +226,45 @@ def test_kernel_refuses_a_decay_that_rounds_to_one():
     assert math.isfinite(tail)
 
 
-def test_kernel_enforces_the_coset_cap():
-    # the support shell is p - 1 cosets: p - 1 = cap is summed, p - 1 > cap
-    # is refused at an off-support point too, where the value is exactly 0
+def test_kernel_enforces_the_coset_cap(monkeypatch):
+    # the support shell is p - 1 cosets, refused past COSET_CAP at an
+    # off-support point too, where the value is exactly 0; p = 1000003 is
+    # the first prime past the cap
+    p = 1000003
+    idx = ket(p, 0)
+    for xi in (_point(p, idx.center), _point(p, Fraction(1, p * p))):
+        with pytest.raises(CosetCapError, match=f"^{p - 1} shell cosets exceed the cap of 1000000$"):
+            apply_kernel(OperatorSpec(Twist(p), 1.0), idx, xi, R=4)
+    # with the cap moved to p - 1 = 4 the shell is summed, and one below it refused
     spec = OperatorSpec(Twist(5), 1.0)
     idx = ket(5, 0)
     off_support = _point(5, Fraction(1, 25))
     assert apply_kernel(spec, idx, off_support, R=4) == (0j, 0.0)
     for xi in (_point(5, idx.center), off_support):
-        assert apply_kernel(spec, idx, xi, R=4, cap=4) == apply_kernel(spec, idx, xi, R=4)
-        with pytest.raises(CosetCapError, match="4 shell cosets exceed the cap of 3"):
-            apply_kernel(spec, idx, xi, R=4, cap=3)
+        expected = apply_kernel(spec, idx, xi, R=4)
+        monkeypatch.setattr(wavelets, "COSET_CAP", 4)
+        assert apply_kernel(spec, idx, xi, R=4) == expected
+        monkeypatch.setattr(wavelets, "COSET_CAP", 3)
+        with pytest.raises(CosetCapError, match="^4 shell cosets exceed the cap of 3$"):
+            apply_kernel(spec, idx, xi, R=4)
+        monkeypatch.undo()
 
 
-def test_inner_product_enforces_the_coset_cap():
-    # overlapping supports pair over p cosets: p = cap is summed, p > cap is refused
+def test_inner_product_enforces_the_coset_cap(monkeypatch):
+    # overlapping supports pair over p cosets, refused past COSET_CAP
+    big = ket(1000003, 0)
+    with pytest.raises(CosetCapError, match="^1000003 coset representatives exceed the cap of 1000000$"):
+        inner_product(big, big, R=6)
+    # with the cap moved to p = 5 the cosets are summed, and one below it refused
     a, b = ket(5, 0), ket(5, 1)
     for x, y in ((a, a), (a, b)):
-        assert inner_product(x, y, R=6, cap=5) == inner_product(x, y, R=6)
-        with pytest.raises(CosetCapError, match="5 coset representatives exceed the cap of 4"):
-            inner_product(x, y, R=6, cap=4)
+        expected = inner_product(x, y, R=6)
+        monkeypatch.setattr(wavelets, "COSET_CAP", 5)
+        assert inner_product(x, y, R=6) == expected
+        monkeypatch.setattr(wavelets, "COSET_CAP", 4)
+        with pytest.raises(CosetCapError, match="^5 coset representatives exceed the cap of 4$"):
+            inner_product(x, y, R=6)
+        monkeypatch.undo()
 
 
 def test_wavelet_index_canonical_offsets():

@@ -6,13 +6,12 @@
 Runs the repository's benchmark (the command in BENCHMARK.json, that is
 ``perfbench/run.py``) K times on each side with ``--trace 0`` and the
 benchmark's own ``run_seconds``, alternating which side goes first: pair 0
-runs the parent first, pair 1 the change, and so on.  The parent is the
-committed tree of REV, exported with ``git archive`` into a temporary
-directory; the change is this repository's working tree.  Both sides run
-their own copy of ``perfbench/``, unchanged.  Each side records the git tree
-hash of the ``src/`` it ran: ``REV:src`` for the parent, and for the change
-the working tree's ``src/`` staged into a temporary index, so uncommitted
-edits get their own hash.
+runs the parent first, pair 1 the change, and so on.  Both sides run from
+a ``git archive`` export in a temporary directory, so where a side runs
+cannot move its figures: the parent exports the committed tree of REV, the
+change the working tree staged into a temporary index, uncommitted edits
+included.  Both sides run their own copy of ``perfbench/``, unchanged.
+Each side records the git tree hash of the ``src/`` it ran.
 
 The result is merged into the --out file under the key "WORKLOAD/seed", so
 one file collects every workload and seed.  Per metric and side it records
@@ -51,15 +50,15 @@ def _git(*args: str, env: dict | None = None) -> str:
     ).stdout.strip()
 
 
-def _worktree_tree(path: str) -> str:
-    """The tree hash of the working tree's ``path`` as ``git add -A`` would stage it.
+def _worktree_tree() -> str:
+    """The tree hash of the working tree as ``git add -A`` would stage it.
 
     Staged into a temporary index, so the repository's own index is untouched.
     """
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
-        _git("add", "-A", "--", path, env=env)
-        return _git("write-tree", f"--prefix={path}/", env=env)
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env)
 
 
 def _export(rev: str, checkout: str) -> None:
@@ -123,11 +122,12 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     parent_commit = _git("rev-parse", args.parent)
+    worktree = _worktree_tree()
     sides = {
         "parent": {"commit": parent_commit, "src_tree": _git("rev-parse", f"{parent_commit}:src")},
         "change": {
             "commit": _git("rev-parse", "HEAD"),
-            "src_tree": _worktree_tree("src"),
+            "src_tree": _git("rev-parse", f"{worktree}:src"),
             "src_uncommitted_changes": bool(_git("status", "--porcelain", "--", "src")),
         },
     }
@@ -141,8 +141,9 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     traced = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        checkouts = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        checkouts = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
         _export(parent_commit, checkouts["parent"])
+        _export(worktree, checkouts["change"])
         for trace, pairs, results in ((0, args.pairs, runs), (1, args.traced_pairs, traced)):
             for i in range(pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -8,10 +8,11 @@ workloads and seeds 1 and 2, then ``selftest``, the ``padic-lseries``
 examples in README.md, the heavy requests of ``HEAVY``: large-p gamma
 and kernel checks and Euler products at the prime cap, which the
 workloads never draw, the slow baseline invocations of ROADMAP.md,
-both sides of gamma's coset cap, the kernel's support shell at its cap,
-a kernel whose gamma denominator passes the float range and two reports
-whose remainder bound is infinite, and the ``--format tsv`` requests of
-``TSV``, which the workloads never ask for.
+gamma and a kernel check at the first prime past ``COSET_CAP``, a
+modular series at its default length, a kernel whose gamma denominator
+passes the float range and two reports whose remainder bound is
+infinite, and the ``--format tsv`` requests of ``TSV``, which the
+workloads never ask for.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
 ``tools/bench_pair.py`` does; the change is this repository's working tree.
@@ -56,13 +57,14 @@ HEAVY = (
     "eigencheck --kind plain --p 307 --alpha 1",
     # Hecke-root powers T^(-t) pass the float range from t = 24 at p = 251
     "eigencheck --kind modular_a1 --p 251 --alpha 1 --radius 40 --points 1 --max-ket 0",
-    # p - 1 = 100 cosets: at the cap, one past it, and a divergent s that
+    # p = 1000003 is the first prime past COSET_CAP: gamma's outer circle
+    # and the kernel's support shell are refused at once, and a divergent s
     # fails its convergence check before the cap is reached
-    "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 100",
-    "gamma --p 101 --k 1 --chi 0 --s 2 --coset-cap 99",
-    "gamma --p 101 --k 1 --chi 0 --s=-1 --coset-cap 50",
-    # the kernel's support shell is p - 1 = 100 cosets, at the cap
-    "eigencheck --kind plain --p 101 --alpha 1 --coset-cap 100",
+    "gamma --p 1000003 --k 1 --chi 0 --s 2",
+    "gamma --p 1000003 --k 1 --chi 0 --s=-1",
+    "eigencheck --kind plain --p 1000003 --alpha 1 --points 1 --max-ket 0",
+    # the modular series at its default table length, which the config echoes
+    "lseries --kind modular --s 8 --method series",
     # T p^150 passes the float range in Gamma(-alpha)'s denominator
     "eigencheck --kind modular_a2 --p 101 --alpha 150 --radius 5 --points 1 --max-ket 0",
     # |Im s| = 1e17 makes the certified rounding radius infinite: a report
