@@ -16,9 +16,10 @@ echoes all six settings under "config", a flag's value or the default.
 The only environment variable honored is PADIC_LSERIES_OUTPUT, which
 redirects the report from stdout to a file.
 
-Exit codes: 0 on success, 1 on usage errors (unknown flags, malformed
-character addresses, an --s or --alpha that is not a finite complex
-number, a report path that cannot be written), 2 on domain errors
+Exit codes: 0 on success, 1 on usage errors (unknown flags, an lseries
+setting its --method does not read, malformed character addresses, an
+--s or --alpha that is not a finite complex number, a report path that
+cannot be written), 2 on domain errors
 (a count below 1 or a tolerance outside (0, 1), nonconvergence, poles,
 degenerate twists, out-of-range coefficients, a character modulus, table,
 coset count or truncation past its cap, a non-finite report value).
@@ -182,8 +183,18 @@ def _json(value, newline: str) -> str:
     if isinstance(value, dict):
         body = [f"{_quote(key)}: {_json(item, inner)}" for key, item in children]
         return f"{{{inner}{(',' + inner).join(body)}{newline}}}"
-    body = [_json(item, inner) for item in children]
-    return f"[{inner}{(',' + inner).join(body)}{newline}]"
+    separator = "," + inner
+    if set(map(type, children)) == {str}:
+        # tau's coefficient strings in one step: _quote leaves printable
+        # ASCII other than the quote and the backslash as it is
+        text = "".join(children)
+        if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            body = '"' + f'"{separator}"'.join(children) + '"'
+        else:
+            body = separator.join(map(_quote, children))
+    else:
+        body = separator.join([_json(item, inner) for item in children])
+    return f"[{inner}{body}{newline}]"
 
 
 def _tsv(value, prefix: str, lines: list) -> None:
@@ -337,10 +348,13 @@ def _cmd_local_factor(args) -> dict:
 
 
 def _cmd_lseries(args) -> dict:
+    # the config echoes the settings resolved here; _check_settings has
+    # refused the one the method does not read
+    if args.prime_bound is None:
+        args.prime_bound = _SETTINGS["prime_bound"]
     if args.series_length is None:
         # a modular series sums its whole tau table, whose build cost is real,
-        # so it defaults to the library's table length; the config echoes
-        # the length resolved here
+        # so it defaults to the library's table length
         modular_series = args.kind == "modular" and args.method == "series"
         args.series_length = DEFAULT_DELTA_TERMS if modular_series else _SETTINGS["series_length"]
     s = _parse_complex(args.s)
@@ -454,10 +468,10 @@ def _build_parser() -> _Parser:
     lf.set_defaults(handler=_cmd_local_factor)
 
     ls = sub.add_parser("lseries", parents=[fmt], help="Euler product or partial series")
-    ls.add_argument("--prime-bound", type=int, default=_SETTINGS["prime_bound"],
-                    help="Euler product prime bound P")
-    ls.add_argument("--series-length", type=int, help="series length N (default "
-                    f"{_SETTINGS['series_length']}; modular: {DEFAULT_DELTA_TERMS})")
+    ls.add_argument("--prime-bound", type=int, help="Euler product prime bound P, --method euler "
+                    f"only (default {_SETTINGS['prime_bound']})")
+    ls.add_argument("--series-length", type=int, help="series length N, --method series only "
+                    f"(default {_SETTINGS['series_length']}; modular: {DEFAULT_DELTA_TERMS})")
     ls.add_argument("--kind", choices=("zeta", "dirichlet", "modular"), required=True)
     ls.add_argument("--s", required=True)
     ls.add_argument("--method", choices=("euler", "series"), default="euler")
@@ -484,7 +498,12 @@ def _build_parser() -> _Parser:
 
 
 def _check_settings(args) -> None:
-    """ValueError, before any work, for a count below 1 or a tolerance outside (0, 1)."""
+    """Before any work: a usage error for an lseries setting its --method does
+    not read, then ValueError for a count below 1 or a tolerance outside (0, 1)."""
+    if args.command == "lseries":
+        unread = "series_length" if args.method == "euler" else "prime_bound"
+        if getattr(args, unread) is not None:
+            raise _UsageError(f"--{unread.replace('_', '-')} is not read by --method {args.method}")
     counts = [getattr(args, name, None) for name in ("truncation", "prime_bound", "series_length")]
     if any(count is not None and count <= 0 for count in counts):
         raise ValueError("config values must be positive")

@@ -2,9 +2,12 @@
 
 The local factor of a Dirichlet L-function at p is the trace of the twisted
 derivative of order -s over the wavelet subspace H_-: a geometric series in
-eigenvalues.  The modular factor is a trace over a tensor square, summed
-here over the triangular lattice region m1 + m2 <= M so the discarded part
-has a clean closed-form bound.  Global values come either from the Euler
+eigenvalues.  Like a character's Euler product below, that trace is one
+chain of maps closed by sum, with no per-term step in the interpreter; it
+keeps the per-term loop's operations and order, and every bit of the value.
+The modular factor is a trace over a tensor square, summed here over the
+triangular lattice region m1 + m2 <= M so the discarded part has a clean
+closed-form bound.  Global values come either from the Euler
 product over sieved primes or from partial Dirichlet series, each carrying
 a certified remainder: geometric tails for traces, integral comparison for
 products and series, and the alternating next-term bound where a real
@@ -48,10 +51,10 @@ import math
 import operator
 import sys
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .characters import DirichletCharacter, _angle_numerators, character_angle, character_twist
+from .characters import DirichletCharacter, Twist, _angle_numerators, character_angle, character_twist
 from .errors import ConvergenceError, DegenerateTwistError, FloatRangeError, PoleError, SeriesCapError
 from .modular import CoefficientProvider, _hecke_coefficients, coefficient, factorize_local
 from .padic import _require_prime, residue_phase
@@ -59,7 +62,6 @@ from .quadrature import (
     _PHASE, DEFAULT_INNER_CIRCLES, POLE_EPSILON, CertifiedResult, _certified, _check_truncation,
     _p_power, _real_power,
 )
-from .wavelets import OperatorSpec, eigenvalue
 
 PRIME_BOUND_CAP = 10**7
 SERIES_LENGTH_CAP = 2**53
@@ -132,8 +134,8 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Ce
     if isinstance(twist, CoefficientProvider):
         return hecke_conjugated_trace(twist, p, s, 0, M)
     s = complex(s)
-    spec = OperatorSpec(character_twist(twist, p), -s)
-    if spec.twist.value == 0:
+    T = character_twist(twist, p)
+    if T.value == 0:
         raise DegenerateTwistError(
             f"p = {p} divides the modulus {twist.modulus}: the twist "
             "degenerates to the identity and its trace diverges; the closed "
@@ -144,10 +146,25 @@ def local_trace(twist, p: int, s: complex, M: int = DEFAULT_INNER_CIRCLES) -> Ce
         raise ConvergenceError(
             f"trace at p = {p} needs Re(s) > 0 to converge; got s = {s}"
         )
-    total = complex(0.0)
-    for m in range(M + 1):
-        total += eigenvalue(spec, m)
+    # a running total += term from complex 0, left to right
+    total = sum(_eigenvalues(T, p, s, M), complex(0.0))
     return CertifiedResult(total, ratio ** (M + 1) / (1.0 - ratio), M + 1)
+
+
+def _eigenvalues(T: Twist, p: int, s: complex, M: int) -> Iterator[complex]:
+    """The eigenvalues (T p^(-s))^m, m = 0..M, of a character twist T, as one chain of maps.
+
+    Bit for bit wavelets.eigenvalue(OperatorSpec(T, -s), m): T^m, which
+    depends on m mod d for the angle a/d of T, times cmath.exp((-s m) log p),
+    the operations of quadrature._p_power in its order.  The multiply by T^m
+    stays at T = 1, where it fixes the sign of a term's zero.  local_trace's ratio
+    check has forced Re(-s) < 0, so no exponent has a positive real part and
+    _p_power's FloatRangeError cannot fire here.
+    """
+    powers = itertools.cycle([T.power(m) for m in range(min(T.angle.denominator, M + 1))])
+    exponents = map(operator.mul, itertools.repeat(-s), range(M + 1))
+    scales = map(cmath.exp, map(operator.mul, exponents, itertools.repeat(math.log(p))))
+    return map(operator.mul, powers, scales)
 
 
 def _closed_factor(p: int, s: complex, a: complex, c: complex | None = None) -> complex:

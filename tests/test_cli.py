@@ -687,12 +687,14 @@ def test_tsv_flattening(capsys):
     assert lines["command"] == '"tau"'
 
 
-# a valid request of each subcommand, and the settings it reads
+# a valid request of each subcommand, and the settings it reads; lseries
+# (an Euler product) and lseries --method series are one row each
 _REQUESTS = {
     "gamma": ["--p", "3", "--k", "4", "--chi", "1", "--s", "0.5"],
     "eigencheck": ["--kind", "plain", "--p", "3", "--alpha", "1", "--max-ket", "0", "--points", "1"],
     "local-factor": ["--kind", "zeta", "--p", "3", "--s", "2"],
     "lseries": ["--kind", "zeta", "--s", "2"],
+    "lseries --method series": ["--kind", "zeta", "--s", "2"],
     "tau": ["--max", "3"],
     "factorize": ["--p", "3"],
     "hecke-trace": ["--p", "2", "--s", "8", "--shift", "1"],
@@ -702,18 +704,21 @@ _READS = {
     "gamma": {"truncation"},
     "eigencheck": {"tolerance"},
     "local-factor": {"truncation", "tolerance"},
-    "lseries": {"prime-bound", "series-length"},
+    "lseries": {"prime-bound"},
+    "lseries --method series": {"series-length"},
     "hecke-trace": {"truncation"},
 }
 _SETTING_FLAGS = {"truncation": "16", "prime-bound": "500", "series-length": "300",
                   "tolerance": "0.001", "coset-cap": "7"}
+# lseries declares both flags, since --method picks the one it reads
+_METHOD_FLAGS = {"prime-bound", "series-length"}
 
 
 @pytest.mark.parametrize("flag", list(_SETTING_FLAGS))
 @pytest.mark.parametrize("command", list(_REQUESTS))
 def test_a_subcommand_takes_only_the_settings_it_reads(command, flag, capsys):
     value = _SETTING_FLAGS[flag]
-    code = run([command, *_REQUESTS[command], f"--{flag}", value])
+    code = run([*command.split(), *_REQUESTS[command], f"--{flag}", value])
     out, err = _capture(capsys)
     if flag in _READS.get(command, ()):
         assert code == 0, err
@@ -721,7 +726,11 @@ def test_a_subcommand_takes_only_the_settings_it_reads(command, flag, capsys):
     else:
         assert code == 1
         assert out == ""
-        assert f"unrecognized arguments: --{flag} {value}" in err
+        if command.startswith("lseries") and flag in _METHOD_FLAGS:
+            method = "series" if "--method series" in command else "euler"
+            assert err == f"usage error: --{flag} is not read by --method {method}\n"
+        else:
+            assert f"unrecognized arguments: --{flag} {value}" in err
 
 
 def test_the_config_echo_defaults_are_the_librarys_own(capsys):
@@ -762,6 +771,22 @@ def test_a_setting_out_of_range_exits_two(argv, message, capsys):
     out, err = _capture(capsys)
     assert out == ""
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, flag, method",
+    [
+        (["--series-length", "0"], "series-length", "euler"),
+        (["--method", "series", "--prime-bound", "0"], "prime-bound", "series"),
+        # before the handler's own checks too: --character is missing here
+        (["--kind", "dirichlet", "--series-length", "-5", "--prime-bound", "0"], "series-length", "euler"),
+    ],
+)
+def test_a_setting_the_lseries_method_does_not_read_exits_one_before_any_range_check(argv, flag, method, capsys):
+    assert run(["lseries", "--kind", "zeta", "--s", "2", *argv]) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"usage error: --{flag} is not read by --method {method}\n"
 
 
 def test_an_unknown_format_is_a_usage_error(capsys):
@@ -878,8 +903,13 @@ def test_writer_matches_the_encode_then_dumps_route_property():
         st.booleans(),
         st.complex_numbers(allow_nan=False, allow_infinity=False),
     )
+    # lists of text alone take the writer's one-step path; each draws one
+    # character that _quote escapes or keeps, among digits and a dash
+    text_lists = st.sampled_from('"\\\x00\x7f\xe9 ').flatmap(
+        lambda special: st.lists(st.text(alphabet=st.sampled_from([special, "1", "-"])), min_size=1, max_size=5)
+    )
     values = st.recursive(
-        scalars,
+        st.one_of(scalars, text_lists, text_lists.map(tuple)),
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.lists(children, max_size=4).map(tuple),
@@ -891,6 +921,12 @@ def test_writer_matches_the_encode_then_dumps_route_property():
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(report=reports)
+    @hypothesis.example(report={"q": ["1", '"']})
+    @hypothesis.example(report={"b": ("1", "\\")})
+    @hypothesis.example(report={"nul": ["\x00", "-"]})
+    @hypothesis.example(report={"del": ["1", "\x7f"]})
+    @hypothesis.example(report={"e": ["\xe9"]})
+    @hypothesis.example(report={"sp": [" ", "1 2"]})
     def check(report):
         for output_format in ("json", "tsv"):
             assert cli._render(report, output_format) == _reference_render(report, output_format)

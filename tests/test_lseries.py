@@ -21,13 +21,16 @@ from padic_lseries import (
     CoefficientProvider,
     ConvergenceError,
     DegenerateTwistError,
+    OperatorSpec,
     PoleError,
     SERIES_LENGTH_CAP,
     SeriesCapError,
     character_angle,
+    character_twist,
     coefficient,
     delta_provider,
     dirichlet_series,
+    eigenvalue,
     enumerate_characters,
     euler_product,
     evaluate,
@@ -72,6 +75,60 @@ def test_dirichlet_local_trace_grid():
                     trace = local_trace(chi, p, s, 64)
                     closed = local_factor_closed(chi, p, s)
                     assert abs(trace.value - closed) <= trace.remainder_bound + 1e-12
+
+
+def _per_term_eigenvalues(chi, p, s, M):
+    """The trace's terms as the per-term loop computed them: one eigenvalue call each."""
+    spec = OperatorSpec(character_twist(chi, p), -complex(s))
+    return [eigenvalue(spec, m) for m in range(M + 1)]
+
+
+def _per_term_trace(terms):
+    total = complex(0.0)
+    for term in terms:
+        total += term
+    return total
+
+
+def test_the_trace_chain_is_the_per_term_eigenvalue_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    primes = [q for q in range(2, 401) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 30),
+        index=st.integers(0, 10**6),
+        p=st.sampled_from(primes),
+        sigma=st.floats(0.0, 8.0, exclude_min=True),
+        t=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e5, 1e5)),
+        # small M too, so that the order d of chi(p) often passes M + 1
+        M=st.one_of(st.integers(1, 8), st.integers(1, 200)),
+    )
+    @hypothesis.example(k=29, index=1, p=2, sigma=0.5, t=14.1, M=3)  # chi(2) has order 28
+    @hypothesis.example(k=1, index=0, p=3, sigma=2.0, t=0.0, M=5)  # T = 1
+    def check(k, index, p, sigma, t, M):
+        hypothesis.assume(k % p)
+        characters = enumerate_characters(k)
+        chi = characters[index % len(characters)]
+        s = complex(sigma, t)
+        if p**-sigma >= 1.0:  # p^(-sigma) rounds to 1, and the trace would diverge
+            with pytest.raises(ConvergenceError):
+                local_trace(chi, p, s, M)
+            return
+        terms = _per_term_eigenvalues(chi, p, s, M)
+        chain = lseries._eigenvalues(character_twist(chi, p), p, s, M)
+        assert list(map(repr, chain)) == list(map(repr, terms))
+        assert repr(local_trace(chi, p, s, M).value) == repr(_per_term_trace(terms))
+
+    check()
+
+
+def test_the_trace_chain_at_a_long_truncation():
+    chi, s, M = enumerate_characters(7)[1], 0.5 + 14.1j, 10**5
+    terms = _per_term_eigenvalues(chi, 3, s, M)
+    assert list(map(repr, lseries._eigenvalues(character_twist(chi, 3), 3, s, M))) == list(map(repr, terms))
+    assert repr(local_trace(chi, 3, s, M).value) == repr(_per_term_trace(terms))
 
 
 def test_degenerate_twist_rejected_with_explanation():

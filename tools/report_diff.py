@@ -10,9 +10,10 @@ and kernel checks and Euler products at the prime cap, which the
 workloads never draw, the slow baseline invocations of ROADMAP.md,
 gamma and a kernel check at the first prime past ``COSET_CAP``, a
 modular series at its default length, a kernel whose gamma denominator
-passes the float range and two reports whose remainder bound is
-infinite, and the ``--format tsv`` requests of ``TSV``, which the
-workloads never ask for.
+passes the float range, two reports whose remainder bound is infinite, a
+character trace at the truncation cap and the two lseries requests with
+a setting their method does not read, and the ``--format tsv`` requests
+of ``TSV``, which the workloads never ask for.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
 ``tools/bench_pair.py`` does; the change is this repository's working tree.
@@ -71,6 +72,12 @@ HEAVY = (
     # with no strict-JSON form
     "gamma --p 2 --k 1 --chi 0 --s 0.5+1e17i",
     "lseries --kind zeta --s 2+1e17i --method series --series-length 100",
+    # a character trace at the truncation cap, a million terms of one chain
+    "local-factor --kind dirichlet --p 3 --s 0.5+14.1i --character 7:1 --truncation 1000000",
+    # a setting the method does not read: exit 1 here, and 0 at a parent
+    # that took both
+    "lseries --kind zeta --s 2 --series-length 300",
+    "lseries --kind zeta --s 2 --method series --prime-bound 5",
 )
 
 # one report of each shape: sample-point strings, complex pairs, a quoted
