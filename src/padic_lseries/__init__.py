@@ -14,6 +14,7 @@ from .characters import (
     Twist,
     UnitGroup,
     character_angle,
+    character_at,
     character_twist,
     conjugate_character,
     enumerate_characters,
@@ -109,6 +110,7 @@ __all__ = [
     "apply_kernel",
     "binomial_side",
     "character_angle",
+    "character_at",
     "character_twist",
     "coefficient",
     "conjugate_character",

@@ -152,6 +152,24 @@ def _index_of(exponents: tuple[int, ...], orders: tuple[int, ...]) -> int:
     return idx
 
 
+def character_at(group: UnitGroup, index: int) -> DirichletCharacter:
+    """enumerate_characters(group.modulus)[index], built without the other characters.
+
+    The exponents are the mixed-radix digits of ``index`` over the generator
+    orders, the inverse of _index_of.  IndexError outside 0 <= index < phi(k).
+    """
+    orders = group.generator_orders
+    count = math.prod(orders)
+    if not 0 <= index < count:
+        raise IndexError(f"character index {index} outside 0..{count - 1} for modulus {group.modulus}")
+    digits = []
+    rest = index
+    for d in reversed(orders):
+        rest, e = divmod(rest, d)
+        digits.append(e)
+    return DirichletCharacter(group.modulus, index, tuple(reversed(digits)), group)
+
+
 def enumerate_characters(k: int) -> list[DirichletCharacter]:
     """All phi(k) characters mod k in deterministic exponent order."""
     group = unit_group(k)

@@ -11,6 +11,15 @@ and each key as str(key); --format tsv writes one path<TAB>value line per
 scalar, the value in the same JSON text.  Strict JSON has no NaN or
 infinity: such a float raises FloatRangeError naming its TSV path.
 
+An argv of the form SUBCOMMAND (--flag value)*, each flag written out in
+full and given once, each value free of a leading "-" and accepted by its
+flag's type and choices, and every required flag present, is read from a
+table of the parser's own actions: the Namespace parse_args would return,
+without running argparse.  argparse parses every other form (an
+abbreviation, --flag=value, -h, a repeated or unknown flag, a negative
+value) and refuses every argv that does not parse, so those messages and
+exit codes are its own.
+
 Each subcommand has a flag only for the settings it reads; each report
 echoes all six settings under "config", a flag's value or the default.
 The only environment variable honored is PADIC_LSERIES_OUTPUT, which
@@ -36,7 +45,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .characters import DirichletCharacter, Twist, character_twist, enumerate_characters
+from .characters import DirichletCharacter, Twist, character_at, character_twist, unit_group
 from .errors import FloatRangeError, PadicLseriesError, TableCapError
 from .lseries import (
     dirichlet_series,
@@ -123,14 +132,14 @@ def _parse_character(text: str) -> DirichletCharacter:
 
 
 def _character(k: int, index: int) -> DirichletCharacter:
+    """Character ``index`` mod k: the modulus's unit group and that one character."""
     if k < 1:
         raise _UsageError(f"character modulus must be positive, got {k}")
-    chars = enumerate_characters(k)
-    if not 0 <= index < len(chars):
-        raise _UsageError(
-            f"character index {index} outside 0..{len(chars) - 1} for modulus {k}"
-        )
-    return chars[index]
+    group = unit_group(k)
+    try:
+        return character_at(group, index)
+    except IndexError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 _SCALARS = (str, float, int)  # bool is an int
@@ -322,7 +331,7 @@ def _twist(args, table_size: int):
     coefficient table of ``table_size`` terms.
     """
     if args.kind == "zeta":
-        return enumerate_characters(1)[0]
+        return _character(1, 0)
     if args.kind == "dirichlet":
         if args.character is None:
             raise _UsageError("--kind dirichlet needs --character k:index")
@@ -497,6 +506,71 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _fast_table() -> tuple[str, dict]:
+    """The parser's own grammar for _fast_args, read from its actions once per process.
+
+    The dest of the subcommand name, and per subcommand: the defaults that
+    parse_args sets (its handler included), each option string of a
+    one-value flag mapped to (dest, type function, choices), and the dests
+    of its required flags.
+    """
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in commands.choices.items():
+        defaults, options, required = {}, {}, set()
+        for action in sub._actions:
+            default = action.default
+            if action.dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
+                # parse_args passes a string default of an absent flag through its type
+                defaults[action.dest] = sub._get_value(action, default) if isinstance(default, str) else default
+            if action.required:
+                required.add(action.dest)
+            if type(action) is argparse._StoreAction and action.nargs is None:
+                convert = sub._registry_get("type", action.type, action.type)
+                for option in action.option_strings:
+                    options[option] = action.dest, convert, action.choices
+        for dest, value in sub._defaults.items():
+            defaults.setdefault(dest, value)
+        table[name] = defaults, options, frozenset(required)
+    return commands.dest, table
+
+
+def _fast_args(argv) -> argparse.Namespace | None:
+    """parse_args(argv) for argv of the form SUBCOMMAND (--flag value)*; None for any other.
+
+    None, so that argparse reads argv, where a flag is abbreviated, unknown,
+    repeated, -h or written --flag=value, a value starts with "-" or fails
+    its flag's type or choices, or a required flag is missing.
+    """
+    command, table = _fast_table()
+    entry = table.get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    defaults, options, required = entry
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or text.startswith("-"):
+            return None
+        dest, convert, choices = option
+        if dest in values:
+            return None
+        try:
+            value = convert(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace()
+    vars(args).update({command: argv[0], **defaults, **values})
+    return args
+
+
 def _check_settings(args) -> None:
     """Before any work: a usage error for an lseries setting its --method does
     not read, then ValueError for a count below 1 or a tolerance outside (0, 1)."""
@@ -512,10 +586,17 @@ def _check_settings(args) -> None:
 
 
 def run(argv) -> int:
-    """Parse, dispatch, serialize; returns the process exit code."""
-    parser = _build_parser()
+    """Parse, dispatch, serialize; returns the process exit code.
+
+    argv of the form SUBCOMMAND (--flag value)* that the module docstring
+    describes is read by _fast_args from a table of the parser's own
+    actions; argparse parses every other form, so a parse error's message
+    and exit code are argparse's own.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _fast_args(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         _check_settings(args)
         report = {"command": args.command, **args.handler(args)}
         report["config"] = {name: getattr(args, name, value) for name, value in _SETTINGS.items()}

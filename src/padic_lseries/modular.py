@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import DirichletCharacter, character_angle, unit_group
+from .characters import DirichletCharacter, character_angle, character_at, unit_group
 from .errors import FloatRangeError, SeriesCapError, TableCapError, _finite
 from .padic import _require_prime, unit_phase
 from .quadrature import TRUNCATION_CAP
@@ -181,8 +181,7 @@ def delta_expansion(N: int) -> list[int]:
 
 def _principal_character(level: int) -> DirichletCharacter:
     """enumerate_characters(level)[0], built from the unit group alone."""
-    group = unit_group(level)
-    return DirichletCharacter(level, 0, (0,) * len(group.generators), group)
+    return character_at(unit_group(level), 0)
 
 
 @dataclass(frozen=True)

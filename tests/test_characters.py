@@ -16,6 +16,7 @@ from padic_lseries import (
     ModulusCapError,
     Twist,
     character_angle,
+    character_at,
     character_twist,
     conjugate_character,
     delta_provider,
@@ -79,6 +80,22 @@ def test_enumeration_count_and_principal_first():
         for m in range(k):
             expected = 1 if math.gcd(m, k) == 1 or k == 1 else 0
             assert evaluate(chars[0], m) == expected
+
+
+def test_one_character_is_the_enumerated_one():
+    # every index of every modulus below 500, each built alone from a group of
+    # its own; the enumeration builds another group, whose table must agree
+    for k in range(1, 500):
+        group = unit_group(k)
+        chars = enumerate_characters(k)
+        assert group.discrete_logs == chars[0].group.discrete_logs
+        for i, chi in enumerate(chars):
+            alone = character_at(group, i)
+            assert (alone.modulus, alone.index, alone.exponents) == (k, i, chi.exponents)
+            assert alone.group is group
+        for index in (-1, len(chars)):
+            with pytest.raises(IndexError, match=rf"^character index {index} outside 0\.\.{len(chars) - 1} for modulus {k}$"):
+                character_at(group, index)
 
 
 def test_character_mod_4_values():

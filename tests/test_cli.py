@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -62,17 +63,21 @@ _REUSE = [
 ]
 
 # one process runs every request of _REUSE through cli.run and reports
-# [exit code, stdout, stderr] for each, and how often the parser was built
+# [exit code, stdout, stderr] for each, how often the parser was built, and
+# how often the fast path's table was built by import and after the requests
 _RUN_IN_ONE_PROCESS = """
 import contextlib, io, json, sys
 from padic_lseries import cli
+tables_at_import = cli._fast_table.cache_info().misses
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     results.append([code, out.getvalue(), err.getvalue()])
-sys.__stdout__.write(json.dumps([results, cli._build_parser.cache_info().misses]))
+sys.__stdout__.write(json.dumps(
+    [results, cli._build_parser.cache_info().misses, tables_at_import, cli._fast_table.cache_info().misses]
+))
 """
 
 
@@ -87,13 +92,154 @@ def _python(*args):
 def test_one_parser_serves_every_request_of_a_process_byte_for_byte():
     code, out, err = _python("-c", _RUN_IN_ONE_PROCESS, json.dumps(_REUSE))
     assert code == 0, err
-    results, parsers_built = json.loads(out)
+    results, parsers_built, tables_at_import, tables_built = json.loads(out)
     assert parsers_built == 1
+    assert (tables_at_import, tables_built) == (0, 1)
     fresh = [_python("-m", "padic_lseries", *argv) for argv in _REUSE]
     assert results == fresh
     assert [r[0] for r in results] == [1, 0, 0, 1]
     assert len(json.loads(results[1][1])["entries"]) == 5
     assert len(json.loads(results[2][1])["entries"]) == 20
+
+
+def _subparsers():
+    (commands,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def test_the_fast_table_knows_every_flag_of_every_subcommand():
+    # a flag of a kind the table does not read (not one option, one value)
+    # would be missing here, and its requests would never take the fast path
+    command, table = cli._fast_table()
+    assert command == "command"
+    assert list(table) == list(_subparsers()) == [
+        "gamma", "eigencheck", "local-factor", "lseries", "tau", "factorize", "hecke-trace", "selftest",
+    ]
+    for name, sub in _subparsers().items():
+        defaults, options, required = table[name]
+        flags = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert sorted(options) == sorted(o for a in flags for o in a.option_strings)
+        for action in flags:
+            dest, convert, choices = options[action.option_strings[0]]
+            assert dest == action.dest
+            assert choices == action.choices
+            assert convert is (action.type or sub._registry_get("type", None, None))
+            assert defaults[dest] == action.default
+        assert required == {a.dest for a in flags if a.required}
+        assert defaults["handler"] is sub._defaults["handler"]
+        assert "-h" not in options and "--help" not in options
+
+
+# the mutations after which argv is no longer SUBCOMMAND (--flag value)*
+_MUTATIONS = ("abbreviation", "equals", "repeat", "negative", "unknown", "missing", "choice", "int")
+
+
+def test_the_fast_path_is_parse_args_or_declines_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parser = cli._build_parser()
+    subparsers = _subparsers()
+
+    def value_of(action):
+        if action.choices is not None:
+            return st.sampled_from(action.choices)
+        if action.type is int:
+            return st.integers(0, 10**6).map(str)
+        if action.type is float:
+            return st.floats(0.0, 1e3).map(repr)
+        return st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(list(subparsers)))
+        sub = subparsers[name]
+        flags = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        chosen = [a for a in flags if a.required or data.draw(st.booleans())]
+        pairs = [[a.option_strings[0], data.draw(value_of(a))] for a in chosen]
+        pairs = data.draw(st.permutations(pairs))
+        actions = {a.option_strings[0]: a for a in chosen}
+        options = {o for a in flags for o in a.option_strings}
+        mutation = data.draw(st.sampled_from((None,) + _MUTATIONS))
+        i = None  # the pair mutated; None where argv has none this mutation applies to
+
+        def pick(ok):
+            candidates = [i for i, (flag, _) in enumerate(pairs) if ok(actions[flag])]
+            return data.draw(st.sampled_from(candidates)) if candidates else None
+
+        if mutation == "abbreviation":
+            def prefixes(flag):
+                return [flag[:n] for n in range(3, len(flag)) if flag[:n] not in options]
+            i = pick(lambda a: prefixes(a.option_strings[0]))
+            if i is not None:
+                pairs[i][0] = data.draw(st.sampled_from(prefixes(pairs[i][0])))
+        elif mutation == "equals":
+            i = pick(lambda a: True)
+            if i is not None:
+                pairs[i] = ["=".join(pairs[i])]
+        elif mutation == "repeat":
+            i = pick(lambda a: True)
+            if i is not None:
+                again = [pairs[i][0], data.draw(value_of(actions[pairs[i][0]]))]
+                pairs.insert(data.draw(st.integers(0, len(pairs))), again)
+        elif mutation == "negative":
+            i = pick(lambda a: a.choices is None)
+            if i is not None:
+                pairs[i][1] = "-" + data.draw(st.sampled_from(["1", "0.5", "2+1i", "4:1", pairs[i][1]]))
+        elif mutation == "unknown":
+            i = data.draw(st.integers(0, len(pairs)))
+            pairs.insert(i, ["--bogus", "1"])
+        elif mutation == "missing":
+            i = pick(lambda a: a.required)
+            if i is not None:
+                del pairs[i]
+        elif mutation == "choice":
+            i = pick(lambda a: a.choices is not None)
+            if i is not None:
+                pairs[i][1] = "bogus"
+        elif mutation == "int":
+            i = pick(lambda a: a.type is int)
+            if i is not None:
+                pairs[i][1] = data.draw(st.sampled_from(["7.5", "x", "", "1e3"]))
+        argv = [name] + [token for pair in pairs for token in pair]
+
+        try:
+            expected = parser.parse_args(argv)
+        except cli._UsageError:
+            expected = None
+        fast = cli._fast_args(argv)
+        if i is not None:
+            assert fast is None
+        else:
+            assert fast is not None and fast == expected
+            assert list(vars(fast)) == list(vars(expected))
+
+    check()
+
+
+# each form falls back to argparse: exit code and what it reads or refuses
+_FALLBACK_FORMS = {
+    "help": (["local-factor", "-h"], 0),
+    "abbreviation": (["local-factor", "--kind", "zeta", "--p", "3", "--s", "2", "--tol", "0.1"], 0),
+    "equals-negative": (["local-factor", "--kind", "zeta", "--p", "3", "--s=-1"], 2),
+    "negative": (["local-factor", "--kind", "zeta", "--p", "3", "--s", "-1"], 2),
+    "repeat": (["factorize", "--p", "5", "--p", "7"], 0),
+    "unknown": (["tau", "--max", "10", "--bogus", "1"], 1),
+    "choice": (["local-factor", "--kind", "bogus", "--p", "3", "--s", "2"], 1),
+    "int": (["factorize", "--p", "7.5"], 1),
+    "missing": (["local-factor", "--kind", "zeta", "--p", "3"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(_FALLBACK_FORMS.values()), ids=list(_FALLBACK_FORMS))
+def test_a_form_off_the_fast_path_keeps_argparses_bytes(argv, code, monkeypatch, capsys):
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    assert cli._fast_args(argv) is None
+    assert cli.main(argv) == code
+    taken = _capture(capsys)
+    monkeypatch.setattr(cli, "_fast_args", lambda argv: None)
+    assert cli.main(argv) == code
+    assert _capture(capsys) == taken
 
 
 def test_gamma_of_a_vanishing_twist_reports_zeros(capsys):
@@ -180,6 +326,17 @@ def test_character_index_out_of_range_is_usage_error(capsys):
                 "--character", "4:9"]) == 1
     _, err = _capture(capsys)
     assert "outside" in err
+
+
+@pytest.mark.parametrize("k, last", [(1, 0), (2, 0), (12, 3), (400, 159), (99991, 99989)])
+def test_a_character_index_out_of_range_names_the_last_index(k, last, capsys):
+    # last = phi(k) - 1, phi(k) the product of the unit group's generator orders
+    for argv, index in [
+        (["gamma", "--p", "3", "--k", str(k), "--chi", str(last + 1), "--s", "2"], last + 1),
+        (["local-factor", "--kind", "dirichlet", "--p", "3", "--s", "2", "--character", f"{k}:-1"], -1),
+    ]:
+        assert run(argv) == 1
+        assert _capture(capsys) == ("", f"usage error: character index {index} outside 0..{last} for modulus {k}\n")
 
 
 def test_gamma_character_address_is_usage_error(capsys):

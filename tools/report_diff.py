@@ -12,8 +12,9 @@ gamma and a kernel check at the first prime past ``COSET_CAP``, a
 modular series at its default length, a kernel whose gamma denominator
 passes the float range, two reports whose remainder bound is infinite, a
 character trace at the truncation cap and the two lseries requests with
-a setting their method does not read, and the ``--format tsv`` requests
-of ``TSV``, which the workloads never ask for.
+a setting their method does not read, the ``--format tsv`` requests
+of ``TSV``, which the workloads never ask for, and the argv forms of
+``FALLBACK``, which argparse parses in place of the CLI's fast path.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
 ``tools/bench_pair.py`` does; the change is this repository's working tree.
@@ -89,6 +90,19 @@ TSV = (
     "selftest --format tsv",
 )
 
+# an abbreviation, a negative value, a repeated or unknown flag, -h, a bad
+# choice or int and a missing required flag: argparse's bytes on both sides
+FALLBACK = (
+    "local-factor --kind zeta --p 3 --s 2 --tol 0.1",
+    "local-factor --kind zeta --p 3 --s -1",
+    "factorize --p 5 --p 7",
+    "tau --max 10 --bogus 1",
+    "local-factor -h",
+    "local-factor --kind bogus --p 3 --s 2",
+    "factorize --p 7.5",
+    "local-factor --kind zeta --p 3",
+)
+
 # Run in each side's process: argv lists arrive as JSON on stdin, one
 # [exit code, stdout, stderr] triple per request leaves on stdout.  A
 # request that raises out of run() records the exception's repr as its
@@ -124,7 +138,7 @@ def _requests() -> list[list[str]]:
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
     requests += [line.split()[1:] for line in re.findall(r"^padic-lseries .*$", readme, re.M)]
-    requests += [line.split() for line in HEAVY + TSV]
+    requests += [line.split() for line in HEAVY + TSV + FALLBACK]
     return requests
 
 
