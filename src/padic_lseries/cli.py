@@ -13,12 +13,12 @@ infinity: such a float raises FloatRangeError naming its TSV path.
 
 An argv of the form SUBCOMMAND (--flag value)*, each flag written out in
 full and given once, each value free of a leading "-" and accepted by its
-flag's type and choices, and every required flag present, is read from a
-table of the parser's own actions: the Namespace parse_args would return,
-without running argparse.  argparse parses every other form (an
-abbreviation, --flag=value, -h, a repeated or unknown flag, a negative
-value) and refuses every argv that does not parse, so those messages and
-exit codes are its own.
+flag's type and choices, and every required flag present, is read from the
+grammar declared once, in _COMMANDS, that also builds the parser: the
+Namespace parse_args would return, without running argparse.  argparse
+parses every other form (an abbreviation, --flag=value, -h, a repeated or
+unknown flag, a negative value) and refuses every argv that does not parse,
+so those messages and exit codes are its own.
 
 Each subcommand has a flag only for the settings it reads; each report
 echoes all six settings under "config", a flag's value or the default.
@@ -26,9 +26,9 @@ The only environment variable honored is PADIC_LSERIES_OUTPUT, which
 redirects the report from stdout to a file.
 
 Exit codes: 0 on success, 1 on usage errors (unknown flags, an lseries
-setting its --method does not read, malformed character addresses, an
---s or --alpha that is not a finite complex number, a report path that
-cannot be written), 2 on domain errors
+setting its --method does not read, a --character its --kind does not read,
+malformed character addresses, an --s or --alpha that is not a finite
+complex number, a report path that cannot be written), 2 on domain errors
 (a count below 1 or a tolerance outside (0, 1), nonconvergence, poles,
 degenerate twists, out-of-range coefficients, a character modulus, table,
 coset count or truncation past its cap, a non-finite report value).
@@ -435,106 +435,78 @@ def _cmd_selftest(args) -> dict:
     return run_selftest()
 
 
+# The CLI grammar, declared once: each subcommand's handler, help and flags,
+# each flag an option string with its add_argument keywords.  _grammar builds
+# both the parser and the fast path's table from it.
+_FORMAT = ("--format", dict(dest="output_format", choices=("json", "tsv"),
+                            default=_SETTINGS["output_format"], help="output format"))
+_TRUNCATION = ("--truncation", dict(type=int, default=_SETTINGS["truncation"],
+                                    help="trace/quadrature truncation M"))
+_TOLERANCE = ("--tolerance", dict(type=float, default=_SETTINGS["tolerance"],
+                                  help="pass/fail slack on comparisons"))
+_P = ("--p", dict(type=int, required=True))
+_S = ("--s", dict(required=True))
+_L_KIND = ("--kind", dict(choices=("zeta", "dirichlet", "modular"), required=True))
+_DIRICHLET = ("--character", dict(help="k:index for dirichlet"))
+
+_COMMANDS = {
+    "gamma": (_cmd_gamma, "closed form vs quadrature", (
+        _FORMAT, _TRUNCATION, _P,
+        ("--k", dict(type=int, required=True, help="character modulus")),
+        ("--chi", dict(type=int, required=True, help="character index mod k")),
+        _S,
+    )),
+    "eigencheck": (_cmd_eigencheck, "kernel vs spectral action", (
+        _FORMAT, _TOLERANCE,
+        ("--kind", dict(choices=("plain", "character_twisted", "modular_a1", "modular_a2"), required=True)),
+        _P,
+        ("--alpha", dict(required=True)),
+        ("--character", dict(help="k:index for character_twisted")),
+        ("--radius", dict(type=int, help="outer truncation exponent R")),
+        ("--max-ket", dict(type=int, default=3)),
+        ("--points", dict(type=int, default=5, help="sample points per ket (max 5)")),
+    )),
+    "local-factor": (_cmd_local_factor, "trace vs closed factor",
+                     (_FORMAT, _TRUNCATION, _TOLERANCE, _L_KIND, _P, _S, _DIRICHLET)),
+    "lseries": (_cmd_lseries, "Euler product or partial series", (
+        _FORMAT,
+        ("--prime-bound", dict(type=int, help="Euler product prime bound P, --method euler "
+                               f"only (default {_SETTINGS['prime_bound']})")),
+        ("--series-length", dict(type=int, help="series length N, --method series only "
+                                 f"(default {_SETTINGS['series_length']}; modular: {DEFAULT_DELTA_TERMS})")),
+        _L_KIND, _S,
+        ("--method", dict(choices=("euler", "series"), default="euler")),
+        _DIRICHLET,
+    )),
+    "tau": (_cmd_tau, "exact discriminant coefficients", (_FORMAT, ("--max", dict(type=int, required=True)))),
+    "factorize": (_cmd_factorize, "local Hecke root pair", (_FORMAT, _P)),
+    "hecke-trace": (_cmd_hecke_trace, "conjugated lattice trace",
+                    (_FORMAT, _TRUNCATION, _P, _S, ("--shift", dict(type=int, required=True)))),
+    "selftest": (_cmd_selftest, "run the invariant suite", (_FORMAT,)),
+}
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of this process, built on the first run() and reused.
+def _grammar() -> tuple[_Parser, dict]:
+    """The parser of this process and the fast path's table, built from _COMMANDS once.
 
-    Each subcommand takes --format and a flag for each setting it reads.
+    Per subcommand the table holds, read from the Actions that add_argument
+    returns: the values parse_args sets for absent flags (the handler last),
+    each option string's (dest, type function, choices), and the required dests.
     """
-    fmt, trunc, tol = (_Parser(add_help=False) for _ in range(3))
-    fmt.add_argument("--format", dest="output_format", choices=("json", "tsv"),
-                     default=_SETTINGS["output_format"], help="output format")
-    trunc.add_argument("--truncation", type=int, default=_SETTINGS["truncation"],
-                       help="trace/quadrature truncation M")
-    tol.add_argument("--tolerance", type=float, default=_SETTINGS["tolerance"],
-                     help="pass/fail slack on comparisons")
-
     parser = _Parser(prog="padic-lseries", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gamma", parents=[fmt, trunc], help="closed form vs quadrature")
-    g.add_argument("--p", type=int, required=True)
-    g.add_argument("--k", type=int, required=True, help="character modulus")
-    g.add_argument("--chi", type=int, required=True, help="character index mod k")
-    g.add_argument("--s", required=True)
-    g.set_defaults(handler=_cmd_gamma)
-
-    e = sub.add_parser("eigencheck", parents=[fmt, tol], help="kernel vs spectral action")
-    e.add_argument("--kind", choices=("plain", "character_twisted", "modular_a1", "modular_a2"), required=True)
-    e.add_argument("--p", type=int, required=True)
-    e.add_argument("--alpha", required=True)
-    e.add_argument("--character", help="k:index for character_twisted")
-    e.add_argument("--radius", type=int, help="outer truncation exponent R")
-    e.add_argument("--max-ket", type=int, default=3)
-    e.add_argument("--points", type=int, default=5, help="sample points per ket (max 5)")
-    e.set_defaults(handler=_cmd_eigencheck)
-
-    lf = sub.add_parser("local-factor", parents=[fmt, trunc, tol], help="trace vs closed factor")
-    lf.add_argument("--kind", choices=("zeta", "dirichlet", "modular"), required=True)
-    lf.add_argument("--p", type=int, required=True)
-    lf.add_argument("--s", required=True)
-    lf.add_argument("--character", help="k:index for dirichlet")
-    lf.set_defaults(handler=_cmd_local_factor)
-
-    ls = sub.add_parser("lseries", parents=[fmt], help="Euler product or partial series")
-    ls.add_argument("--prime-bound", type=int, help="Euler product prime bound P, --method euler "
-                    f"only (default {_SETTINGS['prime_bound']})")
-    ls.add_argument("--series-length", type=int, help="series length N, --method series only "
-                    f"(default {_SETTINGS['series_length']}; modular: {DEFAULT_DELTA_TERMS})")
-    ls.add_argument("--kind", choices=("zeta", "dirichlet", "modular"), required=True)
-    ls.add_argument("--s", required=True)
-    ls.add_argument("--method", choices=("euler", "series"), default="euler")
-    ls.add_argument("--character", help="k:index for dirichlet")
-    ls.set_defaults(handler=_cmd_lseries)
-
-    t = sub.add_parser("tau", parents=[fmt], help="exact discriminant coefficients")
-    t.add_argument("--max", type=int, required=True)
-    t.set_defaults(handler=_cmd_tau)
-
-    f = sub.add_parser("factorize", parents=[fmt], help="local Hecke root pair")
-    f.add_argument("--p", type=int, required=True)
-    f.set_defaults(handler=_cmd_factorize)
-
-    h = sub.add_parser("hecke-trace", parents=[fmt, trunc], help="conjugated lattice trace")
-    h.add_argument("--p", type=int, required=True)
-    h.add_argument("--s", required=True)
-    h.add_argument("--shift", type=int, required=True)
-    h.set_defaults(handler=_cmd_hecke_trace)
-
-    st = sub.add_parser("selftest", parents=[fmt], help="run the invariant suite")
-    st.set_defaults(handler=_cmd_selftest)
-    return parser
-
-
-@functools.cache
-def _fast_table() -> tuple[str, dict]:
-    """The parser's own grammar for _fast_args, read from its actions once per process.
-
-    The dest of the subcommand name, and per subcommand: the defaults that
-    parse_args sets (its handler included), each option string of a
-    one-value flag mapped to (dest, type function, choices), and the dests
-    of its required flags.
-    """
-    parser = _build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers = parser.add_subparsers(dest="command", required=True)
     table = {}
-    for name, sub in commands.choices.items():
-        defaults, options, required = {}, {}, set()
-        for action in sub._actions:
-            default = action.default
-            if action.dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
-                # parse_args passes a string default of an absent flag through its type
-                defaults[action.dest] = sub._get_value(action, default) if isinstance(default, str) else default
-            if action.required:
-                required.add(action.dest)
-            if type(action) is argparse._StoreAction and action.nargs is None:
-                convert = sub._registry_get("type", action.type, action.type)
-                for option in action.option_strings:
-                    options[option] = action.dest, convert, action.choices
-        for dest, value in sub._defaults.items():
-            defaults.setdefault(dest, value)
-        table[name] = defaults, options, frozenset(required)
-    return commands.dest, table
+    for name, (handler, summary, flags) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary)
+        actions = [sub.add_argument(option, **keywords) for option, keywords in flags]
+        sub.set_defaults(handler=handler)
+        table[name] = (
+            {**{a.dest: a.default for a in actions}, "handler": handler},
+            {a.option_strings[0]: (a.dest, a.type or str, a.choices) for a in actions},
+            frozenset(a.dest for a in actions if a.required),
+        )
+    return parser, table
 
 
 def _fast_args(argv) -> argparse.Namespace | None:
@@ -544,7 +516,7 @@ def _fast_args(argv) -> argparse.Namespace | None:
     repeated, -h or written --flag=value, a value starts with "-" or fails
     its flag's type or choices, or a required flag is missing.
     """
-    command, table = _fast_table()
+    _, table = _grammar()
     entry = table.get(argv[0]) if len(argv) % 2 else None
     if entry is None:
         return None
@@ -559,7 +531,7 @@ def _fast_args(argv) -> argparse.Namespace | None:
             return None
         try:
             value = convert(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except (TypeError, ValueError):
             return None
         if choices is not None and value not in choices:
             return None
@@ -567,17 +539,20 @@ def _fast_args(argv) -> argparse.Namespace | None:
     if not required <= values.keys():
         return None
     args = argparse.Namespace()
-    vars(args).update({command: argv[0], **defaults, **values})
+    vars(args).update({"command": argv[0], **defaults, **values})
     return args
 
 
 def _check_settings(args) -> None:
     """Before any work: a usage error for an lseries setting its --method does
-    not read, then ValueError for a count below 1 or a tolerance outside (0, 1)."""
+    not read or a --character its --kind does not read, then ValueError for a
+    count below 1 or a tolerance outside (0, 1)."""
     if args.command == "lseries":
         unread = "series_length" if args.method == "euler" else "prime_bound"
         if getattr(args, unread) is not None:
             raise _UsageError(f"--{unread.replace('_', '-')} is not read by --method {args.method}")
+    if getattr(args, "character", None) is not None and args.kind not in ("dirichlet", "character_twisted"):
+        raise _UsageError(f"--character is not read by --kind {args.kind}")
     counts = [getattr(args, name, None) for name in ("truncation", "prime_bound", "series_length")]
     if any(count is not None and count <= 0 for count in counts):
         raise ValueError("config values must be positive")
@@ -589,14 +564,14 @@ def run(argv) -> int:
     """Parse, dispatch, serialize; returns the process exit code.
 
     argv of the form SUBCOMMAND (--flag value)* that the module docstring
-    describes is read by _fast_args from a table of the parser's own
-    actions; argparse parses every other form, so a parse error's message
-    and exit code are argparse's own.
+    describes is read by _fast_args from the grammar declared once, in
+    _COMMANDS, that also builds the parser; argparse parses every other
+    form, so a parse error's message and exit code are argparse's own.
     """
     try:
         args = _fast_args(argv)
         if args is None:
-            args = _build_parser().parse_args(argv)
+            args = _grammar()[0].parse_args(argv)
         _check_settings(args)
         report = {"command": args.command, **args.handler(args)}
         report["config"] = {name: getattr(args, name, value) for name, value in _SETTINGS.items()}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -63,21 +64,19 @@ _REUSE = [
 ]
 
 # one process runs every request of _REUSE through cli.run and reports
-# [exit code, stdout, stderr] for each, how often the parser was built, and
-# how often the fast path's table was built by import and after the requests
+# [exit code, stdout, stderr] for each, and how often the grammar (the parser
+# and the fast path's table) was built by import and after the requests
 _RUN_IN_ONE_PROCESS = """
 import contextlib, io, json, sys
 from padic_lseries import cli
-tables_at_import = cli._fast_table.cache_info().misses
+grammars_at_import = cli._grammar.cache_info().misses
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     results.append([code, out.getvalue(), err.getvalue()])
-sys.__stdout__.write(json.dumps(
-    [results, cli._build_parser.cache_info().misses, tables_at_import, cli._fast_table.cache_info().misses]
-))
+sys.__stdout__.write(json.dumps([results, grammars_at_import, cli._grammar.cache_info().misses]))
 """
 
 
@@ -92,9 +91,8 @@ def _python(*args):
 def test_one_parser_serves_every_request_of_a_process_byte_for_byte():
     code, out, err = _python("-c", _RUN_IN_ONE_PROCESS, json.dumps(_REUSE))
     assert code == 0, err
-    results, parsers_built, tables_at_import, tables_built = json.loads(out)
-    assert parsers_built == 1
-    assert (tables_at_import, tables_built) == (0, 1)
+    results, grammars_at_import, grammars_built = json.loads(out)
+    assert (grammars_at_import, grammars_built) == (0, 1)
     fresh = [_python("-m", "padic_lseries", *argv) for argv in _REUSE]
     assert results == fresh
     assert [r[0] for r in results] == [1, 0, 0, 1]
@@ -103,30 +101,35 @@ def test_one_parser_serves_every_request_of_a_process_byte_for_byte():
 
 
 def _subparsers():
-    (commands,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (commands,) = (a for a in cli._grammar()[0]._actions if isinstance(a, argparse._SubParsersAction))
     return commands.choices
 
 
 def test_the_fast_table_knows_every_flag_of_every_subcommand():
-    # a flag of a kind the table does not read (not one option, one value)
-    # would be missing here, and its requests would never take the fast path
-    command, table = cli._fast_table()
-    assert command == "command"
-    assert list(table) == list(_subparsers()) == [
+    # the table and the parser are built from one declaration; a flag the
+    # table missed would send every request that names it to argparse
+    parser, table = cli._grammar()
+    assert parser.parse_args(["selftest"]).command == "selftest"
+    assert list(table) == list(_subparsers()) == list(cli._COMMANDS) == [
         "gamma", "eigencheck", "local-factor", "lseries", "tau", "factorize", "hecke-trace", "selftest",
     ]
     for name, sub in _subparsers().items():
         defaults, options, required = table[name]
         flags = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
         assert sorted(options) == sorted(o for a in flags for o in a.option_strings)
+        assert [option for option, _ in cli._COMMANDS[name][2]] == [a.option_strings[0] for a in flags]
         for action in flags:
             dest, convert, choices = options[action.option_strings[0]]
             assert dest == action.dest
             assert choices == action.choices
-            assert convert is (action.type or sub._registry_get("type", None, None))
+            assert convert is (action.type or str)
             assert defaults[dest] == action.default
+            # the table keeps a default as given, where parse_args passes a
+            # string default through the flag's type: equal only for no type
+            if isinstance(action.default, str):
+                assert action.type is None, action.option_strings
         assert required == {a.dest for a in flags if a.required}
-        assert defaults["handler"] is sub._defaults["handler"]
+        assert defaults["handler"] is sub.get_default("handler") is cli._COMMANDS[name][0]
         assert "-h" not in options and "--help" not in options
 
 
@@ -137,7 +140,7 @@ _MUTATIONS = ("abbreviation", "equals", "repeat", "negative", "unknown", "missin
 def test_the_fast_path_is_parse_args_or_declines_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    parser = cli._build_parser()
+    parser = cli._grammar()[0]
     subparsers = _subparsers()
 
     def value_of(action):
@@ -215,6 +218,23 @@ def test_the_fast_path_is_parse_args_or_declines_property():
             assert list(vars(fast)) == list(vars(expected))
 
     check()
+
+
+def test_the_benchmark_traffic_takes_the_fast_path():
+    # every request of the three workloads at seeds 1-3 is read by _fast_args,
+    # not argparse, and gives parse_args' Namespace, key order included
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = cli._grammar()[0]
+    requests = [argv for name in workloads.WHY for seed in (1, 2, 3) for argv in workloads.generate(name, seed)]
+    assert len(requests) > 900
+    for argv in requests:
+        fast, expected = cli._fast_args(argv), parser.parse_args(argv)
+        assert fast is not None, argv
+        assert fast == expected, argv
+        assert list(vars(fast)) == list(vars(expected)), argv
 
 
 # each form falls back to argparse: exit code and what it reads or refuses
@@ -944,6 +964,46 @@ def test_a_setting_the_lseries_method_does_not_read_exits_one_before_any_range_c
     out, err = _capture(capsys)
     assert out == ""
     assert err == f"usage error: --{flag} is not read by --method {method}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["local-factor", "--kind", "zeta", "--p", "3", "--s", "2", "--character", "4:1"], "zeta"),
+        # a malformed address is refused for the flag, not parsed
+        (["local-factor", "--kind", "zeta", "--p", "3", "--s", "2", "--character", "garbage"], "zeta"),
+        (["local-factor", "--kind", "modular", "--p", "5", "--s", "12", "--character", "4:1"], "modular"),
+        (["lseries", "--kind", "zeta", "--s", "2", "--character", "4:1"], "zeta"),
+        (["lseries", "--kind", "modular", "--s", "8", "--method", "series", "--character", "4:1"], "modular"),
+        (["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1", "--character", "5:1"], "plain"),
+        (["eigencheck", "--kind", "modular_a1", "--p", "5", "--alpha", "1", "--character", "5:1"], "modular_a1"),
+        (["eigencheck", "--kind", "modular_a2", "--p", "5", "--alpha", "1", "--character", "x"], "modular_a2"),
+        # before any range check
+        (["local-factor", "--kind", "zeta", "--p", "3", "--s", "2", "--character", "4:1", "--truncation", "0"],
+         "zeta"),
+        (["eigencheck", "--kind", "plain", "--p", "17", "--alpha", "1", "--character", "5:1", "--tolerance", "2"],
+         "plain"),
+    ],
+)
+def test_a_character_the_kind_does_not_read_exits_one_before_any_range_check(argv, kind, capsys):
+    assert run(argv) == 1
+    out, err = _capture(capsys)
+    assert out == ""
+    assert err == f"usage error: --character is not read by --kind {kind}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local-factor", "--kind", "dirichlet", "--p", "3", "--s", "2", "--character", "4:1"],
+        ["lseries", "--kind", "dirichlet", "--s", "2", "--character", "4:1", "--prime-bound", "100"],
+        ["eigencheck", "--kind", "character_twisted", "--p", "7", "--alpha", "1", "--character", "5:1",
+         "--max-ket", "0"],
+    ],
+)
+def test_a_character_the_kind_reads_is_taken(argv, capsys):
+    assert run(argv) == 0
+    assert json.loads(_capture(capsys)[0])["kind"] == argv[2]
 
 
 def test_an_unknown_format_is_a_usage_error(capsys):

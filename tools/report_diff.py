@@ -11,10 +11,12 @@ workloads never draw, the slow baseline invocations of ROADMAP.md,
 gamma and a kernel check at the first prime past ``COSET_CAP``, a
 modular series at its default length, a kernel whose gamma denominator
 passes the float range, two reports whose remainder bound is infinite, a
-character trace at the truncation cap and the two lseries requests with
-a setting their method does not read, the ``--format tsv`` requests
-of ``TSV``, which the workloads never ask for, and the argv forms of
-``FALLBACK``, which argparse parses in place of the CLI's fast path.
+character trace at the truncation cap, the two lseries requests with a
+setting their method does not read and a --character its kind does not
+read, the ``--format tsv`` requests of ``TSV``, which the workloads never
+ask for, and the argv forms of ``FALLBACK``, which argparse parses in
+place of the CLI's fast path, -h of the top level and of each subcommand
+among them.
 Each side runs in one fresh process with its own ``src/``.  The parent is
 the committed tree of REV, exported with ``git archive`` as
 ``tools/bench_pair.py`` does; the change is this repository's working tree.
@@ -79,6 +81,9 @@ HEAVY = (
     # that took both
     "lseries --kind zeta --s 2 --series-length 300",
     "lseries --kind zeta --s 2 --method series --prime-bound 5",
+    # a --character the kind does not read, malformed here: exit 1, and 0 at
+    # a parent that ignored it
+    "local-factor --kind zeta --p 3 --s 2 --character garbage",
 )
 
 # one report of each shape: sample-point strings, complex pairs, a quoted
@@ -91,13 +96,22 @@ TSV = (
 )
 
 # an abbreviation, a negative value, a repeated or unknown flag, -h, a bad
-# choice or int and a missing required flag: argparse's bytes on both sides
+# choice or int and a missing required flag: argparse's bytes on both sides;
+# -h of the top level and of every subcommand
 FALLBACK = (
     "local-factor --kind zeta --p 3 --s 2 --tol 0.1",
     "local-factor --kind zeta --p 3 --s -1",
     "factorize --p 5 --p 7",
     "tau --max 10 --bogus 1",
+    "-h",
+    "gamma -h",
+    "eigencheck -h",
     "local-factor -h",
+    "lseries -h",
+    "tau -h",
+    "factorize -h",
+    "hecke-trace -h",
+    "selftest -h",
     "local-factor --kind bogus --p 3 --s 2",
     "factorize --p 7.5",
     "local-factor --kind zeta --p 3",
