@@ -4,12 +4,15 @@ Every subcommand builds one report dictionary and serializes it with sorted
 keys, so a fixed invocation and config produce byte-identical output.
 Complex numbers render as [re, im] pairs, eigencheck's sample points as
 "num/den" strings, and integers beyond double precision as decimal strings.
-One recursive writer renders the report as built.  Its JSON bytes are
-those of json.dumps(sort_keys=True, indent=2) applied to the report with
-each complex number as a [re, im] list, each integer past 2^53 as a string
-and each key as str(key); --format tsv writes one path<TAB>value line per
-scalar, the value in the same JSON text.  Strict JSON has no NaN or
-infinity: such a float raises FloatRangeError naming its TSV path.
+One recursive writer per format renders the report as built: dicts with
+str keys, lists, complex numbers, and str, float, int and bool scalars.
+Its JSON bytes are those of json.dumps(sort_keys=True, indent=2) applied
+to the report with each complex number as a [re, im] list and each integer
+past 2^53 as a string; --format tsv writes one path<TAB>value line per
+scalar, the value in the same JSON text.  No key is passed through
+str(key): JSON raises TypeError for a key that is not a str, and both
+formats for a tuple.  Strict JSON has no NaN or infinity: such a float
+raises FloatRangeError naming its TSV path.
 
 An argv of the form SUBCOMMAND (--flag value)*, each flag written out in
 full and given once, each value free of a leading "-" and accepted by its
@@ -142,9 +145,6 @@ def _character(k: int, index: int) -> DirichletCharacter:
         raise _UsageError(str(exc)) from None
 
 
-_SCALARS = (str, float, int)  # bool is an int
-
-
 def _scalar(value, path: str = "") -> str:
     """The JSON text of the scalar at ``path`` as json.dumps writes it; TypeError for a non-scalar.
 
@@ -165,58 +165,44 @@ def _scalar(value, path: str = "") -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _children(value):
-    """A dict's (str(key), item) pairs sorted by key, the items of a list or
-    tuple, a complex number's (re, im); None for a scalar."""
-    if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            value = {str(key): item for key, item in value.items()}
-        return sorted(value.items())
-    if isinstance(value, (list, tuple)):
-        return value
-    if isinstance(value, complex):
-        return (value.real, value.imag)
-    return None
-
-
 def _json(value, newline: str) -> str:
     """json.dumps(value, sort_keys=True, indent=2) nested at ``newline``: "\n" and the indent."""
-    if isinstance(value, _SCALARS):
+    if not isinstance(value, (dict, list, complex)):
         return _scalar(value)
-    children = _children(value)
-    if children is None:
-        return _scalar(value)
-    if not children:
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = newline + "  "
     if isinstance(value, dict):
-        body = [f"{_quote(key)}: {_json(item, inner)}" for key, item in children]
+        body = [f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)]
         return f"{{{inner}{(',' + inner).join(body)}{newline}}}"
     separator = "," + inner
-    if set(map(type, children)) == {str}:
+    if set(map(type, value)) == {str}:
         # tau's coefficient strings in one step: _quote leaves printable
         # ASCII other than the quote and the backslash as it is
-        text = "".join(children)
+        text = "".join(value)
         if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-            body = '"' + f'"{separator}"'.join(children) + '"'
+            body = '"' + f'"{separator}"'.join(value) + '"'
         else:
-            body = separator.join(map(_quote, children))
+            body = separator.join(map(_quote, value))
     else:
-        body = separator.join([_json(item, inner) for item in children])
+        body = separator.join([_json(item, inner) for item in value])
     return f"[{inner}{body}{newline}]"
 
 
 def _tsv(value, prefix: str, lines: list) -> None:
     """One "path<TAB>scalar" line per scalar under ``prefix``, dict keys sorted."""
-    children = _children(value)
-    if children is None:
-        lines.append(f"{prefix}\t{_scalar(value, prefix)}")
-    elif isinstance(value, dict):
-        for key, item in children:
-            _tsv(item, f"{prefix}.{key}" if prefix else key, lines)
-    else:
-        for i, item in enumerate(children):
+    if isinstance(value, complex):
+        value = [value.real, value.imag]
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _tsv(value[key], f"{prefix}.{key}" if prefix else key, lines)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
             _tsv(item, f"{prefix}[{i}]", lines)
+    else:
+        lines.append(f"{prefix}\t{_scalar(value, prefix)}")
 
 
 def _render(report: dict, output_format: str) -> str:
@@ -494,7 +480,12 @@ def _grammar() -> tuple[_Parser, dict]:
     returns: the values parse_args sets for absent flags (the handler last),
     each option string's (dest, type function, choices), and the required dests.
     """
-    parser = _Parser(prog="padic-lseries", description=__doc__)
+    parser = _Parser(prog="padic-lseries", description=(
+        "Certified numbers from pseudodifferential operators on Q_p: gamma factors, "
+        "Vladimirov-kernel checks on Kozyrev wavelets, local traces and L-values. "
+        f"Each subcommand prints one JSON report, or TSV with --format tsv; {OUTPUT_ENV}=path "
+        "writes it to path instead. Exit status: 0 on success, 1 on a usage error, 2 on a "
+        "domain error, reported as JSON on stderr."))
     subparsers = parser.add_subparsers(dest="command", required=True)
     table = {}
     for name, (handler, summary, flags) in _COMMANDS.items():

@@ -220,21 +220,38 @@ def test_the_fast_path_is_parse_args_or_declines_property():
     check()
 
 
-def test_the_benchmark_traffic_takes_the_fast_path():
-    # every request of the three workloads at seeds 1-3 is read by _fast_args,
-    # not argparse, and gives parse_args' Namespace, key order included
+def _benchmark_requests(seeds):
+    """Every argv of the three benchmark workloads at ``seeds``, read from perfbench/workloads.py."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WHY for seed in seeds for argv in workloads.generate(name, seed)]
+
+
+def test_the_benchmark_traffic_takes_the_fast_path():
+    # every request of the three workloads at seeds 1-3 is read by _fast_args,
+    # not argparse, and gives parse_args' Namespace, key order included
     parser = cli._grammar()[0]
-    requests = [argv for name in workloads.WHY for seed in (1, 2, 3) for argv in workloads.generate(name, seed)]
+    requests = _benchmark_requests((1, 2, 3))
     assert len(requests) > 900
     for argv in requests:
         fast, expected = cli._fast_args(argv), parser.parse_args(argv)
         assert fast is not None, argv
         assert fast == expected, argv
         assert list(vars(fast)) == list(vars(expected)), argv
+
+
+def test_the_top_level_help_is_for_users(capsys):
+    # the parser's own description, not the module docstring: no implementation
+    # name reaches the help, and docstring edits leave its bytes as they are
+    assert cli.main(["-h"]) == 0
+    out, err = _capture(capsys)
+    assert err == ""
+    assert out.startswith("usage: padic-lseries ")
+    assert re.findall(r"\b_\w+", out) == []
+    assert "Namespace" not in out and "parse_args" not in out
+    assert cli.__doc__.splitlines()[0] not in out
 
 
 # each form falls back to argparse: exit code and what it reads or refuses
@@ -339,6 +356,24 @@ def test_malformed_character_is_usage_error(capsys):
                 "--character", "four-one"]) == 1
     _, err = _capture(capsys)
     assert "k:index" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["local-factor", "--kind", "dirichlet", "--p", "3", "--s", "2", "--character", "4:x"],
+         "character address '4:x' is not of the form k:index"),
+        (["lseries", "--kind", "dirichlet", "--s", "2"], "--kind dirichlet needs --character k:index"),
+        (["local-factor", "--kind", "dirichlet", "--p", "3", "--s", "2"], "--kind dirichlet needs --character k:index"),
+        (["eigencheck", "--kind", "character_twisted", "--p", "3", "--alpha", "1"],
+         "character_twisted eigencheck needs --character k:index"),
+    ],
+    ids=["non-integer-index", "lseries-without-character", "local-factor-without-character",
+         "eigencheck-without-character"],
+)
+def test_a_missing_or_malformed_character_is_a_usage_error(argv, message, capsys):
+    assert run(argv) == 1
+    assert _capture(capsys) == ("", f"usage error: {message}\n")
 
 
 def test_character_index_out_of_range_is_usage_error(capsys):
@@ -1026,12 +1061,12 @@ def test_json_report_is_sorted_and_stable(capsys):
 def test_encode_maps_each_report_type():
     safe = 2**53
     report = {
-        1: True,
+        "1": True,
         "int": [safe - 1, -(safe - 1), safe, -safe],
         "float": -0.0,
         "complex": 1.5 - 2j,
-        "tuple": ("a", (False, None is None)),
-        "empty": [{}, ()],
+        "list": ["a", [False, None is None]],
+        "empty": [{}, []],
     }
     text = cli._render(report, "json")
     assert text.startswith('{\n  "1": true,\n  "complex": [\n    1.5,\n    -2.0\n  ],\n')
@@ -1040,7 +1075,7 @@ def test_encode_maps_each_report_type():
         "int": [safe - 1, -(safe - 1), str(safe), str(-safe)],
         "float": -0.0,
         "complex": [1.5, -2.0],
-        "tuple": ["a", [False, True]],
+        "list": ["a", [False, True]],
         "empty": [{}, []],
     }
     assert cli._render(report, "tsv").splitlines() == [
@@ -1052,15 +1087,20 @@ def test_encode_maps_each_report_type():
         f"int[1]\t{-(safe - 1)}",
         f'int[2]\t"{safe}"',
         f'int[3]\t"{-safe}"',
-        'tuple[0]\t"a"',
-        "tuple[1][0]\tfalse",
-        "tuple[1][1]\ttrue",
+        'list[0]\t"a"',
+        "list[1][0]\tfalse",
+        "list[1][1]\ttrue",
     ]
     # reports hold no Fraction (sample points are "num/den" strings already)
-    for bad, name in ((Fraction(-3, 4), "Fraction"), (None, "NoneType")):
+    # and no tuple (a sequence is a list)
+    for bad, name in ((Fraction(-3, 4), "Fraction"), (None, "NoneType"), (("a", 1), "tuple"), ((), "tuple")):
         for output_format in ("json", "tsv"):
-            with pytest.raises(TypeError, match=f"cannot serialize {name}"):
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
                 cli._render({"x": [bad]}, output_format)
+    # every key is a str: JSON writes no str(key)
+    for report in ({1: True}, {"x": {"a": 1, 0: 2}}, {"x": [{None: 1.5}]}):
+        with pytest.raises(TypeError):
+            cli._render(report, "json")
 
 
 # The route the writer replaced: encode the report into a JSON-ready tree,
@@ -1076,8 +1116,8 @@ def _reference_encode(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, dict):
-        return {str(k): _reference_encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+        return {k: _reference_encode(v) for k, v in value.items()}
+    if isinstance(value, list):
         return [_reference_encode(v) for v in value]
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -1126,20 +1166,19 @@ def test_writer_matches_the_encode_then_dumps_route_property():
         lambda special: st.lists(st.text(alphabet=st.sampled_from([special, "1", "-"])), min_size=1, max_size=5)
     )
     values = st.recursive(
-        st.one_of(scalars, text_lists, text_lists.map(tuple)),
+        st.one_of(scalars, text_lists),
         lambda children: st.one_of(
             st.lists(children, max_size=4),
-            st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(st.one_of(text, st.integers(-3, 3)), children, max_size=4),
+            st.dictionaries(text, children, max_size=4),
         ),
         max_leaves=15,
     )
-    reports = st.dictionaries(st.one_of(text, st.integers(-3, 3)), values, max_size=6)
+    reports = st.dictionaries(text, values, max_size=6)
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(report=reports)
     @hypothesis.example(report={"q": ["1", '"']})
-    @hypothesis.example(report={"b": ("1", "\\")})
+    @hypothesis.example(report={"b": ["1", "\\"]})
     @hypothesis.example(report={"nul": ["\x00", "-"]})
     @hypothesis.example(report={"del": ["1", "\x7f"]})
     @hypothesis.example(report={"e": ["\xe9"]})
@@ -1151,20 +1190,52 @@ def test_writer_matches_the_encode_then_dumps_route_property():
     check()
 
 
+def test_the_writer_gives_the_reference_bytes_on_the_benchmark_traffic(monkeypatch, capsys):
+    # the workloads ask for JSON only and the property test draws random
+    # trees: every seed-1 request in both formats, against json.dumps of the
+    # parsed report and its path<TAB>json.dumps(leaf) flattening
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    requests = _benchmark_requests((1,))
+    assert len(requests) == 321
+    rendered = 0
+    for argv in requests:
+        code = run(argv)
+        out, _ = _capture(capsys)
+        assert run([*argv, "--format", "tsv"]) == code, argv
+        tsv, _ = _capture(capsys)
+        if code:
+            assert out == tsv == "", argv
+            continue
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
+        report["config"]["output_format"] = "tsv"
+        lines = []
+        _reference_flatten(report, "", lines)
+        assert tsv == "\n".join(lines) + "\n", argv
+        rendered += 1
+    assert rendered > 250
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_float_at_any_depth_is_refused_naming_its_path(bad):
     # strict JSON has no token for these; the path is the one TSV writes
     cases = [
         ({"x": bad}, "x"),
-        ({"a": [1, {"b": (2.0, bad)}]}, "a[1].b[1]"),
+        ({"a": [1, {"b": [2.0, bad]}]}, "a[1].b[1]"),
         ({"z": complex(bad, 0.0)}, "z[0]"),
         ({"z": [complex(0.0, bad)]}, "z[0][1]"),
-        ({0: {"ok": 1.5, "x": [bad, math.inf]}}, "0.x[0]"),
+        ({"0": {"ok": 1.5, "x": [bad, math.inf]}}, "0.x[0]"),
     ]
     for report, path in cases:
         for output_format in ("json", "tsv"):
             with pytest.raises(FloatRangeError, match=rf"^report field {re.escape(path)} is {bad}; "):
                 cli._render(report, output_format)
+    # a tuple is refused as it is met, before the float it holds
+    for output_format in ("json", "tsv"):
+        with pytest.raises(TypeError, match="^cannot serialize tuple$"):
+            cli._render({"a": [1, {"b": (2.0, bad)}]}, output_format)
+    with pytest.raises(TypeError):
+        cli._render({0: {"ok": 1.5, "x": [bad]}}, "json")
 
 
 @pytest.mark.parametrize(
